@@ -146,10 +146,9 @@ def _cmd_poset(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(poset.to_dot(name="family") + "\n")
-    lines = []
-    if args.stats or not args.dot:
-        lines.append(poset.stats_text())
-    payload = {"family": args.family, "stats": poset.stats_text()}
+    stats = poset.stats_text()
+    lines = [stats] if args.stats or not args.dot else []
+    payload = {"family": args.family, "stats": stats}
     if args.dot:
         payload["dot"] = args.dot
     _emit(args, payload, lines)

@@ -1,9 +1,9 @@
 """Finite simplicial complexes and exact integral homology.
 
 Complexes are stored by their facets (frozensets of hashable vertex
-labels).  Reduced homology is computed over the integers from the
-augmented boundary matrices via Smith normal form, after an elementary
-collapse pass that shrinks the face set without changing homotopy type.
+labels).  Reduced homology is computed over the integers by coreductions
+plus sparse/dense Smith normal form, on faces held as integer masks over
+the vertices; labels appear only at the boundary (facets and facet files).
 Also built here: order complexes of posets, joins, the complex of
 k-noncrossing arc subsets, and the multitriangulation complex of
 k-relevant polygon diagonals.
@@ -11,6 +11,7 @@ k-relevant polygon diagonals.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -18,6 +19,7 @@ from .crossing import crossing_adjacency, masked_clique_exists, noncrossing_subs
 from .diagram import Arc
 from .errors import InvalidArgumentError
 from .poset import FinitePoset, element_key
+from .snf import invariant_factors
 from .transform import is_k_relevant
 
 
@@ -25,8 +27,13 @@ class SimplicialComplex:
     """A finite simplicial complex, held as its maximal faces."""
 
     def __init__(self, facets):
-        candidates = {frozenset(f) for f in facets}
-        maximal = [f for f in candidates if not any(f < g for g in candidates)]
+        by_size: dict[int, list[frozenset]] = {}
+        for f in {frozenset(f) for f in facets}:
+            by_size.setdefault(len(f), []).append(f)
+        # a face below a larger candidate is below a larger maximal one
+        maximal: list[frozenset] = []
+        for size in sorted(by_size, reverse=True):
+            maximal += [f for f in by_size[size] if not any(f < g for g in maximal)]
         self.facets: tuple[frozenset, ...] = tuple(
             sorted(maximal, key=lambda f: (len(f), sorted(element_key(v) for v in f)))
         )
@@ -232,84 +239,81 @@ class HomologyResult:
         )
 
 
-def _collapse(faces: set[frozenset], vertices: tuple) -> set[frozenset]:
-    """Remove free pairs (a face whose unique coface is itself maximal)
-    until none are found.  Each removal is an elementary collapse, so the
-    result has the same homotopy type."""
-    cofaces = {f: 0 for f in faces}
-    for f in faces:
-        for v in f:
-            sub = f - {v}
-            if sub:
-                cofaces[sub] = cofaces.get(sub, 0) + 1
-    queue = [f for f, c in cofaces.items() if c == 1]
-    while queue:
-        sigma = queue.pop()
-        if sigma not in faces or cofaces[sigma] != 1:
-            continue
-        tau = None
-        for v in vertices:
-            if v not in sigma:
-                candidate = sigma | {v}
-                if candidate in faces:
-                    tau = candidate
-                    break
-        if tau is None or cofaces[tau] != 0:
-            continue
-        faces.discard(sigma)
-        faces.discard(tau)
-        for removed in (sigma, tau):
-            for v in removed:
-                sub = removed - {v}
-                if sub in faces:
-                    cofaces[sub] -= 1
-                    if cofaces[sub] == 1:
-                        queue.append(sub)
-                    elif cofaces[sub] == 0:
-                        queue.append(sub)  # may become the coface of a new free pair
-    return faces
-
-
 def reduced_homology(complex_: SimplicialComplex, collapse: bool = True) -> HomologyResult:
-    """Reduced homology over the integers, exactly."""
-    from .snf import invariant_factors
+    """Reduced homology over the integers, exactly.
 
+    Faces are integer masks over the vertices in ``element_key`` order, the
+    empty face included, so the chain complex is the augmented one.  Each
+    face maps to the mask of the vertices whose removal gives a face still
+    present.  With ``collapse``, coreductions first remove pairs (a, b)
+    where a is the only face left in the boundary of b, breadth first from
+    (first vertex, empty face); such a removal changes no other boundary.
+    Smith normal form gets what remains.
+    """
     if complex_.is_void():
         return HomologyResult({})
-    faces = complex_.faces()
-    if collapse:
-        faces = _collapse(set(faces), complex_.vertices())
-    if not faces:
-        # everything collapsed onto the empty face
-        return HomologyResult({-1: (1, ())})
+    bit = {v: 1 << i for i, v in enumerate(complex_.vertices())}
+    vertex_bits = list(bit.values())
+    boundary: dict[int, int] = {}
+    for facet in complex_.facets:
+        facet_mask = sum(bit[v] for v in facet)
+        face = facet_mask
+        while True:
+            boundary[face] = face
+            if not face:
+                break
+            face = (face - 1) & facet_mask
 
-    by_dim: dict[int, list[frozenset]] = {-1: [frozenset()]}
-    for face in faces:
-        by_dim.setdefault(len(face) - 1, []).append(face)
-    top = max(by_dim)
-    for d in by_dim:
-        by_dim[d].sort(key=element_key)
-    index = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
+    if collapse and vertex_bits:
+        queue = deque()
 
+        def remove(cell: int) -> None:
+            del boundary[cell]
+            for v in vertex_bits:
+                if cell & v:
+                    continue
+                coface = cell | v
+                rest = boundary.get(coface)
+                if rest is not None:
+                    rest ^= v
+                    boundary[coface] = rest
+                    if rest and not rest & (rest - 1):
+                        queue.append(coface)
+
+        remove(0)
+        remove(vertex_bits[0])
+        while queue:
+            cell = queue.popleft()
+            rest = boundary.get(cell)
+            if rest and not rest & (rest - 1):
+                remove(cell ^ rest)
+                remove(cell)
+
+    top = complex_.dimension()
+    by_dim: dict[int, list[int]] = {d: [] for d in range(-1, top + 1)}
+    for cell in sorted(boundary):
+        by_dim[cell.bit_count() - 1].append(cell)
     ranks: dict[int, int] = {}
     torsion_source: dict[int, tuple[int, ...]] = {}
     for d in range(0, top + 1):
+        columns = by_dim[d]
+        if not columns:
+            continue
+        row = {cell: i for i, cell in enumerate(by_dim[d - 1])}
         entries: dict[tuple[int, int], int] = {}
-        lower = index.get(d - 1, {})
-        for col, face in enumerate(by_dim.get(d, [])):
-            ordered = sorted(face, key=element_key)
-            for i, v in enumerate(ordered):
-                sub = face - {v}
-                row = lower.get(sub)
-                if row is not None:
-                    entries[(row, col)] = (-1) ** i
-        factors = invariant_factors(entries, len(lower), len(by_dim.get(d, [])))
+        for col, cell in enumerate(columns):
+            rest = boundary[cell]
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                entries[(row[cell ^ v], col)] = -1 if (cell & (v - 1)).bit_count() & 1 else 1
+        factors = invariant_factors(entries, len(row), len(columns))
         ranks[d] = len(factors)
         torsion_source[d - 1] = tuple(f for f in factors if f > 1)
 
     groups: dict[int, tuple[int, tuple[int, ...]]] = {}
     for d in range(-1, top + 1):
-        betti = len(by_dim.get(d, [])) - ranks.get(d, 0) - ranks.get(d + 1, 0)
+        betti = len(by_dim[d]) - ranks.get(d, 0) - ranks.get(d + 1, 0)
         groups[d] = (betti, torsion_source.get(d, ()))
     return HomologyResult(groups)
 

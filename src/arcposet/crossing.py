@@ -59,11 +59,6 @@ def max_crossing_clique(pairs: Sequence[Pair]) -> int:
     return best
 
 
-def has_crossing_clique(pairs: Sequence[Pair], size: int) -> bool:
-    adj = crossing_adjacency(pairs)
-    return masked_clique_exists(adj, (1 << len(pairs)) - 1, size)
-
-
 def noncrossing_subset_masks(pairs: Sequence[Pair], k: int) -> Iterator[int]:
     """All subsets of ``pairs`` (as bitmasks, empty included) without k+1
     mutually crossing members, each yielded exactly once."""

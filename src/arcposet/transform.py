@@ -24,7 +24,7 @@ from .diagram import (
     is_proper,
     is_regular,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .matrix import SymmetricMatrix, family_membership, r_value
 from .crossing import pairs_cross
 
@@ -84,7 +84,7 @@ def swap_orbit(diagram: Diagram, cap: int = 1_000_000) -> set[Diagram]:
             neighbour = swap(current, site)
             if neighbour not in seen:
                 if len(seen) >= cap:
-                    raise InvalidArgumentError(f"swap orbit exceeds cap {cap}")
+                    raise ResourceLimitError(f"swap orbit exceeds cap {cap}", bound=cap)
                 seen.add(neighbour)
                 queue.append(neighbour)
     return seen

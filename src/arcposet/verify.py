@@ -308,7 +308,7 @@ def _check_join(params):
 
 
 _CHECKS = {
-    "thm11": (_check_thm11, [{"f": 4, "k": 1}, {"f": 5, "k": 1}, {"f": 6, "k": 1}, {"f": 5, "k": 2}, {"f": 6, "k": 2}]),
+    "thm11": (_check_thm11, [{"f": f, "k": 1} for f in (4, 5, 6)] + [{"f": f, "k": 2} for f in (5, 6, 7)]),
     "thm12": (
         _check_thm12,
         [

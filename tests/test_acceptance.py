@@ -54,14 +54,45 @@ def catalan(n: int) -> int:
     return result
 
 
+def bareiss_determinant(matrix: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+    a = [row[:] for row in matrix]
+    n = len(a)
+    sign, previous = 1, 1
+    for t in range(n - 1):
+        if a[t][t] == 0:
+            swap = next((i for i in range(t + 1, n) if a[i][t]), None)
+            if swap is None:
+                return 0
+            a[t], a[swap] = a[swap], a[t]
+            sign = -sign
+        for i in range(t + 1, n):
+            for j in range(t + 1, n):
+                a[i][j] = (a[i][j] * a[t][t] - a[i][t] * a[t][j]) // previous
+        previous = a[t][t]
+    return sign * a[-1][-1] if n else 1
+
+
 def hankel_facet_count(m: int, k: int) -> int:
     """det(C_{m-i-j}) for 1 <= i, j <= k: the number of k-triangulations."""
-    entries = [[catalan(m - i - j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-    if k == 1:
-        return entries[0][0]
-    if k == 2:
-        return entries[0][0] * entries[1][1] - entries[0][1] * entries[1][0]
-    raise NotImplementedError
+    return bareiss_determinant(
+        [[catalan(m - i - j) for j in range(1, k + 1)] for i in range(1, k + 1)]
+    )
+
+
+def test_bareiss_determinant_matches_cofactor_expansion():
+    def cofactor(a):
+        if len(a) == 1:
+            return a[0][0]
+        return sum(
+            (-1) ** j * a[0][j] * cofactor([row[:j] + row[j + 1:] for row in a[1:]])
+            for j in range(len(a))
+        )
+
+    for a in ([[0, 2, 1], [3, 0, 4], [5, 6, 0]], [[2, 4], [1, 2]], [[0, 1], [1, 0]], [[7]]):
+        assert bareiss_determinant(a) == cofactor(a)
+    assert hankel_facet_count(9, 3) == 30
+    assert hankel_facet_count(10, 3) == 330
 
 
 def test_smallest_regular_families_are_a_circle_and_a_2_sphere():
@@ -102,7 +133,7 @@ def test_regular_family_homology_matches_join_prediction():
 
 
 def test_multitriangulation_complexes_are_spheres_with_hankel_facet_counts():
-    for m, k in [(5, 1), (6, 1), (7, 1), (8, 1), (6, 2), (7, 2), (8, 2)]:
+    for m, k in [(5, 1), (6, 1), (7, 1), (8, 1), (6, 2), (7, 2), (8, 2), (9, 3), (10, 3)]:
         complex_ = build_T(m, k)
         assert sphere_signature(complex_) == k * (m - 2 * k - 1) - 1, (m, k)
         assert len(complex_.facets) == hankel_facet_count(m, k), (m, k)

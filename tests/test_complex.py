@@ -2,6 +2,7 @@
 
 import pytest
 
+from arcposet import complexes
 from arcposet.complexes import (
     SimplicialComplex,
     build_T,
@@ -29,6 +30,16 @@ def circle():
 
 def two_points():
     return SimplicialComplex([{"a"}, {"b"}])
+
+
+def wedge_of_two_circles():
+    return SimplicialComplex(
+        [{"a", "b"}, {"b", "c"}, {"a", "c"}, {"a", "d"}, {"d", "e"}, {"a", "e"}]
+    )
+
+
+def noncrossing_cone():
+    return noncrossing_complex(admissible_arcs(6), 2)
 
 
 # six-vertex triangulation of the real projective plane
@@ -148,14 +159,47 @@ class TestHomology:
         assert h.betti(2) == 0
         assert "H~_1 = 0 + Z/2" in h.report_lines()
 
-    @pytest.mark.parametrize("complex_builder", [circle, two_points])
+    def test_wedge_of_two_circles(self):
+        h = reduced_homology(wedge_of_two_circles())
+        assert h.nontrivial_dims() == (1,) and h.betti(1) == 2
+
+    @pytest.mark.parametrize(
+        "complex_builder",
+        [
+            circle,
+            two_points,
+            noncrossing_cone,
+            lambda: build_T(7, 2),
+            wedge_of_two_circles,
+            lambda: join(circle(), two_points()),
+        ],
+        ids=["circle", "two_points", "cone", "T72", "wedge", "join"],
+    )
     def test_collapse_agrees_with_raw(self, complex_builder):
         c = complex_builder()
-        assert reduced_homology(c, collapse=True) == reduced_homology(c, collapse=False)
+        assert reduced_homology(c, collapse=True).groups == reduced_homology(c, collapse=False).groups
+
+    @pytest.mark.parametrize(
+        "complex_builder, most",
+        [(lambda: build_T(8, 2), 1), (noncrossing_cone, 0)],
+        ids=["T82", "cone"],
+    )
+    def test_coreduction_leaves_almost_nothing_for_smith_form(
+        self, monkeypatch, complex_builder, most
+    ):
+        columns = []
+
+        def counting(entries, nrows, ncols):
+            columns.append(ncols)
+            return invariant_factors(entries, nrows, ncols)
+
+        monkeypatch.setattr(complexes, "invariant_factors", counting)
+        reduced_homology(complex_builder())
+        assert sum(columns) <= most
 
     def test_collapse_agrees_on_rp2(self):
         c = SimplicialComplex(RP2_FACETS)
-        assert reduced_homology(c, collapse=True) == reduced_homology(c, collapse=False)
+        assert reduced_homology(c, collapse=True).groups == reduced_homology(c, collapse=False).groups
 
     def test_euler_characteristic_consistency(self):
         c = noncrossing_complex(admissible_arcs(6), 2)

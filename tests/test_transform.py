@@ -15,7 +15,7 @@ from arcposet.diagram import (
     parallel_classes,
     parse,
 )
-from arcposet.errors import InvalidArgumentError
+from arcposet.errors import InvalidArgumentError, ResourceLimitError
 from arcposet.matrix import SymmetricMatrix, enumerate_matrices
 from arcposet.transform import (
     BOTTOM_RELEVANT,
@@ -122,6 +122,13 @@ class TestEquivalence:
         orbit = swap_orbit(d)
         assert d in orbit
         assert all(equivalent(d, other) for other in orbit)
+
+    def test_swap_orbit_cap_is_a_resource_limit(self):
+        d = parse("n=7; arcs=(1,4),(2,6)")
+        assert len(swap_orbit(d, cap=2)) == 2
+        with pytest.raises(ResourceLimitError) as caught:
+            swap_orbit(d, cap=1)
+        assert caught.value.bound == 1
 
 
 class TestDualAndBlowUp:
