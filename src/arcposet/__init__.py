@@ -8,7 +8,7 @@ integral simplicial homology.
 """
 
 from .diagram import Diagram, parse, to_text
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .matrix import SymmetricMatrix
 from .poset import FinitePoset
 from .complexes import SimplicialComplex
@@ -17,6 +17,7 @@ __all__ = [
     "Diagram",
     "FinitePoset",
     "InvalidArgumentError",
+    "InvariantError",
     "ResourceLimitError",
     "SimplicialComplex",
     "SymmetricMatrix",

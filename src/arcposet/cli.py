@@ -25,7 +25,7 @@ from .diagram import (
     tautology_number,
     to_text,
 )
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .families import build_family
 from .matrix import SymmetricMatrix
 from .transform import blow_up, canonicalize, dual, equivalent, realize_matrix
@@ -59,6 +59,8 @@ def _parse_params(text: str | None) -> dict[str, int]:
     for part in text.split(","):
         name, _, value = part.partition("=")
         name = name.strip()
+        if name in params:
+            raise InvalidArgumentError(f"parameter {name!r} given twice")
         try:
             params[name] = int(value)
         except ValueError:
@@ -121,17 +123,7 @@ def _cmd_realize(args) -> int:
 
 
 def _build_family(args):
-    params = _parse_params(args.params)
-    cap = args.cap
-    return build_family(
-        args.family,
-        n=params.get("n"),
-        m=params.get("m"),
-        f=params.get("f"),
-        k=params.get("k"),
-        r=params.get("r"),
-        cap=cap,
-    )
+    return build_family(args.family, cap=args.cap, **_parse_params(args.params))
 
 
 def _cmd_enum(args) -> int:
@@ -228,9 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--cap", type=int, default=None, help="size/search cap")
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="worker parallelism (never changes output)"
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inspect", help="free sites, blocks, block matrix, predicates")
@@ -303,6 +292,9 @@ def run(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"invariant violated: {exc}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -112,10 +112,8 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
 
 def order_complex(poset: FinitePoset) -> SimplicialComplex:
     """Faces are the chains of the poset; facets its maximal chains."""
-    covers = poset._cover_dag()
-    minimal = [
-        i for i in range(len(poset)) if not any(i in outs for outs in covers)
-    ]
+    covers = poset.succ
+    minimal = [poset.index(e) for e in poset.minimal_elements()]
     facets: list[frozenset] = []
     stack: list[int] = []
 

@@ -11,3 +11,7 @@ class ResourceLimitError(RuntimeError):
     def __init__(self, message: str, *, bound: int | None = None):
         super().__init__(message)
         self.bound = bound
+
+
+class InvariantError(RuntimeError):
+    """A property that the theory guarantees failed to hold."""

@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-
-import numpy as np
+from operator import itemgetter
 
 from .crossing import noncrossing_subset_masks
 from .diagram import (
@@ -32,8 +31,8 @@ from .diagram import (
     suppress_arc,
     tautology_number,
 )
-from .errors import InvalidArgumentError, ResourceLimitError
-from .matrix import SymmetricMatrix, dominates, enumerate_matrices
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
+from .matrix import SymmetricMatrix, enumerate_matrices, upper_positions
 from .poset import FinitePoset, chain_stats_from_covers
 from .transform import beta_inverse, is_k_relevant
 
@@ -93,16 +92,17 @@ def enumerate_proper_diagrams(n: int):
 
 
 def _inclusion_family(n: int, k: int, pool: list[Arc], cap: int) -> FinitePoset:
-    elements = []
+    keys, elements = [], []
     for mask in noncrossing_subset_masks(pool, k):
         if mask == 0:
             continue
-        chosen = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-        elements.append(Diagram(n, chosen))
+        bits = tuple(mask >> i & 1 for i in range(len(pool)))
+        keys.append(bits)
+        elements.append(Diagram(n, [arc for arc, bit in zip(pool, bits) if bit]))
         if len(elements) > cap:
             raise ResourceLimitError(f"family exceeds cap {cap}", bound=cap)
-    arc_sets = {d: frozenset(d.arcs) for d in elements}
-    return FinitePoset(elements, lambda a, b: arc_sets[a] <= arc_sets[b], validate=False)
+    # a cover adds one arc
+    return FinitePoset(elements, covers=unit_step_covers(keys), validate=False)
 
 
 def build_S(n: int, k: int, cap: int = 1_000_000) -> FinitePoset:
@@ -127,88 +127,74 @@ def build_Sstar(m: int, k: int, cap: int = 1_000_000) -> FinitePoset:
 
 
 # ---------------------------------------------------------------------------
-# matrix family under domination
+# matrix families under domination, by unit steps on flat keys
 
 
-def _domination_matrix(matrices: list[SymmetricMatrix]) -> np.ndarray:
-    """Boolean entrywise-domination relation, computed in chunks."""
-    n = len(matrices)
-    flat = np.array(
-        [[v for row in mat.rows for v in row] for mat in matrices], dtype=np.int8
-    )
-    leq = np.zeros((n, n), dtype=bool)
-    chunk = max(1, 4_000_000 // max(1, n * flat.shape[1]))
-    for start in range(0, n, chunk):
-        block = flat[start : start + chunk]
-        leq[start : start + chunk] = (block[:, None, :] <= flat[None, :, :]).all(axis=-1)
-    return leq
+def unit_step_covers(keys: list[tuple[int, ...]]) -> list[list[int]]:
+    """Cover digraph of nonnegative integer vectors under entrywise order.
 
-
-def build_M(m: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
-    """The tautology-bounded matrix family under entrywise domination."""
-    matrices = sorted(enumerate_matrices(m, k, r, cap=cap), key=lambda mat: mat.key())
-    return FinitePoset(matrices, _domination_matrix(matrices), validate=False)
-
-
-# ---------------------------------------------------------------------------
-# regular-diagram family
-
-
-def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
-    """Regular proper diagrams with f free sites, k-noncrossing, tautology
-    at most r, ordered by block-matrix domination."""
-    if f < 2:
-        raise InvalidArgumentError(f"f must be >= 2, got {f}")
-    diagrams = [beta_inverse(matrix, k, r) for matrix in enumerate_matrices(f + 1, k, r, cap=cap)]
-    leq = _domination_matrix([block_matrix(d) for d in diagrams])
-    return FinitePoset(diagrams, leq, validate=False)
+    The family together with the zero vector must be closed under lowering
+    one entry by one (else :class:`InvariantError`); then every strict
+    domination refines into unit steps, and the covers of a key are
+    exactly its +1 steps on one entry that stay inside the family.  Keys
+    are coded as integers in a base above every entry plus one, so a step
+    never carries.
+    """
+    if not keys:
+        return []
+    base = max(map(max, keys)) + 2
+    steps = [base**p for p in range(len(keys[0]))]
+    codes = [sum(v * step for v, step in zip(key, steps)) for key in keys]
+    index = {code: t for t, code in enumerate(codes)}
+    succ: list[list[int]] = []
+    for key, code in zip(keys, codes):
+        outs = []
+        for p, (value, step) in enumerate(zip(key, steps)):
+            bumped = index.get(code + step)
+            if bumped is not None:
+                outs.append(bumped)
+            if value and code != step and code - step not in index:
+                down = key[:p] + (value - 1,) + key[p + 1 :]
+                raise InvariantError(f"family not closed under decrements: has {key}, lacks {down}")
+        succ.append(outs)
+    return succ
 
 
 def matrix_family_covers(
     m: int, k: int, r: int, cap: int = 10_000_000
 ) -> tuple[list[SymmetricMatrix], list[list[int]]]:
-    """The matrix family with its domination cover digraph.
-
-    The family together with the zero matrix is closed under decrementing
-    an entry (asserted below), so any strict domination refines into unit
-    steps and the covers are exactly the unit increments inside the family.
-    This scales to families too large for a dense order matrix.
-    """
+    """The matrix family M^r_{m,k} with its domination cover digraph, keyed
+    by upper-triangle value tuples."""
     matrices = enumerate_matrices(m, k, r, cap=cap)
-    index = {mat.key(): t for t, mat in enumerate(matrices)}
-    positions = [
-        (i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if (i, j) != (1, m)
-    ]
-    succ: list[list[int]] = []
-    for mat in matrices:
-        outs = []
-        for i, j in positions:
-            value = mat.entry(i, j)
-            bumped = index.get(_with_entry(mat, i, j, value + 1).key())
-            if bumped is not None:
-                outs.append(bumped)
-            if value:
-                down = _with_entry(mat, i, j, value - 1)
-                assert down.is_trivial() or down.key() in index, (
-                    "family is not closed under entry decrements"
-                )
-        succ.append(outs)
-    return matrices, succ
-
-
-def _with_entry(mat: SymmetricMatrix, i: int, j: int, value: int) -> SymmetricMatrix:
-    rows = [list(row) for row in mat.rows]
-    rows[i - 1][j - 1] = value
-    rows[j - 1][i - 1] = value
-    return SymmetricMatrix(rows)
+    upper = itemgetter(*((i - 1) * m + j - 1 for i, j in upper_positions(m)))
+    return matrices, unit_step_covers([upper(sum(mat.rows, ())) for mat in matrices])
 
 
 def matrix_family_chain_stats(m: int, k: int, r: int, cap: int = 10_000_000):
-    """(size, rank_cardinality, pure) of the matrix family under domination,
-    via the cover digraph (usable where the dense order matrix is not)."""
+    """(size, rank_cardinality, pure) of the matrix family under domination."""
     matrices, succ = matrix_family_covers(m, k, r, cap=cap)
     rank_length, pure = chain_stats_from_covers(succ)
     return len(matrices), rank_length + 1, pure
+
+
+def build_M(m: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
+    """The tautology-bounded matrix family under entrywise domination."""
+    matrices, succ = matrix_family_covers(m, k, r, cap=cap)
+    return FinitePoset(matrices, covers=succ, validate=False)
+
+
+def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
+    """Regular proper diagrams with f free sites, k-noncrossing, tautology
+    at most r, ordered by block-matrix domination: beta_inverse carries
+    M^r_{f+1,k} and its covers over, block matrix by block matrix."""
+    if f < 2:
+        raise InvalidArgumentError(f"f must be >= 2, got {f}")
+    matrices, succ = matrix_family_covers(f + 1, k, r, cap=cap)
+    diagrams = [beta_inverse(matrix, k, r) for matrix in matrices]
+    for matrix, diagram in zip(matrices, diagrams):
+        if block_matrix(diagram) != matrix:
+            raise InvariantError(f"beta_inverse({matrix.key()}) has another block matrix")
+    return FinitePoset(diagrams, covers=succ, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -279,25 +265,22 @@ def in_regular_family(diagram: Diagram, f: int, k: int, r: int) -> bool:
     return in_proper_family(diagram, f, k, r) and is_regular(diagram)
 
 
-def build_family(name: str, *, n=None, m=None, f=None, k=None, r=None, cap=None) -> FinitePoset:
+# each family's parameters, one letter each, in the builder's order
+_FAMILY_PARAMS = {"S": "nk", "So": "mk", "Sstar": "mk", "M": "mkr", "P": "fkr", "D": "fkr"}
+
+
+def build_family(name: str, *, cap: int | None = None, **params: int) -> FinitePoset:
     """Dispatch on a family name; see the module docstring for parameters."""
-    kwargs = {} if cap is None else {"cap": cap}
-    if name == "S":
-        return build_S(_need(n, "n"), _need(k, "k"), **kwargs)
-    if name == "So":
-        return build_So(_need(m, "m"), _need(k, "k"), **kwargs)
-    if name == "Sstar":
-        return build_Sstar(_need(m, "m"), _need(k, "k"), **kwargs)
-    if name == "M":
-        return build_M(_need(m, "m"), _need(k, "k"), _need(r, "r"), **kwargs)
-    if name == "P":
-        return build_P(_need(f, "f"), _need(k, "k"), _need(r, "r"), **kwargs)
-    if name == "D":
-        return build_D(_need(f, "f"), _need(k, "k"), _need(r, "r"), **kwargs)
-    raise InvalidArgumentError(f"unknown family {name!r}")
-
-
-def _need(value, label):
-    if value is None:
-        raise InvalidArgumentError(f"parameter {label} is required")
-    return value
+    if name not in _FAMILY_PARAMS:
+        raise InvalidArgumentError(f"unknown family {name!r}")
+    names = tuple(_FAMILY_PARAMS[name])
+    for label in params:
+        if label not in names:
+            raise InvalidArgumentError(f"family {name} takes {', '.join(names)}, not {label!r}")
+    for label in names:
+        if label not in params:
+            raise InvalidArgumentError(f"parameter {label} is required")
+    # looked up per call, so that a builder rebound on the module is used
+    builders = {"S": build_S, "So": build_So, "Sstar": build_Sstar}
+    builder = {**builders, "M": build_M, "P": build_P, "D": build_D}[name]
+    return builder(*(params[label] for label in names), **({} if cap is None else {"cap": cap}))

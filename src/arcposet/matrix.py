@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from math import comb
 
 from .crossing import masked_clique_exists, crossing_adjacency, max_crossing_clique
 from .errors import InvalidArgumentError, ResourceLimitError
@@ -26,19 +25,22 @@ class SymmetricMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(v) for v in row) for row in rows)
+        rows = tuple(tuple(map(int, row)) for row in rows)
         object.__setattr__(self, "rows", rows)
         m = len(rows)
+        if m < 1:
+            raise InvalidArgumentError("matrix order must be >= 1")
         for i, row in enumerate(rows):
             if len(row) != m:
                 raise InvalidArgumentError(f"row {i + 1} has length {len(row)}, expected {m}")
+        if rows == tuple(zip(*rows)) and min(map(min, rows)) >= 0:
+            return
+        for i, row in enumerate(rows):  # find the first offending entry
             for j, value in enumerate(row):
                 if value < 0:
                     raise InvalidArgumentError(f"negative entry at ({i + 1},{j + 1})")
                 if value != rows[j][i]:
                     raise InvalidArgumentError(f"asymmetric at ({i + 1},{j + 1})")
-        if m < 1:
-            raise InvalidArgumentError("matrix order must be >= 1")
 
     @classmethod
     def zero(cls, order: int) -> "SymmetricMatrix":
@@ -90,8 +92,13 @@ class SymmetricMatrix:
         if not isinstance(payload, dict) or "order" not in payload or "rows" not in payload:
             raise InvalidArgumentError("matrix JSON must have 'order' and 'rows'")
         rows = payload["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise InvalidArgumentError("matrix JSON 'rows' must be a list of lists")
         if len(rows) != payload["order"]:
             raise InvalidArgumentError("row count does not match 'order'")
+        for value in (v for row in rows for v in row):
+            if type(value) is not int:  # not isinstance: JSON true/false are bools
+                raise InvalidArgumentError(f"matrix entry {json.dumps(value)} is not an integer")
         return cls(rows)
 
 
@@ -185,6 +192,12 @@ def family_membership(
     return r_value(matrix) <= r and is_k_noncrossing_matrix(matrix, k)
 
 
+def upper_positions(m: int) -> list[tuple[int, int]]:
+    """Above-diagonal 1-indexed positions of an order-m family matrix, row by
+    row, without the structurally zero rainbow (1, m)."""
+    return [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if (i, j) != (1, m)]
+
+
 def enumerate_matrices(
     m: int, k: int, r: int, cap: int = 10_000_000
 ) -> list[SymmetricMatrix]:
@@ -192,7 +205,8 @@ def enumerate_matrices(
 
     Every admissible position is assigned a value whose tautology cost
     (semi-diagonal units plus excess over 1) fits the remaining budget,
-    so the search is exact and finite.
+    so the search is exact and finite.  ``cap`` bounds the search nodes
+    actually visited.
     """
     if m < 4:
         raise InvalidArgumentError(f"m must be >= 4, got {m}")
@@ -201,32 +215,20 @@ def enumerate_matrices(
     if r < 0:
         raise InvalidArgumentError(f"r must be >= 0, got {r}")
 
-    positions = [
-        (i, j)
-        for i in range(1, m + 1)
-        for j in range(i + 1, m + 1)
-        if (i, j) != (1, m)  # rainbow is structurally zero
-    ]
-    # at most r positions can carry tautology cost, so the space is bounded by
-    # (0,1) choices times budget distributions
-    predicted = 2 ** len(positions) * comb(len(positions) + r, r) * (r + 1)
-    if predicted > cap:
-        raise ResourceLimitError(
-            f"predicted search space {predicted} exceeds cap {cap}", bound=cap
-        )
-
+    positions = upper_positions(m)
     adjacency = crossing_adjacency(positions)
-    results: list[SymmetricMatrix] = []
+    keys: list[tuple[int, ...]] = []
     values = [0] * len(positions)
+    nodes = 0
 
     def assign(index: int, budget: int, support: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise ResourceLimitError(f"matrix search exceeded {cap} nodes", bound=cap)
         if index == len(positions):
             if support:
-                results.append(
-                    SymmetricMatrix.from_entries(
-                        m, {positions[t]: values[t] for t in range(len(positions))}
-                    )
-                )
+                keys.append(tuple(values))
             return
         i, j = positions[index]
         semi = j == i + 1
@@ -248,8 +250,12 @@ def enumerate_matrices(
             value += 1
 
     assign(0, r, 0)
-    results.sort(key=lambda mat: mat.rows)
-    return results
+    keys.sort()  # the order of the rows, since they repeat earlier values
+    # each cell's slot in (0, *key): the diagonal and the rainbow read 0
+    slot = {pair: t + 1 for t, pair in enumerate(positions)}
+    cells = [[slot.get((min(i, j), max(i, j)), 0) for j in range(1, m + 1)] for i in range(1, m + 1)]
+    padded = ((0, *key) for key in keys)
+    return [SymmetricMatrix([[cell[c] for c in row] for row in cells]) for cell in padded]
 
 
 def enumerate_base_family(m: int, k: int) -> list[SymmetricMatrix]:

@@ -1,7 +1,7 @@
-"""Finite posets with explicit order matrices.
+"""Finite posets held as cover digraphs.
 
-Elements are kept in a canonical order and the relation is stored as a
-dense boolean matrix, validated on construction.  Provides chains and
+Elements are kept in a canonical order with the upper covers of each; the
+dense order matrix is built lazily, and capped.  Provides chains and
 purity, covers, intervals, bottom adjunction, direct products,
 isomorphism testing, order-map classification, and DOT/stats export.
 """
@@ -10,10 +10,21 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgumentError, ResourceLimitError
+
+# largest dense order matrix (n * n one-byte cells) a poset will allocate
+LEQ_BYTE_CAP = 1 << 28
+
+
+def _dense_order_matrix(n: int) -> np.ndarray:
+    if n * n > LEQ_BYTE_CAP:
+        message = f"{n}x{n} order matrix exceeds {LEQ_BYTE_CAP} bytes"
+        raise ResourceLimitError(message, bound=LEQ_BYTE_CAP)
+    return np.zeros((n, n), dtype=bool)
 
 
 def topological_order(succ: list[list[int]]) -> list[int]:
@@ -36,9 +47,15 @@ def topological_order(succ: list[list[int]]) -> list[int]:
     return order
 
 
-def chain_extents_from_covers(succ: list[list[int]]):
-    """Per node of a cover digraph: (min, max) path length down to a source
-    and up to a sink."""
+def chain_stats_from_covers(succ: list[list[int]]) -> tuple[int, bool]:
+    """(rank_length, pure) of the poset whose cover digraph is ``succ``.
+
+    Pure means every maximal chain has the same length: each element's
+    shortest and longest cover paths down to a source agree, likewise up
+    to a sink, and the two sum to the same total everywhere.
+    """
+    if not succ:
+        raise InvalidArgumentError("empty poset has no rank")
     n = len(succ)
     pred: list[list[int]] = [[] for _ in range(n)]
     for i, outs in enumerate(succ):
@@ -57,15 +74,7 @@ def chain_extents_from_covers(succ: list[list[int]]):
         if succ[i]:
             min_up[i] = 1 + min(min_up[s] for s in succ[i])
             max_up[i] = 1 + max(max_up[s] for s in succ[i])
-    return min_down, max_down, min_up, max_up
-
-
-def chain_stats_from_covers(succ: list[list[int]]) -> tuple[int, bool]:
-    """(rank_length, pure) of the poset whose cover digraph is ``succ``."""
-    if not succ:
-        raise InvalidArgumentError("empty poset has no rank")
-    min_down, max_down, min_up, max_up = chain_extents_from_covers(succ)
-    totals = {max_down[i] + max_up[i] for i in range(len(succ))}
+    totals = {max_down[i] + max_up[i] for i in range(n)}
     pure = min_down == max_down and min_up == max_up and len(totals) == 1
     return max(max_down), pure
 
@@ -86,23 +95,39 @@ def element_key(element) -> str:
 
 
 class FinitePoset:
-    """A finite poset over hashable elements.
+    """A finite poset over hashable elements, held as its cover digraph.
 
-    ``leq`` may be a callable (evaluated on all pairs) or a square boolean
-    matrix aligned with ``elements``.  Reflexivity, antisymmetry and
-    transitivity are verified, with a witness in the error message.
+    Give the order either as ``covers`` -- per element, the indices (into
+    ``elements``) of the elements covering it -- or as ``leq``: a callable
+    (evaluated on all pairs) or a square boolean matrix aligned with
+    ``elements``, reduced to its covers by a single closure.  With
+    ``validate``, a relation is checked for reflexivity, antisymmetry and
+    transitivity, and covers for acyclicity and irredundancy, with a
+    witness in the error message.  The dense ``leq_matrix`` is built from
+    the covers on first use and refused above ``LEQ_BYTE_CAP`` cells.
     """
 
-    def __init__(self, elements: Iterable, leq, *, validate: bool = True):
+    def __init__(self, elements: Iterable, leq=None, *, covers=None, validate: bool = True):
         supplied = list(elements)
         permutation = sorted(range(len(supplied)), key=lambda i: element_key(supplied[i]))
         self.elements: tuple = tuple(supplied[i] for i in permutation)
         self._index: dict = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise InvalidArgumentError("duplicate elements")
+        if (leq is None) == (covers is None):
+            raise InvalidArgumentError("give exactly one of leq and covers")
         n = len(self.elements)
+        if covers is not None:
+            if len(covers) != n:
+                raise InvalidArgumentError(f"{len(covers)} cover lists for {n} elements")
+            position = {old: new for new, old in enumerate(permutation)}
+            # upper covers of each element, as sorted canonical indices
+            self.succ = [sorted({position[j] for j in covers[i]}) for i in permutation]
+            if validate:
+                self._validate_covers()
+            return
         if callable(leq):
-            matrix = np.zeros((n, n), dtype=bool)
+            matrix = _dense_order_matrix(n)
             for i, a in enumerate(self.elements):
                 for j, b in enumerate(self.elements):
                     matrix[i, j] = bool(leq(a, b))
@@ -114,10 +139,13 @@ class FinitePoset:
             # to the canonical element order
             matrix = matrix[np.ix_(permutation, permutation)]
         self.leq_matrix = matrix
+        strict = matrix & ~np.eye(n, dtype=bool)
+        through = strict @ strict
         if validate:
-            self._validate()
+            self._validate(through)
+        self.succ = [np.flatnonzero(row).tolist() for row in strict & ~through]
 
-    def _validate(self) -> None:
+    def _validate(self, through: np.ndarray) -> None:
         m = self.leq_matrix
         if not m.diagonal().all():
             i = int(np.argmin(m.diagonal()))
@@ -129,13 +157,37 @@ class FinitePoset:
             raise InvalidArgumentError(
                 f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
             )
-        closure = m @ m
-        gap = closure & ~m
+        gap = through & ~m
         if gap.any():
             i, j = map(int, np.argwhere(gap)[0])
             raise InvalidArgumentError(
                 f"not transitive: {self.elements[i]!r} ... {self.elements[j]!r}"
             )
+
+    def _validate_covers(self) -> None:
+        m = self.leq_matrix  # topological_order raises on a cycle
+        for i, outs in enumerate(self.succ):
+            for j in outs:
+                if any(m[s, j] for s in outs if s != j):
+                    raise InvalidArgumentError(
+                        f"not a cover: {self.elements[i]!r} < {self.elements[j]!r} "
+                        "passes through another element"
+                    )
+
+    @cached_property
+    def leq_matrix(self) -> np.ndarray:
+        """Dense boolean order matrix: row i marks everything above element i."""
+        matrix = _dense_order_matrix(len(self))
+        for i in reversed(topological_order(self.succ)):
+            row = matrix[i]
+            row[i] = True
+            for j in self.succ[i]:
+                row |= matrix[j]
+        return matrix
+
+    @cached_property
+    def _chain_stats(self) -> tuple[int, bool]:
+        return chain_stats_from_covers(self.succ)
 
     # -- basic queries --
 
@@ -154,46 +206,25 @@ class FinitePoset:
     def leq(self, a, b) -> bool:
         return bool(self.leq_matrix[self.index(a), self.index(b)])
 
+    def _minimal_indices(self) -> list[int]:
+        covered = {j for outs in self.succ for j in outs}
+        return [i for i in range(len(self)) if i not in covered]
+
     def minimal_elements(self) -> tuple:
-        m = self.leq_matrix
-        return tuple(
-            self.elements[j] for j in range(len(self)) if m[:, j].sum() == 1
-        )
+        return tuple(self.elements[i] for i in self._minimal_indices())
 
     def maximal_elements(self) -> tuple:
-        m = self.leq_matrix
-        return tuple(
-            self.elements[i] for i in range(len(self)) if m[i, :].sum() == 1
-        )
+        return tuple(e for e, outs in zip(self.elements, self.succ) if not outs)
 
     def cover_edges(self) -> list[tuple]:
         """Pairs (a, b) with a < b and nothing strictly between."""
-        strict = self.leq_matrix & ~np.eye(len(self), dtype=bool)
-        through = strict @ strict
-        covers = strict & ~through
-        return [
-            (self.elements[i], self.elements[j]) for i, j in np.argwhere(covers)
-        ]
+        return [(self.elements[i], self.elements[j]) for i, js in enumerate(self.succ) for j in js]
 
     # -- chains and purity --
 
-    def _cover_dag(self) -> list[list[int]]:
-        strict = self.leq_matrix & ~np.eye(len(self), dtype=bool)
-        through = strict @ strict
-        covers = strict & ~through
-        return [list(np.flatnonzero(covers[i])) for i in range(len(self))]
-
-    def _chain_extents(self):
-        """Per element: (min, max) cover-path length down to a minimal
-        element and up to a maximal one."""
-        return chain_extents_from_covers(self._cover_dag())
-
     def rank_length(self) -> int:
         """Number of edges of a longest chain."""
-        if not self.elements:
-            raise InvalidArgumentError("empty poset has no rank")
-        _, max_down, _, _ = self._chain_extents()
-        return max(max_down)
+        return self._chain_stats[0]
 
     def rank_cardinality(self) -> int:
         """Number of elements of a longest chain."""
@@ -201,15 +232,7 @@ class FinitePoset:
 
     def is_pure(self) -> bool:
         """True iff all maximal chains have the same length."""
-        if not self.elements:
-            return True
-        min_down, max_down, min_up, max_up = self._chain_extents()
-        totals = {max_down[i] + max_up[i] for i in range(len(self))}
-        return (
-            min_down == max_down
-            and min_up == max_up
-            and len(totals) == 1
-        )
+        return not self.elements or self._chain_stats[1]
 
     # -- derived posets --
 
@@ -234,36 +257,27 @@ class FinitePoset:
         """New poset with ``bottom`` strictly below every element."""
         if bottom in self:
             raise InvalidArgumentError(f"{bottom!r} is already an element")
-        elements = list(self.elements) + [bottom]
-
-        def relation(a, b):
-            if a is bottom or a == bottom:
-                return True
-            if b is bottom or b == bottom:
-                return False
-            return self.leq(a, b)
-
-        return FinitePoset(elements, relation, validate=False)
+        return FinitePoset(
+            [*self.elements, bottom], covers=[*self.succ, self._minimal_indices()], validate=False
+        )
 
     def direct_product(self, other: "FinitePoset") -> "FinitePoset":
-        """Componentwise order on pairs."""
+        """Componentwise order on pairs: a pair is covered by raising either
+        component to one of its covers."""
+        width = len(other)
         elements = [(a, b) for a in self.elements for b in other.elements]
-        left = self.leq_matrix
-        right = other.leq_matrix
-
-        def relation(p, q):
-            return bool(
-                left[self.index(p[0]), self.index(q[0])]
-                and right[other.index(p[1]), other.index(q[1])]
-            )
-
-        return FinitePoset(elements, relation, validate=False)
+        covers = [
+            [s * width + j for s in self.succ[i]] + [i * width + t for t in other.succ[j]]
+            for i in range(len(self))
+            for j in range(width)
+        ]
+        return FinitePoset(elements, covers=covers, validate=False)
 
     # -- isomorphism and order maps --
 
     def _refined_classes(self) -> list[int]:
         """Stable colouring of elements by iterated cover-degree refinement."""
-        succ = self._cover_dag()
+        succ = self.succ
         pred: list[list[int]] = [[] for _ in range(len(self))]
         for i, outs in enumerate(succ):
             for j in outs:
@@ -374,10 +388,8 @@ class FinitePoset:
         for i, e in enumerate(self.elements):
             text = label(e).replace('"', '\\"')
             lines.append(f'  n{i} [label="{text}"];')
-        strict = self.leq_matrix & ~np.eye(len(self), dtype=bool)
-        covers = strict & ~(strict @ strict)
-        for i, j in np.argwhere(covers):
-            lines.append(f"  n{i} -> n{j};")
+        for i, outs in enumerate(self.succ):
+            lines.extend(f"  n{i} -> n{j};" for j in outs)
         lines.append("}")
         return "\n".join(lines)
 
@@ -385,7 +397,7 @@ class FinitePoset:
         if not self.elements:
             return "elements=0"
         return (
-            f"elements={len(self)} covers={len(self.cover_edges())} "
+            f"elements={len(self)} covers={sum(map(len, self.succ))} "
             f"minimal={len(self.minimal_elements())} "
             f"maximal={len(self.maximal_elements())} "
             f"rank_length={self.rank_length()} "

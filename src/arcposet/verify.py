@@ -8,6 +8,7 @@ serialized, so output stays byte-reproducible.
 
 from __future__ import annotations
 
+import inspect
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -81,7 +82,7 @@ class VerificationReport:
 # individual checks; each returns (passed, detail)
 
 
-def _check_thm11(params):
+def _check_thm11(f, k):
     """Homology of the order complex of the regular-diagram family at r=0.
 
     The family is order-isomorphic to the inclusion family of k-noncrossing
@@ -90,7 +91,6 @@ def _check_thm11(params):
     both have the same homology.  Prediction: the join of a sphere of
     dimension k(f-2k)-1 with a simplex of dimension (f+1)(k-1)-1.
     """
-    f, k = params["f"], params["k"]
     complex_ = noncrossing_complex(admissible_arcs(f + 1), k)
     homology = reduced_homology(complex_)
     simplex_dim = (f + 1) * (k - 1) - 1
@@ -103,20 +103,18 @@ def _check_thm11(params):
     return ok, f"sphere signature {signature} (expected {sphere_dim})"
 
 
-def _check_thm12(params):
+def _check_thm12(f, k, r):
     """Purity and rank of the tautology-bounded family under domination."""
-    f, k, r = params["f"], params["k"], params["r"]
     size, rank_card, pure = matrix_family_chain_stats(f + 1, k, r)
     expected = k * (2 * f - 2 * k + 1) + r - f - 1
     ok = pure and rank_card == expected
     return ok, f"size {size}, rank_cardinality {rank_card} (expected {expected}), pure {pure}"
 
 
-def _check_beta(params):
+def _check_beta(f, k, r):
     """beta_inverse is a bijection from matrices onto regular diagrams with
     block matrix as its inverse; both orders are block-matrix domination,
     so this makes beta an order-isomorphism."""
-    f, k, r = params["f"], params["k"], params["r"]
     matrices = enumerate_matrices(f + 1, k, r)
     images = set()
     for matrix in matrices:
@@ -130,10 +128,9 @@ def _check_beta(params):
     return ok, f"{len(matrices)} matrices, {len(images)} distinct regular diagrams"
 
 
-def _check_tau(params):
+def _check_tau(f, k):
     """tau_inverse . beta maps the r=0 regular family exactly onto the
     inclusion family of k-noncrossing arc subsets."""
-    f, k = params["f"], params["k"]
     pool = admissible_arcs(f + 1)
     expected = set()
     for mask in noncrossing_subset_masks(pool, k):
@@ -147,10 +144,9 @@ def _check_tau(params):
     return ok, f"{len(got)} images vs {len(expected)} k-noncrossing arc subsets"
 
 
-def _check_rho(params):
+def _check_rho(f, k, r):
     """canonicalize is a surjective order map from the proper family onto
     the regular family."""
-    f, k, r = params["f"], params["k"], params["r"]
     proper = build_D(f, k, r)
     regular = build_P(f, k, r)
     image = {canonicalize(d) for d in proper.elements}
@@ -161,10 +157,9 @@ def _check_rho(params):
     return ok, f"|D|={len(proper)}, |P|={len(regular)}, map: {kind}"
 
 
-def _check_theta(params):
+def _check_theta(m, k):
     """Faces of the multitriangulation complex correspond to the diagrams
     on k-relevant arcs, and the two maps invert each other."""
-    m, k = params["m"], params["k"]
     complex_ = build_T(m, k)
     faces = complex_.faces()
     count = 0
@@ -179,11 +174,10 @@ def _check_theta(params):
     return ok, f"{count} faces vs {expected} relevant-arc diagrams"
 
 
-def _check_kappa(params):
+def _check_kappa(m, k):
     """The split into non-relevant and relevant parts is a bijection onto
     the product of the two sub-families (above the adjoined bottoms); the
     orders agree because the arc set is the disjoint union of the parts."""
-    m, k = params["m"], params["k"]
     pool = admissible_arcs(m)
     star_count = sum(1 for mask in noncrossing_subset_masks(nonrelevant_arcs(m, k), k) if mask)
     rel_count = sum(1 for mask in noncrossing_subset_masks(relevant_arcs(m, k), k) if mask)
@@ -206,28 +200,26 @@ def _check_kappa(params):
     )
 
 
-def _check_equivalence(params):
+def _check_equivalence(n=8):
     """Block-matrix equality coincides with the free-site-preserving arc
     bijection, over every proper diagram pair of each length."""
-    nmax = params.get("n", 8)
-    for n in range(4, nmax + 1):
-        diagrams = list(enumerate_proper_diagrams(n))
+    for length in range(4, n + 1):
+        diagrams = list(enumerate_proper_diagrams(length))
         for i, a in enumerate(diagrams):
             for b in diagrams[i:]:
                 if equivalent(a, b) != equivalent_by_definition(a, b):
                     return False, f"mismatch: {a.key()} vs {b.key()}"
-    return True, f"all proper diagram pairs up to length {nmax} agree"
+    return True, f"all proper diagram pairs up to length {n} agree"
 
 
-def _check_regular_unique(params):
+def _check_regular_unique(n=8):
     """Each block-matrix fiber has exactly one regular diagram; it is the
     canonical form, crossing-minimal, and the swap orbit fills the fiber."""
-    nmax = params.get("n", 8)
     fibers = defaultdict(list)
-    for n in range(4, nmax + 1):
-        for diagram in enumerate_proper_diagrams(n):
-            fibers[(n, block_matrix(diagram).key())].append(diagram)
-    for (n, _), fiber in fibers.items():
+    for length in range(4, n + 1):
+        for diagram in enumerate_proper_diagrams(length):
+            fibers[(length, block_matrix(diagram).key())].append(diagram)
+    for fiber in fibers.values():
         regulars = [d for d in fiber if is_regular(d)]
         if len(regulars) != 1:
             return False, f"fiber of {fiber[0].key()} has {len(regulars)} regular diagrams"
@@ -239,35 +231,31 @@ def _check_regular_unique(params):
                 return False, f"canonicalize({diagram.key()}) missed the regular diagram"
         if swap_orbit(fiber[0]) != set(fiber):
             return False, f"swap orbit of {fiber[0].key()} is not the fiber"
-    return True, f"{len(fibers)} fibers up to length {nmax}"
+    return True, f"{len(fibers)} fibers up to length {n}"
 
 
-def _check_dual_matrix(params):
+def _check_dual_matrix(n=7):
     """The adjacency matrix equals the block matrix of the dual, for every
     diagram (arbitrary arc subsets) up to the length bound."""
-    nmax = params.get("n", 7)
     checked = 0
-    for n in range(4, nmax + 1):
-        pool = admissible_arcs(n)
+    for length in range(4, n + 1):
+        pool = admissible_arcs(length)
         for mask in range(1, 1 << len(pool)):
-            diagram = Diagram(n, [pool[i] for i in range(len(pool)) if mask >> i & 1])
+            diagram = Diagram(length, [pool[i] for i in range(len(pool)) if mask >> i & 1])
             if adjacency_matrix(diagram) != block_matrix(dual(diagram)):
                 return False, f"mismatch at {diagram.key()}"
             checked += 1
-    return True, f"{checked} diagrams up to length {nmax}"
+    return True, f"{checked} diagrams up to length {n}"
 
 
-def _check_realize_roundtrip(params):
+def _check_realize_roundtrip(m=6, k=2, r=2):
     """realize_matrix inverts the block matrix on the whole family, and
     (0,1) matrices realize without parallel arcs."""
-    mmax = params.get("m", 6)
-    kmax = params.get("k", 2)
-    rmax = params.get("r", 2)
     checked = 0
-    for m in range(4, mmax + 1):
-        for k in range(1, kmax + 1):
-            for r in range(0, rmax + 1):
-                for matrix in enumerate_matrices(m, k, r):
+    for order in range(4, m + 1):
+        for crossings in range(1, k + 1):
+            for tautology in range(0, r + 1):
+                for matrix in enumerate_matrices(order, crossings, tautology):
                     diagram = realize_matrix(matrix)
                     if block_matrix(diagram) != matrix:
                         return False, f"round trip failed for {matrix.key()}"
@@ -276,27 +264,25 @@ def _check_realize_roundtrip(params):
                     ):
                         return False, f"parallel arcs realizing {matrix.key()}"
                     checked += 1
-    return True, f"{checked} matrices up to order {mmax}"
+    return True, f"{checked} matrices up to order {m}"
 
 
-def _check_length_bound(params):
+def _check_length_bound(n=8):
     """Length bound n <= C(f+3, 2) + 2 p(B(S)) on every proper diagram."""
-    nmax = params.get("n", 8)
     checked = 0
-    for n in range(4, nmax + 1):
-        for diagram in enumerate_proper_diagrams(n):
+    for length in range(4, n + 1):
+        for diagram in enumerate_proper_diagrams(length):
             f = len(free_sites(diagram))
             bound = comb(f + 3, 2) + 2 * p_value_of_diagram(diagram)
-            if n > bound:
+            if length > bound:
                 return False, f"{diagram.key()} exceeds bound {bound}"
             checked += 1
-    return True, f"{checked} proper diagrams up to length {nmax}"
+    return True, f"{checked} proper diagrams up to length {n}"
 
 
-def _check_join(params):
+def _check_join(m, k):
     """Homology of the full inclusion complex equals that of the join of
     its non-relevant and relevant sub-complexes."""
-    m, k = params["m"], params["k"]
     whole = noncrossing_complex(admissible_arcs(m), k)
     star = noncrossing_complex(nonrelevant_arcs(m, k), k)
     relevant = noncrossing_complex(relevant_arcs(m, k), k)
@@ -317,7 +303,9 @@ _CHECKS = {
             for k in (1, 2)
             if f >= 2 * k
             for r in (0, 1, 2)
-        ],
+        ]
+        + [{"f": 6, "k": 1, "r": r} for r in (0, 1, 2)]
+        + [{"f": 6, "k": 2, "r": 0}],
     ),
     "beta": (
         _check_beta,
@@ -354,10 +342,16 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
     if name not in _CHECKS:
         raise InvalidArgumentError(f"unknown check {name!r}; known: {', '.join(check_names())}")
     func, default_grid = _CHECKS[name]
+    points = grid if grid is not None else default_grid
+    for params in points:
+        try:
+            inspect.signature(func).bind(**params)
+        except TypeError as exc:
+            raise InvalidArgumentError(f"check {name} at {params}: {exc}") from None
     report = VerificationReport(name)
-    for params in grid if grid is not None else default_grid:
+    for params in points:
         start = time.perf_counter()
-        passed, detail = func(params)
+        passed, detail = func(**params)
         report.points.append(
             CheckPoint(dict(params), passed, detail, time.perf_counter() - start)
         )

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from arcposet import cli
+from arcposet import poset as poset_module
+from arcposet.errors import InvariantError, ResourceLimitError
+from arcposet.families import build_family
 from arcposet.diagram import parse
 from arcposet.matrix import SymmetricMatrix
 from arcposet.verify import CheckPoint, VerificationReport
@@ -71,6 +74,18 @@ class TestRealize:
         code, out, _ = run(capsys, "realize", '{"order": 4, "rows": [[0,0,1,0],[0,0,0,0],[1,0,0,0],[0,0,0,0]]}')
         assert code == 0 and out.strip() == "n=5; arcs=(1,4)"
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"order": 2, "rows": 5}',
+            '{"order": 4, "rows": [[0,0,1.7,0],[0,0,0,0],[1.7,0,0,0],[0,0,0,0]]}',
+            '{"order": 4, "rows": [[0,0,true,0],[0,0,0,0],[true,0,0,0],[0,0,0,0]]}',
+        ],
+    )
+    def test_malformed_matrix_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "realize", text)
+        assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "realize", "no-such-file.json")
         assert code == 2 and "cannot read" in err
@@ -115,6 +130,47 @@ class TestEnumAndPoset:
         code, _, err = run(capsys, "enum", "--family", "S", "--params", "n=5")
         assert code == 2 and "parameter k" in err
 
+    @pytest.mark.parametrize("params", ["n=5,k=1,zz=3", "n=5,k=1,r=0", "n=5,k=1,k=2"])
+    def test_unknown_or_repeated_params_exit_2(self, capsys, params):
+        code, _, err = run(capsys, "enum", "--family", "S", "--params", params)
+        assert code == 2 and err.count("\n") == 1
+
+    def test_matrix_cap_counts_search_nodes(self, capsys):
+        # the search space predicted for M(7,1,1) is 44,040,192; it has 1,924 members
+        argv = ("poset", "--family", "M", "--params", "m=7,k=1,r=1", "--stats")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("elements=1924 ")
+        code, _, err = run(capsys, "--cap", "100", *argv)
+        assert code == 3 and "cap" in err
+
+    def test_large_matrix_poset_stats_use_no_dense_matrix(self, capsys, monkeypatch):
+        # M(6,2,2) has 24,207 elements: a dense order matrix would take 586 MB
+        built = []
+
+        def build_and_keep(*args, **kwargs):
+            built.append(build_family(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_family", build_and_keep)
+        monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 0)
+        code, out, _ = run(capsys, "poset", "--family", "M", "--params", "m=6,k=2,r=2", "--stats")
+        assert code == 0
+        assert out == (
+            "elements=24207 covers=134114 minimal=14 maximal=258 "
+            "rank_length=9 rank_cardinality=10 pure=True\n"
+        )
+        monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 1 << 20)
+        with pytest.raises(ResourceLimitError):
+            built[0].leq_matrix
+
+    def test_invariant_violation_exit_1(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("family is not closed under decrements")
+
+        monkeypatch.setattr(cli, "build_family", broken)
+        code, _, err = run(capsys, "poset", "--family", "M", "--params", "m=4,k=1,r=0")
+        assert code == 1 and err == "invariant violated: family is not closed under decrements\n"
+
 
 class TestComplexAndHomology:
     def test_pipeline(self, capsys, tmp_path):
@@ -154,6 +210,20 @@ class TestVerify:
         assert code == 0
         assert out.count(": pass") == 3  # two points plus the summary line
 
+    @pytest.mark.parametrize("grid", ["f=3", "f=4,k=1,zz=3", "f=4,k=1;k=1"])
+    def test_bad_grid_point_exit_2(self, capsys, grid):
+        check = "thm12" if grid == "f=3" else "thm11"
+        code, out, err = run(capsys, "verify", "--check", check, "--grid", grid)
+        assert code == 2 and out == "" and err.count("\n") == 1
+
+    def test_grid_point_may_leave_out_defaulted_names(self, capsys):
+        code, out, _ = run(capsys, "verify", "--check", "realize-roundtrip", "--grid", "m=4,k=1")
+        assert code == 0 and out.startswith("realize-roundtrip[m=4,k=1]: pass -- ")
+
+    def test_jobs_flag_is_gone(self, capsys):
+        code, *_ = run(capsys, "--jobs", "4", "verify", "--check", "thm11", "--grid", "f=4,k=1")
+        assert code == 2
+
     def test_unknown_check_exit_2(self, capsys):
         code, *_ = run(capsys, "verify", "--check", "nope")
         assert code == 2
@@ -166,8 +236,3 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", "thm11")
         assert code == 1
         assert "FAIL" in out
-
-    def test_jobs_flag_does_not_change_output(self, capsys):
-        _, base, _ = run(capsys, "verify", "--check", "thm11", "--grid", "f=4,k=1")
-        _, jobs, _ = run(capsys, "--jobs", "4", "verify", "--check", "thm11", "--grid", "f=4,k=1")
-        assert base == jobs

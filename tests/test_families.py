@@ -1,6 +1,9 @@
 """Family builders: element counts, orders, and cross-validation."""
 
+import numpy as np
 import pytest
+
+from arcposet import families
 
 from arcposet.diagram import (
     Diagram,
@@ -11,7 +14,7 @@ from arcposet.diagram import (
     is_regular,
     tautology_number,
 )
-from arcposet.errors import InvalidArgumentError, ResourceLimitError
+from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from arcposet.families import (
     admissible_arcs,
     build_D,
@@ -31,6 +34,7 @@ from arcposet.families import (
     proper_length_bound,
     relevant_arcs,
     suppression_leq,
+    unit_step_covers,
 )
 from arcposet.matrix import dominates, enumerate_matrices
 from arcposet.transform import canonicalize
@@ -129,6 +133,72 @@ class TestMatrixFamilyPoset:
         assert pure == poset.is_pure()
 
 
+def _dense_oracle(poset, leq):
+    """The order matrix from the definition, and the stats line and DOT text
+    recomputed from it with dense boolean matmuls."""
+    n = len(poset)
+    matrix = np.array([[bool(leq(a, b)) for b in poset.elements] for a in poset.elements])
+    strict = matrix & ~np.eye(n, dtype=bool)
+    covers = strict & ~(strict @ strict)
+    # height: length of the longest chain ending at each element
+    height = np.zeros(n, dtype=int)
+    power, length = strict.copy(), 0
+    while power.any():
+        length += 1
+        height[power.any(axis=0)] = length
+        power = power @ strict
+    edges = [(int(i), int(j)) for i, j in np.argwhere(covers)]
+    maximal = [i for i in range(n) if matrix[i].sum() == 1]
+    pure = all(height[j] == height[i] + 1 for i, j in edges) and all(
+        height[i] == length for i in maximal
+    )
+    stats = (
+        f"elements={n} covers={len(edges)} minimal={int((matrix.sum(axis=0) == 1).sum())} "
+        f"maximal={len(maximal)} rank_length={length} rank_cardinality={length + 1} pure={pure}"
+    )
+    labels = [f'  n{i} [label="{e.key()}"];' for i, e in enumerate(poset.elements)]
+    dot = "\n".join(
+        ["digraph poset {", "  rankdir=BT;", *labels, *(f"  n{i} -> n{j};" for i, j in edges), "}"]
+    )
+    return matrix, edges, stats, dot
+
+
+def _arc_inclusion(a, b):
+    return set(a.arcs) <= set(b.arcs)
+
+
+@pytest.mark.parametrize(
+    "builder,args,leq",
+    [
+        (build_S, (6, 2), _arc_inclusion),
+        (build_So, (7, 2), _arc_inclusion),
+        (build_Sstar, (7, 2), _arc_inclusion),
+        (build_M, (5, 1, 1), dominates),
+        (build_M, (5, 2, 1), dominates),
+        (build_P, (4, 1, 1), lambda a, b: dominates(block_matrix(a), block_matrix(b))),
+        (build_D, (3, 1, 2), suppression_leq),
+    ],
+)
+def test_cover_core_matches_dense_oracle(builder, args, leq):
+    poset = builder(*args)
+    matrix, edges, stats, dot = _dense_oracle(poset, leq)
+    index = {e: i for i, e in enumerate(poset.elements)}
+    assert [(index[a], index[b]) for a, b in poset.cover_edges()] == edges
+    assert poset.stats_text() == stats
+    assert poset.to_dot() == dot
+    assert np.array_equal(poset.leq_matrix, matrix)
+
+
+class TestUnitStepCovers:
+    def test_covers_are_unit_steps_inside_the_family(self):
+        keys = [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (0, 2)]
+        assert unit_step_covers(keys) == [[3, 2], [2, 5], [4], [4], [], []]
+
+    def test_family_not_closed_under_decrement_raises(self):
+        with pytest.raises(InvariantError, match="lacks \\(1, 1\\)"):
+            unit_step_covers([(1, 0), (0, 1), (2, 0), (2, 1)])
+
+
 class TestRegularFamily:
     def test_elements_are_regular_with_distinct_block_matrices(self):
         poset = build_P(4, 1, 1)
@@ -184,6 +254,14 @@ class TestDispatch:
         assert len(build_family("S", n=5, k=1)) == 10
         assert len(build_family("M", m=4, k=1, r=0)) == 2
         assert len(build_family("P", f=4, k=1, r=0)) == 10
+
+    def test_builder_is_looked_up_per_call(self, monkeypatch):
+        monkeypatch.setattr(families, "build_S", lambda n, k: ("stub", n, k))
+        assert build_family("S", n=5, k=1) == ("stub", 5, 1)
+
+    def test_unknown_parameter(self):
+        with pytest.raises(InvalidArgumentError, match="not .r."):
+            build_family("S", n=5, k=1, r=0)
 
     def test_missing_parameter(self):
         with pytest.raises(InvalidArgumentError, match="parameter k"):

@@ -43,6 +43,17 @@ class TestConstruction:
         with pytest.raises(InvalidArgumentError):
             SymmetricMatrix([[0, 1], [1]])
 
+    @pytest.mark.parametrize("entry", ["1.7", "true", '"1"', "null"])
+    def test_json_rejects_non_integer_entries(self, entry):
+        text = f'{{"order": 2, "rows": [[0, {entry}], [{entry}, 0]]}}'
+        with pytest.raises(InvalidArgumentError, match="not an integer"):
+            SymmetricMatrix.from_json(text)
+
+    @pytest.mark.parametrize("rows", ["5", "[5, 6]", '"ab"'])
+    def test_json_rejects_rows_that_are_not_lists(self, rows):
+        with pytest.raises(InvalidArgumentError, match="list of lists"):
+            SymmetricMatrix.from_json(f'{{"order": 2, "rows": {rows}}}')
+
     def test_from_entries_symmetrizes(self):
         m = SymmetricMatrix.from_entries(3, {(1, 3): 2})
         assert m.entry(3, 1) == 2
@@ -155,6 +166,12 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
             enumerate_matrices(6, 2, 2, cap=10)
+
+    def test_cap_bounds_visited_nodes_not_a_prediction(self):
+        # the old bound predicted 44,040,192 for M(7,1,1)
+        assert len(enumerate_matrices(7, 1, 1, cap=100_000)) == 1924
+        with pytest.raises(ResourceLimitError, match="100 nodes"):
+            enumerate_matrices(7, 1, 1, cap=100)
 
     def test_argument_validation(self):
         with pytest.raises(InvalidArgumentError):

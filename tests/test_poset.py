@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from arcposet import poset as poset_module
 from arcposet.errors import InvalidArgumentError, ResourceLimitError
 from arcposet.poset import (
     FinitePoset,
@@ -45,6 +46,46 @@ class TestConstruction:
     def test_shape_mismatch(self):
         with pytest.raises(InvalidArgumentError):
             FinitePoset(["a", "b"], np.eye(3, dtype=bool))
+
+
+class TestCoverInput:
+    # the divisors of 12, out of key order, with each element's upper covers
+    ELEMENTS = ["12", "6", "4", "3", "2", "1"]
+    COVERS = [[], [0], [0], [1], [1, 2], [3, 4]]
+
+    def test_covers_give_the_same_poset_as_the_relation(self, divisors12):
+        poset = FinitePoset(self.ELEMENTS, covers=self.COVERS)
+        assert poset.elements == divisors12.elements
+        assert poset.succ == divisors12.succ
+        assert poset.cover_edges() == divisors12.cover_edges()
+        assert poset.stats_text() == divisors12.stats_text()
+        assert poset.to_dot() == divisors12.to_dot()
+        assert np.array_equal(poset.leq_matrix, divisors12.leq_matrix)
+
+    def test_exactly_one_of_leq_and_covers(self):
+        with pytest.raises(InvalidArgumentError, match="exactly one"):
+            FinitePoset(["a"])
+        with pytest.raises(InvalidArgumentError, match="exactly one"):
+            FinitePoset(["a"], lambda a, b: True, covers=[[]])
+        with pytest.raises(InvalidArgumentError, match="cover lists"):
+            FinitePoset(["a", "b"], covers=[[]])
+
+    def test_validation_catches_broken_covers(self):
+        with pytest.raises(InvalidArgumentError, match="cycle"):
+            FinitePoset(["a", "b"], covers=[[1], [0]])
+        with pytest.raises(InvalidArgumentError, match="not a cover"):
+            FinitePoset(["a", "b", "c"], covers=[[1, 2], [2], []])
+
+    def test_leq_matrix_is_lazy_and_capped(self, monkeypatch):
+        poset = FinitePoset(self.ELEMENTS, covers=self.COVERS, validate=False)
+        monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 35)
+        assert poset.stats_text().endswith("rank_cardinality=4 pure=True")
+        with pytest.raises(ResourceLimitError):
+            poset.leq_matrix
+        with pytest.raises(ResourceLimitError):
+            FinitePoset(self.ELEMENTS, lambda a, b: divides(int(a), int(b)))
+        monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 36)
+        assert poset.leq("2", "12")
 
 
 class TestQueries:
