@@ -1,8 +1,8 @@
 """Arc diagrams, block matrices, their posets, and simplicial topology.
 
 A library for k-noncrossing arc diagrams on a linear backbone: block
-decompositions and block matrices, swap canonicalization to regular
-representatives, dual/blow-up/realization constructions, the diagram and
+decompositions and block matrices, the regular representative of each
+block matrix laid out directly, swaps, dual and blow-up, the diagram and
 matrix families as finite posets, multitriangulation complexes, and exact
 integral simplicial homology.
 """

@@ -42,6 +42,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _write_text(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot write {what} file {path!r}: {exc}") from exc
+
+
 def _load_matrix(source: str) -> SymmetricMatrix:
     if source.lstrip().startswith("{"):
         return SymmetricMatrix.from_json(source)
@@ -117,7 +125,7 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_realize(args) -> int:
     matrix = _load_matrix(args.matrix)
-    diagram = realize_matrix(matrix)
+    diagram = realize_matrix(matrix) if args.cap is None else realize_matrix(matrix, cap=args.cap)
     _emit(args, {"diagram": to_text(diagram)}, [to_text(diagram)])
     return 0
 
@@ -136,8 +144,7 @@ def _cmd_enum(args) -> int:
 def _cmd_poset(args) -> int:
     poset = _build_family(args)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(poset.to_dot(name="family") + "\n")
+        _write_text(args.dot, poset.to_dot(name="family") + "\n", "DOT")
     stats = poset.stats_text()
     lines = [stats] if args.stats or not args.dot else []
     payload = {"family": args.family, "stats": stats}
@@ -152,8 +159,7 @@ def _cmd_complex(args) -> int:
     complex_ = build_T(m, k)
     text = write_facets(complex_)
     if args.facets:
-        with open(args.facets, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_text(args.facets, text, "facet")
         _emit(
             args,
             {"facets": args.facets, "count": len(complex_.facets)},

@@ -177,10 +177,10 @@ def is_proper(diagram: Diagram) -> bool:
     all of them."""
     if not is_binary(diagram):
         return False
-    free = frozenset(free_sites(diagram))
-    for arc in diagram.arcs:
-        covered = covered_free_sites(diagram, arc)
-        if not covered or covered == free:
+    free = free_sites(diagram)
+    for a, b in diagram.arcs:
+        covered = sum(1 for s in free if a < s < b)
+        if not covered or covered == len(free):
             return False
     return True
 

@@ -1,21 +1,22 @@
 """Diagram-to-diagram and diagram-to-matrix constructions.
 
-Swaps and canonicalization to the unique regular representative, the two
-equivalence tests, the dual and blow-up constructions, realization of a
-matrix as a block matrix, and the named structure-preserving maps between
-diagram and matrix families.
+``realize_matrix`` lays out the unique regular diagram of a block matrix
+directly, and is the one construction of it: ``canonicalize`` realizes a
+diagram's block matrix and ``beta_inverse`` a family member.  Also here:
+the swap involution and swap orbits, the two equivalence tests, the dual
+and blow-up constructions, and the named structure-preserving maps between
+diagram and matrix families.  The definitional route to the regular form,
+strict swaps until no local crossing is left, is an oracle in ``verify``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from fractions import Fraction
 
 from .diagram import (
     Arc,
     Diagram,
     adjacency_matrix,
-    block_list,
     block_matrix,
     covered_free_sites,
     crossing_count,
@@ -26,7 +27,6 @@ from .diagram import (
 )
 from .errors import InvalidArgumentError, ResourceLimitError
 from .matrix import SymmetricMatrix, family_membership, r_value
-from .crossing import pairs_cross
 
 
 # ---------------------------------------------------------------------------
@@ -95,57 +95,11 @@ def swap_orbit(diagram: Diagram, cap: int = 1_000_000) -> set[Diagram]:
 
 
 def canonicalize(diagram: Diagram) -> Diagram:
-    """The unique regular diagram equivalent to ``diagram``.
-
-    While some block supports a local crossing, apply the strict swap on a
-    pair of adjacent crossing arcs incident with the leftmost such block
-    (smallest lower supporting site first); the crossing count strictly
-    decreases, so this terminates.
-    """
+    """The unique regular diagram equivalent to ``diagram``: the realization
+    of its block matrix."""
     if not is_proper(diagram):
         raise InvalidArgumentError("canonicalize requires a proper diagram")
-    current = diagram
-    while True:
-        decomposition = block_list(current)
-        offending = _leftmost_nonregular_block(current, decomposition)
-        if offending is None:
-            return current
-        site = _strict_swap_site(current, decomposition, offending)
-        current = swap(current, site)
-
-
-def _leftmost_nonregular_block(diagram: Diagram, decomposition) -> int | None:
-    arcs = diagram.arcs
-    worst: int | None = None
-    for a in range(len(arcs)):
-        for b in range(a + 1, len(arcs)):
-            if not pairs_cross(arcs[a], arcs[b]):
-                continue
-            blocks_a = {decomposition.block_index_of(s) for s in arcs[a]}
-            blocks_b = {decomposition.block_index_of(s) for s in arcs[b]}
-            for shared in blocks_a & blocks_b:
-                if worst is None or shared < worst:
-                    worst = shared
-    return worst
-
-
-def _strict_swap_site(diagram: Diagram, decomposition, block_index: int) -> int:
-    """Smallest site of an adjacent crossing arc pair incident with the block."""
-    fallback: int | None = None
-    for site in legal_swap_sites(diagram):
-        e1 = _arc_at(diagram, site)
-        e2 = _arc_at(diagram, site + 1)
-        if not pairs_cross(e1, e2):
-            continue
-        if fallback is None:
-            fallback = site
-        blocks1 = {decomposition.block_index_of(s) for s in e1}
-        blocks2 = {decomposition.block_index_of(s) for s in e2}
-        if block_index in blocks1 and block_index in blocks2:
-            return site
-    if fallback is not None:
-        return fallback
-    raise AssertionError("non-regular diagram without an adjacent crossing pair")
+    return realize_matrix(block_matrix(diagram), cap=diagram.size)
 
 
 # ---------------------------------------------------------------------------
@@ -193,102 +147,66 @@ def dual(diagram: Diagram) -> Diagram:
 
 def blow_up(diagram: Diagram) -> Diagram:
     """Split every site supporting b >= 2 arcs into b consecutive sites
-    carrying one arc each; the block matrix is preserved."""
-    positions = {Fraction(s) for s in range(1, diagram.length + 1)}
-    arcs = [(Fraction(a), Fraction(b)) for a, b in diagram.arcs]
-    while True:
-        support: dict[Fraction, list[Fraction]] = {}
-        for a, b in arcs:
-            support.setdefault(a, []).append(b)
-            support.setdefault(b, []).append(a)
-        crowded = sorted(pos for pos, partners in support.items() if len(partners) >= 2)
-        if not crowded:
-            break
-        site = crowded[0]
-        partners = sorted(support[site])
-        following = min((p for p in positions if p > site), default=site + 1)
-        step = (following - site) / (len(partners) + 1)
-        positions.discard(site)
-        new_sites = [site + step * (i + 1) for i in range(len(partners))]
-        positions.update(new_sites)
-        arcs = [e for e in arcs if site not in e]
-        for fresh, partner in zip(new_sites, partners):
-            arcs.append((min(fresh, partner), max(fresh, partner)))
-    ordered = sorted(positions)
-    relabel = {pos: new for new, pos in enumerate(ordered, start=1)}
-    return Diagram(len(ordered), [(relabel[a], relabel[b]) for a, b in arcs])
+    carrying one arc each, partners in ascending order; the block matrix is
+    preserved."""
+    partners: dict[int, list[int]] = {s: [] for s in range(1, diagram.length + 1)}
+    for a, b in diagram.arcs:
+        partners[a].append(b)
+        partners[b].append(a)
+    new_site: dict[Arc, int] = {}  # (old site, partner) -> new site
+    length = 0
+    for site, ends in partners.items():
+        if not ends:
+            length += 1  # a free site stays one site
+        for partner in sorted(ends):
+            length += 1
+            new_site[site, partner] = length
+    return Diagram(length, [(new_site[a, b], new_site[b, a]) for a, b in diagram.arcs])
 
 
 # ---------------------------------------------------------------------------
 # realization of block matrices
 
 
-class _SiteBuilder:
-    """Working diagram over fractional positions, supporting insertion of a
-    new non-free site at the right end of a block."""
+def realize_matrix(matrix: SymmetricMatrix, cap: int = 1_000_000) -> Diagram:
+    """The regular diagram whose block matrix is ``matrix``.
 
-    def __init__(self, diagram: Diagram):
-        self.positions = [Fraction(s) for s in range(1, diagram.length + 1)]
-        self.free = sorted(Fraction(s) for s in free_sites(diagram))
-        self.arcs = [(Fraction(a), Fraction(b)) for a, b in diagram.arcs]
-
-    def insert_site(self, block_index: int) -> Fraction:
-        """New position at the right end of block ``block_index`` (1-based,
-        blocks bounded by the free sites)."""
-        if block_index <= len(self.free):
-            boundary = self.free[block_index - 1]
-            previous = max((p for p in self.positions if p < boundary), default=Fraction(0))
-            fresh = (previous + boundary) / 2
-        else:
-            fresh = max(self.positions) + 1
-        self.positions.append(fresh)
-        return fresh
-
-    def add_arc(self, a: Fraction, b: Fraction) -> None:
-        self.arcs.append((min(a, b), max(a, b)))
-
-    def to_diagram(self) -> Diagram:
-        ordered = sorted(self.positions)
-        relabel = {pos: new for new, pos in enumerate(ordered, start=1)}
-        return Diagram(len(ordered), [(relabel[a], relabel[b]) for a, b in self.arcs])
-
-
-def realize_matrix(matrix: SymmetricMatrix) -> Diagram:
-    """A proper diagram whose block matrix equals ``matrix``.
-
-    Construction: realize the (0,1) part with zeroed semi-diagonals as an
-    adjacency matrix, dualize and blow up, then re-insert one tiny arc per
-    nonzero semi-diagonal index and extra parallel arcs for every entry
-    exceeding one (stripped indices left to right, excess in row-major
-    order, new sites at the right end of each target block).
+    The blocks are laid out left to right with one free site between
+    neighbours.  Block i holds first the endpoints of its arcs to earlier
+    blocks, nearest partner block first, then those of its arcs to later
+    blocks, farthest partner block first, and parallel arcs nest.  Two arcs
+    with endpoints in a common block then nest or lie side by side, so no
+    local crossing arises.  Raises ``ResourceLimitError`` before building
+    anything when the diagram would have more than ``cap`` arcs.
     """
     m = matrix.order
+    rows = matrix.rows
     if matrix.is_trivial():
         raise InvalidArgumentError("cannot realize the trivial matrix")
-    for i in range(1, m + 1):
-        if matrix.entry(i, i):
-            raise InvalidArgumentError(f"nonzero diagonal entry at ({i},{i})")
-    if m >= 2 and matrix.entry(1, m):
+    for i in range(m):
+        if rows[i][i]:
+            raise InvalidArgumentError(f"nonzero diagonal entry at ({i + 1},{i + 1})")
+    if m >= 2 and rows[0][m - 1]:
         raise InvalidArgumentError(f"nonzero rainbow entry at (1,{m})")
+    size = sum(rows[i][j] for i in range(m) for j in range(i + 1, m))
+    if size > cap:
+        raise ResourceLimitError(f"realization has {size} arcs, over cap {cap}", bound=cap)
 
-    semi_indices = [i for i in range(1, m) if matrix.entry(i, i + 1)]
-    core_positions = [
-        (i, j) for i, j in matrix.nonzero_positions() if j != i + 1
+    ends: dict[tuple[int, int], range] = {}  # (block, partner block) -> sites
+    site = 0
+    for i in range(m):
+        if i:
+            site += 1  # the free site before block i
+        for j in (*range(i - 1, -1, -1), *range(m - 1, i, -1)):
+            ends[i, j] = range(site + 1, site + 1 + rows[i][j])
+            site += rows[i][j]
+    arcs = [
+        arc
+        for i in range(m)
+        for j in range(i + 1, m)
+        for arc in zip(ends[i, j], reversed(ends[j, i]))
     ]
-    if core_positions:
-        base = blow_up(dual(Diagram(m, core_positions)))
-    else:
-        base = Diagram(m - 1)
-
-    builder = _SiteBuilder(base)
-    for i in semi_indices:
-        builder.add_arc(builder.insert_site(i), builder.insert_site(i + 1))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            excess = matrix.entry(i, j) - min(1, matrix.entry(i, j))
-            for _ in range(excess):
-                builder.add_arc(builder.insert_site(i), builder.insert_site(j))
-    return builder.to_diagram()
+    return Diagram(site, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +252,7 @@ def beta_inverse(matrix: SymmetricMatrix, k: int, r: int) -> Diagram:
             f"matrix is not in the order-{matrix.order} {k}-noncrossing "
             f"family with tautology bound {r}"
         )
-    return canonicalize(realize_matrix(matrix))
+    return realize_matrix(matrix)
 
 
 # ---------------------------------------------------------------------------

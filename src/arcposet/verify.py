@@ -3,7 +3,9 @@
 Each check re-derives one structural claim from first principles on a
 small grid and reports pass/fail per grid point with a counterexample
 key on failure.  Wall time is recorded on the report object but never
-serialized, so output stays byte-reproducible.
+serialized, so output stays byte-reproducible.  Slow definitional paths
+live here as oracles: strict swaps to the regular form, against which
+``canonicalize`` is checked.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .complexes import (
 from .diagram import (
     Diagram,
     adjacency_matrix,
+    block_list,
     block_matrix,
     crossing_count,
     free_sites,
@@ -31,7 +34,7 @@ from .diagram import (
     parallel_classes,
     p_value_of_diagram,
 )
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvariantError
 from .families import (
     admissible_arcs,
     build_D,
@@ -41,7 +44,7 @@ from .families import (
     nonrelevant_arcs,
     relevant_arcs,
 )
-from .crossing import noncrossing_subset_masks
+from .crossing import noncrossing_subset_masks, pairs_cross
 from .matrix import enumerate_matrices
 from .transform import (
     BOTTOM_RELEVANT,
@@ -52,7 +55,9 @@ from .transform import (
     equivalent,
     equivalent_by_definition,
     kappa,
+    legal_swap_sites,
     realize_matrix,
+    swap,
     swap_orbit,
     tau_inverse,
     theta,
@@ -76,6 +81,64 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(p.passed for p in self.points)
+
+
+# ---------------------------------------------------------------------------
+# the swap route to the regular form, an oracle for ``canonicalize``
+
+
+def _canonicalize_by_swaps(diagram: Diagram) -> Diagram:
+    """The regular diagram equivalent to a proper ``diagram``, by strict swaps.
+
+    While some block supports a local crossing, swap a pair of adjacent
+    crossing arcs incident with the leftmost such block (smallest site
+    first).  Each swap removes exactly one crossing, so this terminates.
+    """
+    current, crossings = diagram, None
+    while True:
+        block_of = {
+            site: i for i, block in enumerate(block_list(current).blocks, start=1) for site in block
+        }
+        count, offending = _crossings_and_leftmost_local_block(current, block_of)
+        if crossings is not None and count >= crossings:
+            raise InvariantError(f"a swap on the way to {current.key()} removed no crossing")
+        if offending is None:
+            return current
+        crossings = count
+        current = swap(current, _strict_swap_site(current, block_of, offending))
+
+
+def _crossings_and_leftmost_local_block(diagram: Diagram, block_of: dict[int, int]):
+    """The crossing count, and the leftmost block supporting a local
+    crossing (None when the diagram is regular)."""
+    arcs = diagram.arcs
+    count, leftmost = 0, None
+    for a in range(len(arcs)):
+        for b in range(a + 1, len(arcs)):
+            if not pairs_cross(arcs[a], arcs[b]):
+                continue
+            count += 1
+            shared = {block_of[s] for s in arcs[a]} & {block_of[s] for s in arcs[b]}
+            if shared and (leftmost is None or min(shared) < leftmost):
+                leftmost = min(shared)
+    return count, leftmost
+
+
+def _strict_swap_site(diagram: Diagram, block_of: dict[int, int], block_index: int) -> int:
+    """Smallest site of an adjacent crossing arc pair incident with the block.
+
+    Along a block, the arcs are in local order exactly when they are sorted
+    by partner (arcs to earlier blocks first), and each local crossing is an
+    inversion of that order; so a block with one has an adjacent one.
+    """
+    for site in legal_swap_sites(diagram):
+        (e1,) = diagram.supports(site)
+        (e2,) = diagram.supports(site + 1)
+        if pairs_cross(e1, e2) and block_index in {block_of[s] for s in e1} & {block_of[s] for s in e2}:
+            return site
+    raise InvariantError(
+        f"block {block_index} of {diagram.key()} has a local crossing but no adjacent crossing pair"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +275,10 @@ def _check_equivalence(n=8):
     return True, f"all proper diagram pairs up to length {n} agree"
 
 
-def _check_regular_unique(n=8):
-    """Each block-matrix fiber has exactly one regular diagram; it is the
-    canonical form, crossing-minimal, and the swap orbit fills the fiber."""
+def _check_regular_unique(n=10):
+    """Each block-matrix fiber has exactly one regular diagram; it is
+    crossing-minimal, both ``canonicalize`` and strict swaps reach it from
+    every member, and the swap orbit fills the fiber."""
     fibers = defaultdict(list)
     for length in range(4, n + 1):
         for diagram in enumerate_proper_diagrams(length):
@@ -229,6 +293,8 @@ def _check_regular_unique(n=8):
         for diagram in fiber:
             if canonicalize(diagram) != regular:
                 return False, f"canonicalize({diagram.key()}) missed the regular diagram"
+            if _canonicalize_by_swaps(diagram) != regular:
+                return False, f"strict swaps from {diagram.key()} missed the regular diagram"
         if swap_orbit(fiber[0]) != set(fiber):
             return False, f"swap orbit of {fiber[0].key()} is not the fiber"
     return True, f"{len(fibers)} fibers up to length {n}"
@@ -293,35 +359,22 @@ def _check_join(m, k):
     return ok, f"whole {left.report_lines()} vs join {right.report_lines()}"
 
 
+# the tautology-bounded matrix families M(f+1, k, r) that thm12 and beta run on
+_MATRIX_FAMILY_GRID = (
+    [{"f": f, "k": k, "r": r} for f in (3, 4, 5) for k in (1, 2) if f >= 2 * k for r in (0, 1, 2)]
+    + [{"f": 6, "k": 1, "r": r} for r in (0, 1, 2)]
+    + [{"f": 6, "k": 2, "r": 0}]
+)
+
 _CHECKS = {
     "thm11": (_check_thm11, [{"f": f, "k": 1} for f in (4, 5, 6)] + [{"f": f, "k": 2} for f in (5, 6, 7)]),
-    "thm12": (
-        _check_thm12,
-        [
-            {"f": f, "k": k, "r": r}
-            for f in (3, 4, 5)
-            for k in (1, 2)
-            if f >= 2 * k
-            for r in (0, 1, 2)
-        ]
-        + [{"f": 6, "k": 1, "r": r} for r in (0, 1, 2)]
-        + [{"f": 6, "k": 2, "r": 0}],
-    ),
-    "beta": (
-        _check_beta,
-        [
-            {"f": f, "k": k, "r": r}
-            for f in (3, 4, 5)
-            for k in (1, 2)
-            if f >= 2 * k
-            for r in (0, 1, 2)
-        ],
-    ),
+    "thm12": (_check_thm12, _MATRIX_FAMILY_GRID),
+    "beta": (_check_beta, _MATRIX_FAMILY_GRID),
     "tau": (_check_tau, [{"f": f, "k": k} for f in (3, 4, 5) for k in (1, 2) if f >= 2 * k]),
     "theta": (_check_theta, [{"m": 5, "k": 1}, {"m": 6, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}]),
     "kappa": (_check_kappa, [{"m": 5, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}]),
     "equivalence": (_check_equivalence, [{"n": 8}]),
-    "regular-unique": (_check_regular_unique, [{"n": 8}]),
+    "regular-unique": (_check_regular_unique, [{"n": 10}]),
     "dual-matrix": (_check_dual_matrix, [{"n": 7}]),
     "realize-roundtrip": (_check_realize_roundtrip, [{"m": 6, "k": 2, "r": 2}]),
     "length-bound": (_check_length_bound, [{"n": 8}]),

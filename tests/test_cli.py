@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, formats, exit codes, round trips."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcposet import cli
 from arcposet import poset as poset_module
@@ -10,7 +14,7 @@ from arcposet.errors import InvariantError, ResourceLimitError
 from arcposet.families import build_family
 from arcposet.diagram import parse
 from arcposet.matrix import SymmetricMatrix
-from arcposet.verify import CheckPoint, VerificationReport
+from arcposet.verify import CheckPoint, VerificationReport, check_names
 
 
 def run(capsys, *argv):
@@ -90,6 +94,18 @@ class TestRealize:
         code, _, err = run(capsys, "realize", "no-such-file.json")
         assert code == 2 and "cannot read" in err
 
+    def test_prints_the_regular_representative(self, capsys):
+        matrix = '{"order": 4, "rows": [[0,0,1,0],[0,0,0,0],[1,0,0,2],[0,0,2,0]]}'
+        code, out, _ = run(capsys, "realize", matrix)
+        assert code == 0 and out == "n=9; arcs=(1,4),(5,9),(6,8)\n"
+
+    def test_cap_bounds_the_arcs(self, capsys):
+        matrix = SymmetricMatrix.from_entries(4, {(1, 3): 4000}).to_json()
+        code, out, err = run(capsys, "--cap", "3999", "realize", matrix)
+        assert code == 3 and out == "" and err.startswith("resource cap: ") and err.count("\n") == 1
+        code, out, _ = run(capsys, "--cap", "4000", "realize", matrix)
+        assert code == 0 and out.count("),(") == 3999
+
 
 class TestEnumAndPoset:
     def test_enum_counts_and_reparses(self, capsys):
@@ -115,6 +131,11 @@ class TestEnumAndPoset:
         assert code == 0
         assert "elements=10" in out
         assert dot.read_text().startswith("digraph")
+
+    def test_unwritable_dot_file_exit_2(self, capsys, tmp_path):
+        dot = tmp_path / "missing" / "x.dot"
+        code, out, err = run(capsys, "poset", "--family", "P", "--params", "f=3,k=1,r=0", "--dot", str(dot))
+        assert code == 2 and out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
 
     def test_cap_exit_3(self, capsys):
         code, _, err = run(
@@ -196,6 +217,11 @@ class TestComplexAndHomology:
         code, _, err = run(capsys, "homology", "--facets", "missing.txt")
         assert code == 2
 
+    def test_unwritable_facet_file_exit_2(self, capsys, tmp_path):
+        facets = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, "complex", "--T", "6", "1", "--facets", str(facets))
+        assert code == 2 and out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_passing_check(self, capsys):
@@ -236,3 +262,80 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", "thm11")
         assert code == 1
         assert "FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# any command line drawn from the grammar ends in an exit code, never a raise
+
+# r stays below 3, so that no family of proper diagrams gets large
+_PARAM = st.sampled_from("nmfkrx").flatmap(
+    lambda name: st.integers(-1, 2 if name == "r" else 3).map(lambda value: f"{name}={value}")
+)
+_DIAGRAMS = st.one_of(
+    st.builds(
+        lambda n, arcs: f"n={n}; arcs=" + ",".join(f"({a},{b})" for a, b in arcs),
+        st.integers(0, 9),
+        st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=4),
+    ),
+    st.text(max_size=12),
+)
+_MATRICES = st.builds(
+    lambda order, rows: json.dumps({"order": order, "rows": rows}),
+    st.integers(0, 4),
+    st.lists(st.lists(st.integers(-1, 3), max_size=4), max_size=4),
+)
+_PARAMS = st.lists(_PARAM, max_size=4).map(",".join)
+# path kinds, replaced in the test by paths under a fresh directory
+_PATHS = st.sampled_from(["<file>", "<dir>", "<missing>/x"])
+
+
+@st.composite
+def _argvs(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json"]))]
+    if draw(st.booleans()):
+        argv += ["--cap", str(draw(st.sampled_from([-1, 0, 1, 5, 1000])))]
+    command = draw(
+        st.sampled_from(
+            ["inspect", "canonicalize", "dual", "blowup", "equiv", "realize", "enum", "poset", "complex", "homology", "verify"]
+        )
+    )
+    argv.append(command)
+    if command in ("inspect", "canonicalize", "dual", "blowup"):
+        argv.append(draw(_DIAGRAMS))
+    elif command == "equiv":
+        argv += [draw(_DIAGRAMS), draw(_DIAGRAMS)]
+    elif command == "realize":
+        argv.append(draw(st.one_of(_MATRICES, _PATHS)))
+    elif command in ("enum", "poset"):
+        argv += ["--family", draw(st.sampled_from(["S", "So", "Sstar", "M", "P", "D"])), "--params", draw(_PARAMS)]
+        if command == "poset" and draw(st.booleans()):
+            argv += ["--dot", draw(_PATHS)]
+        if command == "poset" and draw(st.booleans()):
+            argv.append("--stats")
+    elif command == "complex":
+        argv += ["--T", str(draw(st.integers(-1, 8))), str(draw(st.integers(-1, 3)))]
+        if draw(st.booleans()):
+            argv += ["--facets", draw(_PATHS)]
+    elif command == "homology":
+        argv += ["--facets", draw(_PATHS)]
+    else:
+        # always a grid: the default grids take seconds to minutes
+        argv += ["--check", draw(st.sampled_from(check_names()))]
+        argv += ["--grid", draw(st.lists(_PARAMS, min_size=1, max_size=2).map(";".join))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs(), st.sampled_from(["", "1,2,3\n", "{}"]))
+def test_any_command_line_returns_an_exit_code(argv, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(f"{tmp}/file", "w", encoding="utf-8") as handle:
+            handle.write(content)
+        paths = {"<file>": f"{tmp}/file", "<dir>": tmp, "<missing>": f"{tmp}/missing"}
+        for kind, path in paths.items():
+            argv = [arg.replace(kind, path) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run(argv)
+    assert code in (0, 1, 2, 3)

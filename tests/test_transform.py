@@ -1,7 +1,11 @@
 """Swaps, canonicalization, equivalence, dual, blow-up, realization, maps."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
+
+from arcposet import verify
 
 from arcposet.diagram import (
     Diagram,
@@ -15,7 +19,7 @@ from arcposet.diagram import (
     parallel_classes,
     parse,
 )
-from arcposet.errors import InvalidArgumentError, ResourceLimitError
+from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from arcposet.matrix import SymmetricMatrix, enumerate_matrices
 from arcposet.transform import (
     BOTTOM_RELEVANT,
@@ -92,6 +96,23 @@ class TestCanonicalize:
         assert is_regular(canonical)
         assert block_matrix(canonical) == block_matrix(d)
         assert crossing_count(canonical) <= crossing_count(d)
+        assert canonical == verify._canonicalize_by_swaps(d)
+
+    def test_requires_proper(self):
+        with pytest.raises(InvalidArgumentError):
+            canonicalize(Diagram(6, [(1, 3), (3, 6)]))
+
+
+class TestSwapOracle:
+    def test_no_adjacent_crossing_pair_is_an_invariant_error(self):
+        regular = parse("n=7; arcs=(1,6),(2,4)")
+        with pytest.raises(InvariantError):
+            verify._strict_swap_site(regular, {1: 1, 2: 1, 4: 2, 6: 3}, 1)
+
+    def test_swap_that_keeps_the_crossings_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(verify, "swap", lambda diagram, site: diagram)
+        with pytest.raises(InvariantError):
+            verify._canonicalize_by_swaps(parse("n=7; arcs=(1,4),(2,6)"))
 
 
 class TestEquivalence:
@@ -183,6 +204,29 @@ class TestRealize:
             if matrix.is_zero_one():
                 d = realize_matrix(matrix)
                 assert all(len(group) == 1 for group in parallel_classes(d))
+
+    def test_regular_representative(self):
+        m = SymmetricMatrix.from_entries(4, {(1, 3): 1, (3, 4): 2})
+        assert realize_matrix(m) == parse("n=9; arcs=(1,4),(5,9),(6,8)")
+
+    def test_every_small_matrix_realizes_regularly(self):
+        # zero diagonal and rainbow, entries at most 2 (at most 1 at order 5,
+        # where entries up to 2 take 3.4 s)
+        for m in (3, 4, 5):
+            positions = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if (i, j) != (1, m)]
+            for values in product(range(3 if m < 5 else 2), repeat=len(positions)):
+                if not any(values):
+                    continue
+                matrix = SymmetricMatrix.from_entries(m, dict(zip(positions, values)))
+                d = realize_matrix(matrix)
+                assert is_proper(d) and is_regular(d) and block_matrix(d) == matrix
+
+    def test_cap_counts_arcs(self):
+        m = SymmetricMatrix.from_entries(4, {(1, 3): 4000})
+        assert realize_matrix(m, cap=4000).size == 4000
+        with pytest.raises(ResourceLimitError) as caught:
+            realize_matrix(m, cap=3999)
+        assert caught.value.bound == 3999
 
     def test_rejects_trivial_and_structural_nonzeros(self):
         with pytest.raises(InvalidArgumentError):
