@@ -156,7 +156,7 @@ def _cmd_poset(args) -> int:
 
 def _cmd_complex(args) -> int:
     m, k = args.T
-    complex_ = build_T(m, k)
+    complex_ = build_T(m, k) if args.cap is None else build_T(m, k, cap=args.cap)
     text = write_facets(complex_)
     if args.facets:
         _write_text(args.facets, text, "facet")
@@ -193,6 +193,8 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.cap is not None:
+        raise InvalidArgumentError("verify runs fixed grids and takes no --cap")
     grid = None
     if args.grid:
         grid = []

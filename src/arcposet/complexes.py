@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .crossing import crossing_adjacency, masked_clique_exists, noncrossing_subset_masks
 from .diagram import Arc
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .poset import FinitePoset, element_key
 from .snf import invariant_factors
 from .transform import is_k_relevant
@@ -143,18 +143,23 @@ def face_poset(complex_: SimplicialComplex) -> FinitePoset:
 # arc and diagonal complexes
 
 
-def noncrossing_complex(pool: list[Arc], k: int, label=None) -> SimplicialComplex:
+def noncrossing_complex(
+    pool: list[Arc], k: int, label=None, cap: int = 10_000_000
+) -> SimplicialComplex:
     """The complex whose faces are the k-noncrossing subsets of ``pool``.
 
     This is the underlying complex of the inclusion-ordered diagram family
     on the same arc pool: the family's order complex is its barycentric
-    subdivision, so both have the same homology.
+    subdivision, so both have the same homology.  ``cap`` bounds the
+    subsets visited (the empty one included).
     """
     if label is None:
         label = lambda arc: f"{arc[0]}-{arc[1]}"
     adjacency = crossing_adjacency(pool)
     facets = []
-    for mask in noncrossing_subset_masks(pool, k):
+    for visited, mask in enumerate(noncrossing_subset_masks(pool, k), start=1):
+        if visited > cap:
+            raise ResourceLimitError(f"complex search exceeded {cap} subsets", bound=cap)
         maximal = all(
             mask >> i & 1 or masked_clique_exists(adjacency, mask & adjacency[i], k)
             for i in range(len(pool))
@@ -176,10 +181,10 @@ def build_gamma(m: int, k: int) -> list[Arc]:
     ]
 
 
-def build_T(m: int, k: int) -> SimplicialComplex:
+def build_T(m: int, k: int, cap: int = 10_000_000) -> SimplicialComplex:
     """The multitriangulation complex: faces are the k-noncrossing sets of
-    k-relevant diagonals."""
-    return noncrossing_complex(build_gamma(m, k), k)
+    k-relevant diagonals; ``cap`` bounds the sets visited."""
+    return noncrossing_complex(build_gamma(m, k), k, cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,22 @@ Six families are built here:
                     block-matrix domination;
 * D(f, k, r)     -- proper diagrams with f free sites, ordered by
                     suppression reachability.
+
+Every family is held as its cover digraph.  S, So, Sstar, M and P get
+their covers as unit steps on flat keys; D is grown from the trivial
+diagram by one-arc insertions, and its covers are its one-arc
+suppressions.  The binary-diagram scan and the suppression relation stay
+as oracles for the tests and ``verify``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from math import comb
 from operator import itemgetter
 
-from .crossing import noncrossing_subset_masks
+from .crossing import crossing_adjacency, masked_clique_exists, noncrossing_subset_masks
 from .diagram import (
     Arc,
     Diagram,
@@ -208,7 +215,7 @@ def proper_length_bound(f: int, r: int) -> int:
     return f + 2 * (comb(f + 1, 2) - 1 - f + r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 16)
 def suppression_descendants(diagram: Diagram) -> frozenset[Diagram]:
     """The diagram together with everything reachable by suppressing arcs."""
     reached = {diagram}
@@ -223,27 +230,100 @@ def suppression_leq(small: Diagram, large: Diagram) -> bool:
     return small in suppression_descendants(large)
 
 
+def _proper_insertions(arcs: tuple[Arc, ...], f: int, k: int, r: int):
+    """Arc tuples of the members of D(f, k, r) that arise from ``arcs`` (a
+    member, or the trivial diagram of length f) by inserting one arc.
+
+    The new arc's endpoints go into the gaps after sites g1 < g2 of the
+    diagram, so the arc wraps its sites g1+1..g2: it covers the free sites
+    among them, joins blocks free[g1] and free[g2] (free[t] counts the
+    free sites up to t), and crosses each arc with one endpoint wrapped.
+    Insertion keeps every other arc's covered free sites, crossings and
+    block pair, so the new diagram is a member iff the new arc covers at
+    least one free site and not all of them, its crossing neighbours hold
+    no k-clique, and the tautology number, raised by the new unit in the
+    block matrix, stays at most r.
+    """
+    n = f + 2 * len(arcs)
+    arc_at = {}
+    for t, (a, b) in enumerate(arcs):
+        arc_at[a] = arc_at[b] = 1 << t
+    free = [0] * (n + 1)
+    for site in range(1, n + 1):
+        free[site] = free[site - 1] + (site not in arc_at)
+    pairs = Counter((free[a], free[b]) for a, b in arcs)
+    tautology = sum(count - 1 + count * (j == i + 1) for (i, j), count in pairs.items())
+    adjacency = crossing_adjacency(arcs)
+    for g1 in range(n):
+        wrapped = 0  # the arcs with exactly one endpoint among g1+1..g2
+        for g2 in range(g1 + 1, n + 1):
+            wrapped ^= arc_at.get(g2, 0)
+            i, j = free[g1], free[g2]
+            if not 0 < j - i < f:
+                continue
+            if tautology + (j == i + 1) + (pairs[i, j] > 0) > r:
+                continue
+            if masked_clique_exists(adjacency, wrapped, k):
+                continue
+            shifted = [(a + (a > g1) + (a > g2), b + (b > g1) + (b > g2)) for a, b in arcs]
+            yield tuple(sorted([*shifted, (g1 + 1, g2 + 2)]))
+
+
+def _suppressed(arcs: tuple[Arc, ...], arc: Arc) -> tuple[Arc, ...]:
+    """``suppress_arc`` on the arc tuple of a binary diagram."""
+    a, b = arc
+    return tuple((s - (s > a) - (s > b), t - (t > a) - (t > b)) for s, t in arcs if (s, t) != arc)
+
+
 def build_D(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
     """Proper diagrams with f free sites, k-noncrossing, tautology at most
-    r, ordered by suppression reachability."""
+    r, ordered by suppression reachability.
+
+    Suppressing an arc of a member with two or more arcs gives a member:
+    it keeps the free sites and their order, so every other arc covers
+    the same free sites and the diagram stays proper; it deletes a vertex
+    of the crossing graph, so the diagram stays k-noncrossing; and it
+    lowers one block-matrix entry by one, which does not raise the
+    tautology number.  Hence every member with more than one arc is a
+    one-arc insertion into a member, and every member with one arc is an
+    insertion into the trivial diagram of length f: the members are grown
+    level by level (a level is an arc count) from that diagram.  A
+    suppression removes exactly one arc, so nothing lies strictly between
+    a member and its one-arc suppressions, and every chain of suppressions
+    stays in D: the covers are exactly the one-arc suppressions.  A
+    suppression that is neither trivial nor a member raises
+    :class:`InvariantError`.  ``cap`` bounds the members.
+    """
     if f < 2:
         raise InvalidArgumentError(f"f must be >= 2, got {f}")
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     if r < 0:
         raise InvalidArgumentError(f"r must be >= 0, got {r}")
-    elements = []
-    for n in range(f + 2, proper_length_bound(f, r) + 1):
-        for diagram in enumerate_proper_diagrams(n):
-            if (
-                len(free_sites(diagram)) == f
-                and is_k_noncrossing(diagram, k)
-                and tautology_number(diagram) <= r
-            ):
-                elements.append(diagram)
-                if len(elements) > cap:
-                    raise ResourceLimitError(f"family exceeds cap {cap}", bound=cap)
-    return FinitePoset(elements, suppression_leq, validate=False)
+    index: dict[tuple[Arc, ...], int] = {}
+    level: list[tuple[Arc, ...]] = [()]
+    while level:
+        grown = []
+        for arcs in level:
+            for bigger in _proper_insertions(arcs, f, k, r):
+                if bigger not in index:
+                    index[bigger] = len(index)
+                    if len(index) > cap:
+                        raise ResourceLimitError(f"family exceeds cap {cap}", bound=cap)
+                    grown.append(bigger)
+        level = grown
+    succ: list[list[int]] = [[] for _ in index]
+    for arcs, t in index.items():
+        if len(arcs) == 1:
+            continue  # its suppression is the trivial diagram
+        for arc in arcs:
+            lower = index.get(_suppressed(arcs, arc))
+            if lower is None:
+                diagram = Diagram(f + 2 * len(arcs), arcs)
+                raise InvariantError(f"suppressing {arc} of {diagram.key()} leaves D({f},{k},{r})")
+            succ[lower].append(t)
+    elements = [Diagram(f + 2 * len(arcs), arcs) for arcs in index]
+    return FinitePoset(elements, covers=succ, validate=False)
 
 
 # ---------------------------------------------------------------------------

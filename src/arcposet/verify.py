@@ -381,9 +381,16 @@ _CHECKS = {
     "join": (_check_join, [{"m": 5, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}]),
     "rho": (
         _check_rho,
-        [{"f": 3, "k": k, "r": r} for k in (1, 2) for r in (0, 1)],
+        [{"f": 3, "k": k, "r": r} for k in (1, 2) for r in (0, 1, 2)]
+        + [{"f": 4, "k": 1, "r": r} for r in (0, 1, 2)]
+        + [{"f": 4, "k": 2, "r": 0}]
+        + [{"f": 5, "k": 1, "r": r} for r in (0, 1)],
     ),
 }
+
+
+# the checks of the two theorems, whose hypotheses are f >= 3, k >= 1 and f+1 >= 2k
+_THEOREM_CHECKS = ("thm11", "thm12")
 
 
 def check_names() -> list[str]:
@@ -401,6 +408,12 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
             inspect.signature(func).bind(**params)
         except TypeError as exc:
             raise InvalidArgumentError(f"check {name} at {params}: {exc}") from None
+        if name in _THEOREM_CHECKS:
+            f, k = params["f"], params["k"]
+            if not (f >= 3 and k >= 1 and f + 1 >= 2 * k):
+                raise InvalidArgumentError(
+                    f"check {name} at {params}: the theorem needs f >= 3, k >= 1 and f+1 >= 2k"
+                )
     report = VerificationReport(name)
     for params in points:
         start = time.perf_counter()

@@ -184,6 +184,15 @@ class TestEnumAndPoset:
         with pytest.raises(ResourceLimitError):
             built[0].leq_matrix
 
+    def test_proper_family_stats_and_cap(self, capsys):
+        argv = ("poset", "--family", "D", "--params", "f=4,k=1,r=1", "--stats")
+        code, out, _ = run(capsys, "--cap", "69", *argv)
+        assert code == 0 and out == (
+            "elements=69 covers=135 minimal=9 maximal=30 rank_length=2 rank_cardinality=3 pure=True\n"
+        )
+        code, out, err = run(capsys, "--cap", "68", *argv)
+        assert code == 3 and out == "" and err == "resource cap: family exceeds cap 68\n"
+
     def test_invariant_violation_exit_1(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise InvariantError("family is not closed under decrements")
@@ -204,6 +213,13 @@ class TestComplexAndHomology:
     def test_complex_to_stdout(self, capsys):
         code, out, _ = run(capsys, "complex", "--T", "6", "2")
         assert code == 0 and len(out.strip().splitlines()) == 3
+
+    def test_complex_cap_counts_visited_subsets(self, capsys):
+        # T(6,2) has 7 faces with the empty one: 3 diagonals, any 2 of them
+        code, out, _ = run(capsys, "--cap", "7", "complex", "--T", "6", "2")
+        assert code == 0 and len(out.strip().splitlines()) == 3
+        code, out, err = run(capsys, "--cap", "6", "complex", "--T", "6", "2")
+        assert code == 3 and out == "" and err.startswith("resource cap: ") and err.count("\n") == 1
 
     def test_homology_json(self, capsys, tmp_path):
         facets = tmp_path / "facets.txt"
@@ -241,6 +257,29 @@ class TestVerify:
         check = "thm12" if grid == "f=3" else "thm11"
         code, out, err = run(capsys, "verify", "--check", check, "--grid", grid)
         assert code == 2 and out == "" and err.count("\n") == 1
+
+    # a valid point first: the refusal comes before any point runs
+    @pytest.mark.parametrize(
+        "check,grid",
+        [
+            ("thm12", "f=3,k=1,r=0;f=3,k=3,r=2"),
+            ("thm12", "f=3,k=1,r=0;f=4,k=3,r=0"),
+            ("thm11", "f=4,k=1;f=1,k=1"),
+        ],
+    )
+    def test_point_outside_the_theorem_exit_2(self, capsys, check, grid):
+        code, out, err = run(capsys, "verify", "--check", check, "--grid", grid)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert "the theorem needs f >= 3, k >= 1 and f+1 >= 2k" in err
+
+    @pytest.mark.parametrize("grid", ["f=3,k=2,r=0", "f=5,k=3,r=0"])
+    def test_theorem_holds_where_f_plus_1_is_2k(self, capsys, grid):
+        code, out, _ = run(capsys, "verify", "--check", "thm12", "--grid", grid)
+        assert code == 0 and out.endswith("thm12: pass\n")
+
+    def test_cap_refused_exit_2(self, capsys):
+        code, out, err = run(capsys, "--cap", "5", "verify", "--check", "thm11", "--grid", "f=4,k=1")
+        assert code == 2 and out == "" and err == "error: verify runs fixed grids and takes no --cap\n"
 
     def test_grid_point_may_leave_out_defaulted_names(self, capsys):
         code, out, _ = run(capsys, "verify", "--check", "realize-roundtrip", "--grid", "m=4,k=1")

@@ -37,7 +37,7 @@ from arcposet.families import (
     unit_step_covers,
 )
 from arcposet.matrix import dominates, enumerate_matrices
-from arcposet.transform import canonicalize
+from arcposet.transform import beta_inverse, canonicalize, swap_orbit
 
 
 class TestArcPools:
@@ -177,6 +177,9 @@ def _arc_inclusion(a, b):
         (build_M, (5, 2, 1), dominates),
         (build_P, (4, 1, 1), lambda a, b: dominates(block_matrix(a), block_matrix(b))),
         (build_D, (3, 1, 2), suppression_leq),
+        (build_D, (3, 2, 2), suppression_leq),
+        (build_D, (4, 1, 1), suppression_leq),
+        (build_D, (4, 2, 0), suppression_leq),
     ],
 )
 def test_cover_core_matches_dense_oracle(builder, args, leq):
@@ -242,6 +245,41 @@ class TestProperFamily:
         assert suppression_leq(small, large)
         assert not suppression_leq(large, small)
         assert suppression_leq(large, large)
+
+    def test_elements_match_the_binary_scan(self):
+        f = 3
+        scan = [
+            d
+            for n in range(f + 2, proper_length_bound(f, 2) + 1)
+            for d in enumerate_binary_diagrams(n)
+        ]
+        for k in (1, 2):
+            for r in (0, 1, 2):
+                expected = {d for d in scan if in_proper_family(d, f, k, r)}
+                assert set(build_D(f, k, r).elements) == expected, (k, r)
+
+    @pytest.mark.parametrize("f,k,r", [(4, 1, 1), (4, 2, 0), (5, 1, 0)])
+    def test_elements_are_the_noncrossing_parts_of_the_fibers(self, f, k, r):
+        # each block-matrix fiber is the swap orbit of its regular diagram
+        expected = {
+            d
+            for matrix in enumerate_matrices(f + 1, k, r)
+            for d in swap_orbit(beta_inverse(matrix, k, r))
+            if is_k_noncrossing(d, k)
+        }
+        assert set(build_D(f, k, r).elements) == expected
+
+    def test_suppression_outside_the_family_raises(self, monkeypatch):
+        # n=5; arcs=(1,4) lies below n=7; arcs=(1,6),(2,4), grown from (1,3)
+        missing = ((1, 4),)
+        grow = families._proper_insertions
+
+        def grow_all_but_one(arcs, f, k, r):
+            return (bigger for bigger in grow(arcs, f, k, r) if bigger != missing)
+
+        monkeypatch.setattr(families, "_proper_insertions", grow_all_but_one)
+        with pytest.raises(InvariantError, match="leaves D\\(3,1,1\\)"):
+            build_D(3, 1, 1)
 
     def test_regular_family_is_a_suborder_image(self):
         proper = build_D(3, 1, 1)
