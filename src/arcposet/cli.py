@@ -33,6 +33,9 @@ from .verify import check_names, run_check
 
 SCHEMA = 1
 
+# the commands that bound their work by the global --cap; the rest refuse it
+CAPPED_COMMANDS = ("realize", "enum", "poset", "complex")
+
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
@@ -193,8 +196,6 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.cap is not None:
-        raise InvalidArgumentError("verify runs fixed grids and takes no --cap")
     grid = None
     if args.grid:
         grid = []
@@ -227,7 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Arc diagrams, block matrices, posets and homology.",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--cap", type=int, default=None, help="size/search cap")
+    parser.add_argument(
+        "--cap", type=int, default=None, help="size/search cap for " + ", ".join(CAPPED_COMMANDS)
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inspect", help="free sites, blocks, block matrix, predicates")
@@ -293,6 +296,11 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        if args.cap is not None:
+            if args.cap < 0:
+                raise InvalidArgumentError(f"--cap must be >= 0, got {args.cap}")
+            if args.command not in CAPPED_COMMANDS:
+                raise InvalidArgumentError(f"{args.command} takes no --cap")
         return args.func(args)
     except InvalidArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,9 +134,16 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
 
 
 def face_poset(complex_: SimplicialComplex) -> FinitePoset:
-    """Nonempty faces ordered by inclusion."""
-    faces = sorted(complex_.faces(), key=element_key)
-    return FinitePoset(faces, lambda a, b: a <= b, validate=False)
+    """Nonempty faces ordered by inclusion: a face is covered by itself
+    plus one vertex."""
+    faces = list(complex_.faces())
+    index = {face: i for i, face in enumerate(faces)}
+    covers: list[list[int]] = [[] for _ in faces]
+    for j, face in enumerate(faces):
+        if len(face) > 1:
+            for vertex in face:
+                covers[index[face - {vertex}]].append(j)
+    return FinitePoset(faces, covers=covers, validate=False)
 
 
 # ---------------------------------------------------------------------------

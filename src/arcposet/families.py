@@ -194,8 +194,8 @@ def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
     """Regular proper diagrams with f free sites, k-noncrossing, tautology
     at most r, ordered by block-matrix domination: beta_inverse carries
     M^r_{f+1,k} and its covers over, block matrix by block matrix."""
-    if f < 2:
-        raise InvalidArgumentError(f"f must be >= 2, got {f}")
+    if f < 3:
+        raise InvalidArgumentError(f"f must be >= 3, got {f}")
     matrices, succ = matrix_family_covers(f + 1, k, r, cap=cap)
     diagrams = [beta_inverse(matrix, k, r) for matrix in matrices]
     for matrix, diagram in zip(matrices, diagrams):

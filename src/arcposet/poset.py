@@ -1,9 +1,10 @@
 """Finite posets held as cover digraphs.
 
 Elements are kept in a canonical order with the upper covers of each; the
-dense order matrix is built lazily, and capped.  Provides chains and
-purity, covers, intervals, bottom adjunction, direct products,
-isomorphism testing, order-map classification, and DOT/stats export.
+order itself is read from one up-set per element, a Python-int bitmask
+built lazily from the covers, and capped.  Provides chains and purity,
+covers, intervals, bottom adjunction, direct products, isomorphism
+testing, order-map classification, and DOT/stats export.
 """
 
 from __future__ import annotations
@@ -12,19 +13,50 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
 
-import numpy as np
-
 from .errors import InvalidArgumentError, ResourceLimitError
 
-# largest dense order matrix (n * n one-byte cells) a poset will allocate
+# largest up-set table (n bitmasks of ceil(n/8) bytes) a poset will build
 LEQ_BYTE_CAP = 1 << 28
 
 
-def _dense_order_matrix(n: int) -> np.ndarray:
-    if n * n > LEQ_BYTE_CAP:
-        message = f"{n}x{n} order matrix exceeds {LEQ_BYTE_CAP} bytes"
+def _check_up_set_bytes(n: int) -> None:
+    size = n * ((n + 7) // 8)
+    if size > LEQ_BYTE_CAP:
+        message = f"{n} up-sets of {n} bits exceed {LEQ_BYTE_CAP} bytes"
         raise ResourceLimitError(message, bound=LEQ_BYTE_CAP)
-    return np.zeros((n, n), dtype=bool)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach_masks(adjacent: list[list[int]], order: Iterable[int]) -> list[int]:
+    """Per element, the bitmask of itself and everything reachable along
+    ``adjacent``; ``order`` lists each element after all it reaches."""
+    masks = [0] * len(adjacent)
+    for i in order:
+        mask = 1 << i
+        for j in adjacent[i]:
+            mask |= masks[j]
+        masks[i] = mask
+    return masks
+
+
+def _through(up: list[int], i: int) -> int:
+    """Bitmask of the elements two strict steps above element ``i``."""
+    reach = 0
+    for k in _bits(up[i] & ~(1 << i)):
+        reach |= up[k] & ~(1 << k)
+    return reach
+
+
+def _covers_from_up_sets(up: list[int]) -> list[list[int]]:
+    """Upper covers of each element of the partial order with up-sets ``up``."""
+    return [list(_bits(mask & ~(1 << i) & ~_through(up, i))) for i, mask in enumerate(up)]
 
 
 def topological_order(succ: list[list[int]]) -> list[int]:
@@ -98,13 +130,13 @@ class FinitePoset:
     """A finite poset over hashable elements, held as its cover digraph.
 
     Give the order either as ``covers`` -- per element, the indices (into
-    ``elements``) of the elements covering it -- or as ``leq``: a callable
-    (evaluated on all pairs) or a square boolean matrix aligned with
-    ``elements``, reduced to its covers by a single closure.  With
-    ``validate``, a relation is checked for reflexivity, antisymmetry and
-    transitivity, and covers for acyclicity and irredundancy, with a
-    witness in the error message.  The dense ``leq_matrix`` is built from
-    the covers on first use and refused above ``LEQ_BYTE_CAP`` cells.
+    ``elements``) of the elements covering it -- or as ``leq``, a callable
+    evaluated once on all pairs into up-sets and reduced to its covers.
+    With ``validate``, a relation is checked for reflexivity, antisymmetry
+    and transitivity, and covers for acyclicity and irredundancy, with a
+    witness in the error message.  ``up_sets`` holds, per element, the
+    bitmask of the elements above it; it is built from the covers on first
+    use and refused above ``LEQ_BYTE_CAP`` bytes.
     """
 
     def __init__(self, elements: Iterable, leq=None, *, covers=None, validate: bool = True):
@@ -126,64 +158,51 @@ class FinitePoset:
             if validate:
                 self._validate_covers()
             return
-        if callable(leq):
-            matrix = _dense_order_matrix(n)
-            for i, a in enumerate(self.elements):
-                for j, b in enumerate(self.elements):
-                    matrix[i, j] = bool(leq(a, b))
-        else:
-            matrix = np.asarray(leq, dtype=bool)
-            if matrix.shape != (n, n):
-                raise InvalidArgumentError(f"order matrix shape {matrix.shape} != ({n},{n})")
-            # a supplied matrix is aligned with the input order; reindex it
-            # to the canonical element order
-            matrix = matrix[np.ix_(permutation, permutation)]
-        self.leq_matrix = matrix
-        strict = matrix & ~np.eye(n, dtype=bool)
-        through = strict @ strict
+        if not callable(leq):
+            raise InvalidArgumentError("leq must be a callable")
+        _check_up_set_bytes(n)
+        self.up_sets = [
+            sum(1 << j for j, b in enumerate(self.elements) if leq(a, b)) for a in self.elements
+        ]
         if validate:
-            self._validate(through)
-        self.succ = [np.flatnonzero(row).tolist() for row in strict & ~through]
+            self._validate_relation()
+        self.succ = _covers_from_up_sets(self.up_sets)
 
-    def _validate(self, through: np.ndarray) -> None:
-        m = self.leq_matrix
-        if not m.diagonal().all():
-            i = int(np.argmin(m.diagonal()))
-            raise InvalidArgumentError(f"not reflexive at {self.elements[i]!r}")
-        both = m & m.T
-        np.fill_diagonal(both, False)
-        if both.any():
-            i, j = map(int, np.argwhere(both)[0])
-            raise InvalidArgumentError(
-                f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
-            )
-        gap = through & ~m
-        if gap.any():
-            i, j = map(int, np.argwhere(gap)[0])
-            raise InvalidArgumentError(
-                f"not transitive: {self.elements[i]!r} ... {self.elements[j]!r}"
-            )
+    def _validate_relation(self) -> None:
+        up = self.up_sets
+        for i, mask in enumerate(up):
+            if not mask >> i & 1:
+                raise InvalidArgumentError(f"not reflexive at {self.elements[i]!r}")
+        for i, mask in enumerate(up):
+            for j in _bits(mask & ~(1 << i)):
+                if up[j] >> i & 1:
+                    raise InvalidArgumentError(
+                        f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
+                    )
+        for i, mask in enumerate(up):
+            gap = _through(up, i) & ~mask
+            if gap:
+                j = next(_bits(gap))
+                raise InvalidArgumentError(
+                    f"not transitive: {self.elements[i]!r} ... {self.elements[j]!r}"
+                )
 
     def _validate_covers(self) -> None:
-        m = self.leq_matrix  # topological_order raises on a cycle
+        up = self.up_sets  # topological_order raises on a cycle
         for i, outs in enumerate(self.succ):
+            through = _through(up, i)
             for j in outs:
-                if any(m[s, j] for s in outs if s != j):
+                if through >> j & 1:
                     raise InvalidArgumentError(
                         f"not a cover: {self.elements[i]!r} < {self.elements[j]!r} "
                         "passes through another element"
                     )
 
     @cached_property
-    def leq_matrix(self) -> np.ndarray:
-        """Dense boolean order matrix: row i marks everything above element i."""
-        matrix = _dense_order_matrix(len(self))
-        for i in reversed(topological_order(self.succ)):
-            row = matrix[i]
-            row[i] = True
-            for j in self.succ[i]:
-                row |= matrix[j]
-        return matrix
+    def up_sets(self) -> list[int]:
+        """Per element i, the bitmask of the elements j with i <= j."""
+        _check_up_set_bytes(len(self))
+        return _reach_masks(self.succ, reversed(topological_order(self.succ)))
 
     @cached_property
     def _chain_stats(self) -> tuple[int, bool]:
@@ -204,7 +223,7 @@ class FinitePoset:
             raise InvalidArgumentError(f"{element!r} is not an element") from None
 
     def leq(self, a, b) -> bool:
-        return bool(self.leq_matrix[self.index(a), self.index(b)])
+        return bool(self.up_sets[self.index(a)] >> self.index(b) & 1)
 
     def _minimal_indices(self) -> list[int]:
         covered = {j for outs in self.succ for j in outs}
@@ -237,21 +256,20 @@ class FinitePoset:
     # -- derived posets --
 
     def restrict(self, elements: Iterable) -> "FinitePoset":
-        # self.elements is key-sorted, so sorted indices keep the sub-matrix
-        # aligned with the key order the constructor will use
+        """Sub-poset on ``elements``, with the order induced from this one."""
         chosen = sorted(self.index(e) for e in elements)
-        sub = self.leq_matrix[np.ix_(chosen, chosen)]
-        return FinitePoset([self.elements[i] for i in chosen], sub, validate=False)
+        position = {old: new for new, old in enumerate(chosen)}
+        up = [
+            sum(1 << position[j] for j in _bits(self.up_sets[i]) if j in position)
+            for i in chosen
+        ]
+        covers = _covers_from_up_sets(up)
+        return FinitePoset([self.elements[i] for i in chosen], covers=covers, validate=False)
 
     def open_interval_above(self, element) -> "FinitePoset":
         """Sub-poset of elements strictly greater than ``element``."""
         i = self.index(element)
-        above = [
-            self.elements[j]
-            for j in np.flatnonzero(self.leq_matrix[i])
-            if j != i
-        ]
-        return self.restrict(above)
+        return self.restrict(self.elements[j] for j in _bits(self.up_sets[i] & ~(1 << i)))
 
     def adjoin_bottom(self, bottom) -> "FinitePoset":
         """New poset with ``bottom`` strictly below every element."""
@@ -282,10 +300,10 @@ class FinitePoset:
         for i, outs in enumerate(succ):
             for j in outs:
                 pred[j].append(i)
-        down = self.leq_matrix.sum(axis=0)
-        up = self.leq_matrix.sum(axis=1)
+        up = self.up_sets  # capped; the down-sets below take as many bytes
+        down = _reach_masks(pred, topological_order(succ))
         colour = {
-            i: (int(down[i]), int(up[i]), len(pred[i]), len(succ[i]))
+            i: (down[i].bit_count(), up[i].bit_count(), len(pred[i]), len(succ[i]))
             for i in range(len(self))
         }
         for _ in range(len(self)):
@@ -316,7 +334,7 @@ class FinitePoset:
             for i in range(len(self))
         ]
         order = sorted(range(len(self)), key=lambda i: len(candidates[i]))
-        a, b = self.leq_matrix, other.leq_matrix
+        a, b = self.up_sets, other.up_sets
         used = [False] * len(other)
         assigned: dict[int, int] = {}
         nodes = 0
@@ -335,7 +353,7 @@ class FinitePoset:
                 if used[j]:
                     continue
                 if any(
-                    a[i, i2] != b[j, j2] or a[i2, i] != b[j2, j]
+                    a[i] >> i2 & 1 != b[j] >> j2 & 1 or a[i2] >> i & 1 != b[j2] >> j & 1
                     for i2, j2 in assigned.items()
                 ):
                     continue
@@ -351,7 +369,9 @@ class FinitePoset:
 
     def check_order_map(self, other: "FinitePoset", mapping: Mapping | Callable) -> str:
         """Classify a map into ``other`` as 'isomorphism', 'homomorphism'
-        (order-preserving) or 'neither'."""
+        (order-preserving) or 'neither'.  A map preserves order iff it
+        preserves every cover; a bijection reflects it iff its inverse
+        preserves every cover of ``other``."""
         if callable(mapping):
             images = [mapping(e) for e in self.elements]
         else:
@@ -361,22 +381,16 @@ class FinitePoset:
             if image not in other:
                 raise InvalidArgumentError(f"image of {e!r} is not in the codomain")
             targets.append(other.index(image))
-        a, b = self.leq_matrix, other.leq_matrix
-        preserving = all(
-            b[targets[i], targets[j]]
-            for i in range(len(self))
-            for j in range(len(self))
-            if a[i, j]
-        )
-        if not preserving:
+        image_up = other.up_sets
+        if not all(
+            image_up[targets[i]] >> targets[j] & 1 for i, js in enumerate(self.succ) for j in js
+        ):
             return "neither"
-        bijective = len(set(targets)) == len(other.elements) == len(self)
-        reflecting = all(
-            a[i, j] == b[targets[i], targets[j]]
-            for i in range(len(self))
-            for j in range(len(self))
-        )
-        if bijective and reflecting:
+        if not len(set(targets)) == len(other) == len(self):
+            return "homomorphism"
+        source = {t: i for i, t in enumerate(targets)}
+        up = self.up_sets
+        if all(up[source[t]] >> source[u] & 1 for t, us in enumerate(other.succ) for u in us):
             return "isomorphism"
         return "homomorphism"
 

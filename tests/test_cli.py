@@ -137,6 +137,11 @@ class TestEnumAndPoset:
         code, out, err = run(capsys, "poset", "--family", "P", "--params", "f=3,k=1,r=0", "--dot", str(dot))
         assert code == 2 and out == "" and err.startswith("error: cannot write") and err.count("\n") == 1
 
+    def test_regular_family_needs_three_free_sites(self, capsys):
+        argv = ("poset", "--family", "P", "--params", "f=2,k=1,r=1", "--stats")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == "error: f must be >= 3, got 2\n"
+
     def test_cap_exit_3(self, capsys):
         code, _, err = run(
             capsys, "--cap", "5", "enum", "--family", "S", "--params", "n=6,k=2"
@@ -165,7 +170,7 @@ class TestEnumAndPoset:
         assert code == 3 and "cap" in err
 
     def test_large_matrix_poset_stats_use_no_dense_matrix(self, capsys, monkeypatch):
-        # M(6,2,2) has 24,207 elements: a dense order matrix would take 586 MB
+        # M(6,2,2) has 24,207 elements: its up-sets would take 73 MB
         built = []
 
         def build_and_keep(*args, **kwargs):
@@ -182,7 +187,7 @@ class TestEnumAndPoset:
         )
         monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 1 << 20)
         with pytest.raises(ResourceLimitError):
-            built[0].leq_matrix
+            built[0].up_sets
 
     def test_proper_family_stats_and_cap(self, capsys):
         argv = ("poset", "--family", "D", "--params", "f=4,k=1,r=1", "--stats")
@@ -279,7 +284,7 @@ class TestVerify:
 
     def test_cap_refused_exit_2(self, capsys):
         code, out, err = run(capsys, "--cap", "5", "verify", "--check", "thm11", "--grid", "f=4,k=1")
-        assert code == 2 and out == "" and err == "error: verify runs fixed grids and takes no --cap\n"
+        assert code == 2 and out == "" and err == "error: verify takes no --cap\n"
 
     def test_grid_point_may_leave_out_defaulted_names(self, capsys):
         code, out, _ = run(capsys, "verify", "--check", "realize-roundtrip", "--grid", "m=4,k=1")
@@ -301,6 +306,27 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--check", "thm11")
         assert code == 1
         assert "FAIL" in out
+
+
+class TestGlobalCap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("inspect", "n=5; arcs=(1,3)"),
+            ("canonicalize", "n=7; arcs=(1,4),(2,6)"),
+            ("dual", "n=5; arcs=(2,4)"),
+            ("blowup", "n=5; arcs=(1,3),(3,5)"),
+            ("equiv", "n=5; arcs=(1,3)", "n=5; arcs=(2,4)"),
+            ("homology", "--facets", "missing.txt"),
+        ],
+    )
+    def test_commands_that_ignore_a_cap_refuse_it(self, capsys, argv):
+        code, out, err = run(capsys, "--cap", "0", *argv)
+        assert code == 2 and out == "" and err == f"error: {argv[0]} takes no --cap\n"
+
+    def test_negative_cap_exit_2(self, capsys):
+        code, out, err = run(capsys, "--cap", "-1", "complex", "--T", "6", "2")
+        assert code == 2 and out == "" and err == "error: --cap must be >= 0, got -1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +352,10 @@ _MATRICES = st.builds(
 _PARAMS = st.lists(_PARAM, max_size=4).map(",".join)
 # path kinds, replaced in the test by paths under a fresh directory
 _PATHS = st.sampled_from(["<file>", "<dir>", "<missing>/x"])
+_COMMANDS = [
+    "inspect", "canonicalize", "dual", "blowup", "equiv", "realize",
+    "enum", "poset", "complex", "homology", "verify",
+]
 
 
 @st.composite
@@ -335,11 +365,7 @@ def _argvs(draw):
         argv += ["--format", draw(st.sampled_from(["text", "json"]))]
     if draw(st.booleans()):
         argv += ["--cap", str(draw(st.sampled_from([-1, 0, 1, 5, 1000])))]
-    command = draw(
-        st.sampled_from(
-            ["inspect", "canonicalize", "dual", "blowup", "equiv", "realize", "enum", "poset", "complex", "homology", "verify"]
-        )
-    )
+    command = draw(st.sampled_from(_COMMANDS))
     argv.append(command)
     if command in ("inspect", "canonicalize", "dual", "blowup"):
         argv.append(draw(_DIAGRAMS))
@@ -378,3 +404,8 @@ def test_any_command_line_returns_an_exit_code(argv, content):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = cli.run(argv)
     assert code in (0, 1, 2, 3)
+    # a negative cap, or a cap on a command that does not use one, is refused
+    if "--cap" in argv:
+        command = next(arg for arg in argv if arg in _COMMANDS)
+        if argv[argv.index("--cap") + 1] == "-1" or command not in cli.CAPPED_COMMANDS:
+            assert code == 2

@@ -1,8 +1,12 @@
 """Finite poset machinery on small hand-checked examples."""
 
-import numpy as np
+import os
+import subprocess
+import sys
+
 import pytest
 
+import arcposet
 from arcposet import poset as poset_module
 from arcposet.errors import InvalidArgumentError, ResourceLimitError
 from arcposet.poset import (
@@ -24,28 +28,34 @@ def divisors12():
 
 class TestConstruction:
     def test_validation_catches_broken_relations(self):
-        with pytest.raises(InvalidArgumentError, match="reflexive"):
+        with pytest.raises(InvalidArgumentError, match="not reflexive at 'a'"):
             FinitePoset(["a", "b"], lambda a, b: a != b)
-        with pytest.raises(InvalidArgumentError, match="antisymmetric"):
+        with pytest.raises(InvalidArgumentError, match="not antisymmetric: 'a' and 'b'"):
             FinitePoset(["a", "b"], lambda a, b: True)
-        with pytest.raises(InvalidArgumentError, match="transitive"):
+        with pytest.raises(InvalidArgumentError, match=r"not transitive: 'a' \.\.\. 'c'"):
             FinitePoset(["a", "b", "c"], lambda a, b: a == b or (a, b) in {("a", "b"), ("b", "c")})
 
     def test_duplicate_elements(self):
         with pytest.raises(InvalidArgumentError, match="duplicate"):
             FinitePoset(["a", "a"], lambda a, b: a == b)
 
-    def test_matrix_input_is_reindexed_to_canonical_order(self):
-        # supply elements out of key order with an aligned matrix
-        elements = ["b", "a"]
-        matrix = np.array([[True, False], [True, True]])  # a <= b
-        poset = FinitePoset(elements, matrix)
-        assert poset.elements == ("a", "b")
-        assert poset.leq("a", "b") and not poset.leq("b", "a")
+    def test_matrix_relation_is_refused(self):
+        with pytest.raises(InvalidArgumentError, match="callable"):
+            FinitePoset(["a", "b"], [[True, False], [True, True]])
 
-    def test_shape_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            FinitePoset(["a", "b"], np.eye(3, dtype=bool))
+    def test_library_imports_only_the_standard_library(self):
+        probe = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import arcposet.cli\n"
+            "names = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(names - set(sys.stdlib_module_names)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(arcposet.__file__))}
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        )
+        assert result.stdout == "['arcposet']\n"
 
 
 class TestCoverInput:
@@ -60,7 +70,7 @@ class TestCoverInput:
         assert poset.cover_edges() == divisors12.cover_edges()
         assert poset.stats_text() == divisors12.stats_text()
         assert poset.to_dot() == divisors12.to_dot()
-        assert np.array_equal(poset.leq_matrix, divisors12.leq_matrix)
+        assert poset.up_sets == divisors12.up_sets
 
     def test_exactly_one_of_leq_and_covers(self):
         with pytest.raises(InvalidArgumentError, match="exactly one"):
@@ -76,16 +86,22 @@ class TestCoverInput:
         with pytest.raises(InvalidArgumentError, match="not a cover"):
             FinitePoset(["a", "b", "c"], covers=[[1, 2], [2], []])
 
-    def test_leq_matrix_is_lazy_and_capped(self, monkeypatch):
+    def test_up_sets_are_lazy_and_capped(self, monkeypatch):
+        # six up-sets of six bits take one byte each
         poset = FinitePoset(self.ELEMENTS, covers=self.COVERS, validate=False)
-        monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 35)
+        monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 5)
         assert poset.stats_text().endswith("rank_cardinality=4 pure=True")
         with pytest.raises(ResourceLimitError):
-            poset.leq_matrix
+            poset.up_sets
         with pytest.raises(ResourceLimitError):
             FinitePoset(self.ELEMENTS, lambda a, b: divides(int(a), int(b)))
-        monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 36)
+        monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 6)
         assert poset.leq("2", "12")
+        # bit j of up_sets[i] is set iff elements[i] divides elements[j]
+        assert poset.up_sets == [
+            sum(1 << j for j, b in enumerate(poset.elements) if divides(int(a), int(b)))
+            for a in poset.elements
+        ]
 
 
 class TestQueries:
@@ -176,6 +192,9 @@ class TestIsomorphism:
         assert divisors12.check_order_map(chain, collapse) == "homomorphism"
         flipped = {"a": "b", "b": "a"}
         assert chain.check_order_map(chain, flipped) == "neither"
+        # a bijection that preserves order but does not reflect it
+        antichain = FinitePoset(["x", "y"], lambda a, b: a == b)
+        assert antichain.check_order_map(chain, {"x": "a", "y": "b"}) == "homomorphism"
         with pytest.raises(InvalidArgumentError):
             chain.check_order_map(chain, {"a": "zzz", "b": "a"})
 
