@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .complexes import build_T, read_facets, reduced_homology, write_facets
 from .diagram import (
@@ -222,7 +223,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every
+    later ``run`` in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="arcposet",
         description="Arc diagrams, block matrices, posets and homology.",

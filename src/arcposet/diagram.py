@@ -6,17 +6,29 @@ line.  This module holds the diagram value type, its text format, and the
 structural predicates everything else is built from: free sites, blocks,
 the block matrix, crossings, regularity, properness, k-noncrossing, the
 tautology number, and the two arc-removal operations.
+
+The predicates read one site table, built in a single O(n) pass over the
+sites by ``site_table``: each site's partner (0 when the site is free,
+``MULTI`` when it supports two or more arcs) and, for a non-free site,
+the 1-based index of its block, which is one more than the number of
+free sites to its left.  An arc (a, b) of a binary diagram therefore
+covers block[b] - block[a] free sites.  The table is built from a length
+and a sorted arc tuple, so the swap and regular-form layers run on those
+flat values and build ``Diagram`` objects only at their boundary.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, chain, combinations
+from operator import not_
+from typing import NamedTuple
 
 from .crossing import max_crossing_clique, pairs_cross
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, require_int
 from .matrix import SymmetricMatrix
 
 Arc = tuple[int, int]
@@ -30,21 +42,20 @@ class Diagram:
     arcs: tuple[Arc, ...]
 
     def __init__(self, length: int, arcs: Iterable[Arc] = ()):
-        object.__setattr__(self, "length", int(length))
-        normalized = sorted({(int(a), int(b)) for a, b in arcs})
-        object.__setattr__(self, "arcs", tuple(normalized))
+        object.__setattr__(self, "length", require_int(length, "diagram length"))
+        pairs = [(a, b) for a, b in arcs]
+        if not {int}.issuperset(map(type, chain.from_iterable(pairs))):
+            for site in chain.from_iterable(pairs):
+                require_int(site, "arc endpoint")
+        object.__setattr__(self, "arcs", tuple(sorted(set(pairs))))
         self._validate()
 
     def _validate(self) -> None:
         if self.length < 2:
             raise InvalidArgumentError(f"diagram length must be >= 2, got {self.length}")
-        for a, b in self.arcs:
-            if not 1 < b - a < self.length - 1:
-                raise InvalidArgumentError(
-                    f"arc ({a},{b}) violates 1 < s2-s1 < n-1 for length {self.length}"
-                )
-            if a < 1 or b > self.length:
-                raise InvalidArgumentError(f"arc ({a},{b}) out of range 1..{self.length}")
+        error = arcs_error(self.length, self.arcs)
+        if error is not None:
+            raise InvalidArgumentError(error)
 
     @property
     def size(self) -> int:
@@ -62,6 +73,75 @@ class Diagram:
 
     def __str__(self) -> str:
         return to_text(self)
+
+
+def arcs_error(length: int, arcs: tuple[Arc, ...]) -> str | None:
+    """Why ``arcs`` is not the strictly ascending arc tuple of a diagram of
+    ``length``, or None when it is."""
+    previous = None
+    for arc in arcs:
+        a, b = arc
+        if not 1 < b - a < length - 1:
+            return f"arc ({a},{b}) violates 1 < s2-s1 < n-1 for length {length}"
+        if a < 1 or b > length:
+            return f"arc ({a},{b}) out of range 1..{length}"
+        if previous is not None and previous >= arc:
+            return f"arcs {previous} and {arc} are not in ascending order"
+        previous = arc
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the site table
+
+MULTI = -1  # the partner entry of a site supporting two or more arcs
+
+
+class SiteTable(NamedTuple):
+    """Per site s in 1..n (index 0 unused): ``partner[s]`` is the other end
+    of the arc at s, 0 if s is free and ``MULTI`` if s supports several
+    arcs; ``block[s]`` is the 1-based index of the block holding s when s
+    is non-free, and of the block just right of s when s is free.
+    ``free_count`` is the number of free sites."""
+
+    partner: list[int]
+    block: list[int]
+    free_count: int
+
+
+def site_table(length: int, arcs: Iterable[Arc]) -> SiteTable:
+    """The site table of the diagram with this length and these arcs."""
+    partner = [0] * (length + 1)
+    for a, b in arcs:
+        partner[a] = MULTI if partner[a] else b
+        partner[b] = MULTI if partner[b] else a
+    return table_from_partners(partner)
+
+
+def table_from_partners(partner: list[int]) -> SiteTable:
+    """The site table with this partner array (index 0 unused)."""
+    # entry s counts the free sites up to s, plus one (index 0 counts as free)
+    block = list(accumulate(map(not_, partner)))
+    return SiteTable(partner, block, block[-1] - 1)
+
+
+def _table_is_binary(table: SiteTable, arcs: tuple[Arc, ...]) -> bool:
+    """Non-trivial and each site supports at most one arc."""
+    return bool(arcs) and MULTI not in table.partner
+
+
+def table_is_proper(table: SiteTable, arcs: tuple[Arc, ...]) -> bool:
+    """Binary, and every arc covers at least one free site but not all."""
+    if not _table_is_binary(table, arcs):
+        return False
+    block, free_count = table.block, table.free_count
+    return all(0 < block[b] - block[a] < free_count for a, b in arcs)
+
+
+def block_pair_counts(table: SiteTable, arcs: tuple[Arc, ...]) -> Counter:
+    """Arcs per 1-indexed block pair (i, j) with i <= j."""
+    block = table.block
+    return Counter((block[a], block[b]) for a, b in arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +172,14 @@ def parse(text: str) -> Diagram:
 # free sites and blocks
 
 
+def _table(diagram: Diagram) -> SiteTable:
+    return site_table(diagram.length, diagram.arcs)
+
+
 def free_sites(diagram: Diagram) -> tuple[int, ...]:
     """Sites supporting no arc, ascending."""
-    used = {s for arc in diagram.arcs for s in arc}
-    return tuple(s for s in range(1, diagram.length + 1) if s not in used)
+    partner = _table(diagram).partner
+    return tuple(s for s in range(1, diagram.length + 1) if not partner[s])
 
 
 def covered_free_sites(diagram: Diagram, arc: Arc) -> frozenset[int]:
@@ -114,7 +198,8 @@ class BlockDecomposition:
     blocks: tuple[tuple[int, ...], ...]
 
     def block_index_of(self, site: int) -> int:
-        """1-based index of the block containing a non-free ``site``."""
+        """1-based index of the block containing a non-free ``site`` (a
+        linear scan; hot paths read ``site_table``'s block array)."""
         for i, block in enumerate(self.blocks, start=1):
             if site in block:
                 return i
@@ -122,31 +207,23 @@ class BlockDecomposition:
 
 
 def block_list(diagram: Diagram) -> BlockDecomposition:
-    free = free_sites(diagram)
-    bounds = (0, *free, diagram.length + 1)
-    blocks = tuple(
-        tuple(range(bounds[i] + 1, bounds[i + 1])) for i in range(len(free) + 1)
-    )
-    return BlockDecomposition(free, blocks)
+    table = _table(diagram)
+    blocks: list[list[int]] = [[] for _ in range(table.free_count + 1)]
+    free = []
+    for site in range(1, diagram.length + 1):
+        if table.partner[site]:
+            blocks[table.block[site] - 1].append(site)
+        else:
+            free.append(site)
+    return BlockDecomposition(tuple(free), tuple(map(tuple, blocks)))
 
 
 def block_matrix(diagram: Diagram) -> SymmetricMatrix:
     """Symmetric matrix of order f+1 counting arcs incident with each block
     pair; an arc with both endpoints in one block counts once on the
     diagonal."""
-    decomposition = block_list(diagram)
-    order = len(decomposition.blocks)
-    index = {}
-    for i, block in enumerate(decomposition.blocks, start=1):
-        for site in block:
-            index[site] = i
-    entries: dict[tuple[int, int], int] = {}
-    for a, b in diagram.arcs:
-        i, j = index[a], index[b]
-        if i > j:
-            i, j = j, i
-        entries[(i, j)] = entries.get((i, j), 0) + 1
-    return SymmetricMatrix.from_entries(order, entries)
+    table = _table(diagram)
+    return SymmetricMatrix.from_entries(table.free_count + 1, block_pair_counts(table, diagram.arcs))
 
 
 def adjacency_matrix(diagram: Diagram) -> SymmetricMatrix:
@@ -161,52 +238,37 @@ def adjacency_matrix(diagram: Diagram) -> SymmetricMatrix:
 
 def is_binary(diagram: Diagram) -> bool:
     """Non-trivial and each site supports at most one arc."""
-    if diagram.is_trivial():
-        return False
-    used: set[int] = set()
-    for arc in diagram.arcs:
-        for s in arc:
-            if s in used:
-                return False
-            used.add(s)
-    return True
+    return _table_is_binary(_table(diagram), diagram.arcs)
 
 
 def is_proper(diagram: Diagram) -> bool:
     """Binary, every arc covers at least one free site, and no arc covers
     all of them."""
-    if not is_binary(diagram):
-        return False
-    free = free_sites(diagram)
-    for a, b in diagram.arcs:
-        covered = sum(1 for s in free if a < s < b)
-        if not covered or covered == len(free):
-            return False
-    return True
+    return table_is_proper(_table(diagram), diagram.arcs)
 
 
 def crossing_count(diagram: Diagram) -> int:
     return sum(1 for e1, e2 in combinations(diagram.arcs, 2) if pairs_cross(e1, e2))
 
 
-def _is_local_crossing(decomposition: BlockDecomposition, e1: Arc, e2: Arc) -> bool:
-    blocks1 = {decomposition.block_index_of(s) for s in e1}
-    blocks2 = {decomposition.block_index_of(s) for s in e2}
-    return bool(blocks1 & blocks2)
+def _local_crossing_count(table: SiteTable, arcs: tuple[Arc, ...]) -> int:
+    # arcs ascend, so (a, b) before (c, d) cross iff a < c < b < d
+    block = table.block
+    return sum(
+        1
+        for (a, b), (c, d) in combinations(arcs, 2)
+        if a < c < b < d and {block[a], block[b]} & {block[c], block[d]}
+    )
 
 
 def local_crossing_count(diagram: Diagram) -> int:
     """Crossing arc pairs supported at two sites of a common block."""
-    decomposition = block_list(diagram)
-    return sum(
-        1
-        for e1, e2 in combinations(diagram.arcs, 2)
-        if pairs_cross(e1, e2) and _is_local_crossing(decomposition, e1, e2)
-    )
+    return _local_crossing_count(_table(diagram), diagram.arcs)
 
 
 def is_regular(diagram: Diagram) -> bool:
-    return is_binary(diagram) and local_crossing_count(diagram) == 0
+    table = _table(diagram)
+    return _table_is_binary(table, diagram.arcs) and not _local_crossing_count(table, diagram.arcs)
 
 
 def is_k_noncrossing(diagram: Diagram, k: int) -> bool:

@@ -15,3 +15,11 @@ class ResourceLimitError(RuntimeError):
 
 class InvariantError(RuntimeError):
     """A property that the theory guarantees failed to hold."""
+
+
+def require_int(value, what: str) -> int:
+    """``value`` itself when it is an ``int``; a bool, a float or anything
+    else raises :class:`InvalidArgumentError` rather than being truncated."""
+    if type(value) is not int:
+        raise InvalidArgumentError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -36,6 +36,8 @@ from .diagram import (
     is_proper,
     is_regular,
     suppress_arc,
+    table_from_partners,
+    table_is_proper,
     tautology_number,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
@@ -64,34 +66,46 @@ def nonrelevant_arcs(m: int, k: int) -> list[Arc]:
     return [arc for arc in admissible_arcs(m) if not is_k_relevant(arc, m, k)]
 
 
-def enumerate_binary_diagrams(n: int):
-    """All binary diagrams of length n (plus the trivial one), by matching
-    sites left to right."""
+def _site_matchings(n: int):
+    """Every binary arc set of length n (the empty one included), by
+    matching sites left to right: each site is left free first, then
+    joined to each later site in turn.  Yields the ascending arc list and
+    the partner array (0 for a free site), both reused between yields."""
     arcs: list[Arc] = []
+    partner = [0] * (n + 1)
 
     def extend(site: int):
         if site > n:
-            yield Diagram(n, arcs)
+            yield arcs, partner
             return
-        used = {s for e in arcs for s in e}
-        if site in used:
-            yield from extend(site + 1)
+        yield from extend(site + 1)  # the site stays free or ends an earlier arc
+        if partner[site]:
             return
-        yield from extend(site + 1)  # leave the site free
-        for t in range(site + 2, n + 1):
-            if t not in used and 1 < t - site < n - 1:
+        for t in range(site + 2, min(n, site + n - 2) + 1):
+            if not partner[t]:
                 arcs.append((site, t))
+                partner[site], partner[t] = t, site
                 yield from extend(site + 1)
                 arcs.pop()
+                partner[site] = partner[t] = 0
 
     yield from extend(1)
 
 
+def enumerate_binary_diagrams(n: int):
+    """All binary diagrams of length n (plus the trivial one), by matching
+    sites left to right."""
+    for arcs, _ in _site_matchings(n):
+        yield Diagram(n, arcs)
+
+
 def enumerate_proper_diagrams(n: int):
-    """All proper diagrams of length n."""
-    for diagram in enumerate_binary_diagrams(n):
-        if not diagram.is_trivial() and is_proper(diagram):
-            yield diagram
+    """All proper diagrams of length n, in the order of
+    ``enumerate_binary_diagrams``; properness is read off each matching's
+    partner array before any diagram is built."""
+    for arcs, partner in _site_matchings(n):
+        if table_is_proper(table_from_partners(partner), arcs):
+            yield Diagram(n, arcs)
 
 
 # ---------------------------------------------------------------------------

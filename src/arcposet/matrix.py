@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 from .crossing import masked_clique_exists, crossing_adjacency, max_crossing_clique
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, require_int
 
 
 @dataclass(frozen=True)
@@ -25,7 +26,7 @@ class SymmetricMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows):
-        rows = tuple(tuple(map(int, row)) for row in rows)
+        rows = tuple(map(tuple, rows))
         object.__setattr__(self, "rows", rows)
         m = len(rows)
         if m < 1:
@@ -33,6 +34,9 @@ class SymmetricMatrix:
         for i, row in enumerate(rows):
             if len(row) != m:
                 raise InvalidArgumentError(f"row {i + 1} has length {len(row)}, expected {m}")
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            for value in chain.from_iterable(rows):
+                require_int(value, "matrix entry")
         if rows == tuple(zip(*rows)) and min(map(min, rows)) >= 0:
             return
         for i, row in enumerate(rows):  # find the first offending entry

@@ -17,6 +17,7 @@ from .diagram import (
     Arc,
     Diagram,
     adjacency_matrix,
+    arcs_error,
     block_matrix,
     covered_free_sites,
     crossing_count,
@@ -24,8 +25,10 @@ from .diagram import (
     is_k_noncrossing,
     is_proper,
     is_regular,
+    site_table,
+    table_is_proper,
 )
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, require_int
 from .matrix import SymmetricMatrix, family_membership, r_value
 
 
@@ -33,40 +36,35 @@ from .matrix import SymmetricMatrix, family_membership, r_value
 # swaps
 
 
-def _arc_at(diagram: Diagram, site: int) -> Arc:
-    arcs = diagram.supports(site)
-    if not arcs:
-        raise InvalidArgumentError(f"site {site} is free; swap needs two non-free sites")
-    return arcs[0]
+def _swapped(arcs: tuple[Arc, ...], site: int) -> tuple[Arc, ...]:
+    """The ascending arc tuple after the swap at ``site``.  Exchanging the
+    partners of the non-free sites ``site`` and ``site + 1`` relabels the
+    two sites in every arc, since no arc joins them (an arc spans more than
+    one step), and leaves each arc's ends in order."""
+    other = {site: site + 1, site + 1: site}
+    return tuple(sorted((other.get(a, a), other.get(b, b)) for a, b in arcs))
 
 
 def swap(diagram: Diagram, site: int) -> Diagram:
     """Exchange arc partners between the adjacent non-free sites ``site``
     and ``site + 1``.  The block list and block matrix are unchanged."""
-    if not is_proper(diagram):
+    require_int(site, "swap site")
+    table = site_table(diagram.length, diagram.arcs)
+    if not table_is_proper(table, diagram.arcs):
         raise InvalidArgumentError("swap requires a proper diagram")
     if not 1 <= site < diagram.length:
         raise InvalidArgumentError(f"swap site {site} out of range")
-    e1 = _arc_at(diagram, site)
-    e2 = _arc_at(diagram, site + 1)
-    if e1 == e2:
-        raise InvalidArgumentError(f"sites {site} and {site + 1} share the arc {e1}")
-    r1 = e1[0] if e1[1] == site else e1[1]
-    r2 = e2[0] if e2[1] == site + 1 else e2[1]
-    replaced = [e for e in diagram.arcs if e not in (e1, e2)]
-    replaced.append(tuple(sorted((site, r2))))
-    replaced.append(tuple(sorted((site + 1, r1))))
-    return Diagram(diagram.length, replaced)
+    for end in (site, site + 1):
+        if not table.partner[end]:
+            raise InvalidArgumentError(f"site {end} is free; swap needs two non-free sites")
+    return Diagram(diagram.length, _swapped(diagram.arcs, site))
 
 
 def legal_swap_sites(diagram: Diagram) -> tuple[int, ...]:
-    """Sites at which the swap preconditions hold."""
-    non_free = {s for arc in diagram.arcs for s in arc}
-    return tuple(
-        s
-        for s in range(1, diagram.length)
-        if s in non_free and s + 1 in non_free and _arc_at(diagram, s) != _arc_at(diagram, s + 1)
-    )
+    """Sites s such that s and s + 1 are both non-free (they never share an
+    arc); on a proper diagram, the sites at which ``swap`` applies."""
+    partner = site_table(diagram.length, diagram.arcs).partner
+    return tuple(s for s in range(1, diagram.length) if partner[s] and partner[s + 1])
 
 
 def is_strict_swap(diagram: Diagram, site: int) -> bool:
@@ -75,19 +73,39 @@ def is_strict_swap(diagram: Diagram, site: int) -> bool:
 
 
 def swap_orbit(diagram: Diagram, cap: int = 1_000_000) -> set[Diagram]:
-    """All diagrams reachable from ``diagram`` by sequences of swaps."""
-    seen = {diagram}
-    queue = deque([diagram])
+    """All diagrams reachable from the proper ``diagram`` by sequences of
+    swaps.
+
+    The search runs on sorted arc tuples and their site tables.  A swap
+    keeps a proper diagram proper, so each new arc tuple is checked for
+    admissibility and properness and a failure raises
+    :class:`InvariantError`; diagrams are built for the orbit only.
+    """
+    if not is_proper(diagram):
+        raise InvalidArgumentError("swap orbit requires a proper diagram")
+    n = diagram.length
+    seen = {diagram.arcs}
+    queue = deque([(diagram.arcs, site_table(n, diagram.arcs).partner)])
     while queue:
-        current = queue.popleft()
-        for site in legal_swap_sites(current):
-            neighbour = swap(current, site)
-            if neighbour not in seen:
-                if len(seen) >= cap:
-                    raise ResourceLimitError(f"swap orbit exceeds cap {cap}", bound=cap)
-                seen.add(neighbour)
-                queue.append(neighbour)
-    return seen
+        arcs, partner = queue.popleft()
+        for site in range(1, n):
+            if not (partner[site] and partner[site + 1]):
+                continue
+            neighbour = _swapped(arcs, site)
+            if neighbour in seen:
+                continue
+            error = arcs_error(n, neighbour)
+            if error is None:
+                table = site_table(n, neighbour)
+                if not table_is_proper(table, neighbour):
+                    error = "it is not proper"
+            if error is not None:
+                raise InvariantError(f"the swap at {site} of {Diagram(n, arcs).key()} fails: {error}")
+            if len(seen) >= cap:
+                raise ResourceLimitError(f"swap orbit exceeds cap {cap}", bound=cap)
+            seen.add(neighbour)
+            queue.append((neighbour, table.partner))
+    return {Diagram(n, arcs) for arcs in seen}
 
 
 # ---------------------------------------------------------------------------

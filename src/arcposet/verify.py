@@ -14,6 +14,7 @@ import inspect
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from .complexes import (
@@ -26,13 +27,13 @@ from .complexes import (
 from .diagram import (
     Diagram,
     adjacency_matrix,
-    block_list,
     block_matrix,
-    crossing_count,
+    block_pair_counts,
     free_sites,
     is_regular,
     parallel_classes,
     p_value_of_diagram,
+    site_table,
 )
 from .errors import InvalidArgumentError, InvariantError
 from .families import (
@@ -45,7 +46,7 @@ from .families import (
     relevant_arcs,
 )
 from .crossing import noncrossing_subset_masks, pairs_cross
-from .matrix import enumerate_matrices
+from .matrix import enumerate_matrices, upper_positions
 from .transform import (
     BOTTOM_RELEVANT,
     BOTTOM_STAR,
@@ -55,7 +56,6 @@ from .transform import (
     equivalent,
     equivalent_by_definition,
     kappa,
-    legal_swap_sites,
     realize_matrix,
     swap,
     swap_orbit,
@@ -96,45 +96,45 @@ def _canonicalize_by_swaps(diagram: Diagram) -> Diagram:
     """
     current, crossings = diagram, None
     while True:
-        block_of = {
-            site: i for i, block in enumerate(block_list(current).blocks, start=1) for site in block
-        }
-        count, offending = _crossings_and_leftmost_local_block(current, block_of)
+        block = site_table(current.length, current.arcs).block
+        count, offending = _crossings_and_leftmost_local_block(current.arcs, block)
         if crossings is not None and count >= crossings:
             raise InvariantError(f"a swap on the way to {current.key()} removed no crossing")
         if offending is None:
             return current
         crossings = count
-        current = swap(current, _strict_swap_site(current, block_of, offending))
+        current = swap(current, _strict_swap_site(current, block, offending))
 
 
-def _crossings_and_leftmost_local_block(diagram: Diagram, block_of: dict[int, int]):
-    """The crossing count, and the leftmost block supporting a local
-    crossing (None when the diagram is regular)."""
-    arcs = diagram.arcs
+def _crossings_and_leftmost_local_block(arcs, block):
+    """The crossing count of the ascending arc tuple ``arcs``, and the
+    leftmost block (by the block array ``block``) supporting a local
+    crossing, None when there is none."""
     count, leftmost = 0, None
-    for a in range(len(arcs)):
-        for b in range(a + 1, len(arcs)):
-            if not pairs_cross(arcs[a], arcs[b]):
-                continue
-            count += 1
-            shared = {block_of[s] for s in arcs[a]} & {block_of[s] for s in arcs[b]}
-            if shared and (leftmost is None or min(shared) < leftmost):
-                leftmost = min(shared)
+    for (a, b), (c, d) in combinations(arcs, 2):
+        if not a < c < b < d:  # (a, b) comes first, so this is pairs_cross
+            continue
+        count += 1
+        shared = {block[a], block[b]} & {block[c], block[d]}
+        if shared and (leftmost is None or min(shared) < leftmost):
+            leftmost = min(shared)
     return count, leftmost
 
 
-def _strict_swap_site(diagram: Diagram, block_of: dict[int, int], block_index: int) -> int:
-    """Smallest site of an adjacent crossing arc pair incident with the block.
+def _strict_swap_site(diagram: Diagram, block, block_index: int) -> int:
+    """Smallest site of an adjacent crossing arc pair incident with the
+    block, given the block index of each non-free site.
 
     Along a block, the arcs are in local order exactly when they are sorted
     by partner (arcs to earlier blocks first), and each local crossing is an
     inversion of that order; so a block with one has an adjacent one.
     """
-    for site in legal_swap_sites(diagram):
-        (e1,) = diagram.supports(site)
-        (e2,) = diagram.supports(site + 1)
-        if pairs_cross(e1, e2) and block_index in {block_of[s] for s in e1} & {block_of[s] for s in e2}:
+    partner = site_table(diagram.length, diagram.arcs).partner
+    for site in range(1, diagram.length):
+        e1, e2 = (site, partner[site]), (site + 1, partner[site + 1])
+        if not (e1[1] and e2[1]):
+            continue  # no swap at a free site
+        if pairs_cross(e1, e2) and block_index in {block[s] for s in e1} & {block[s] for s in e2}:
             return site
     raise InvariantError(
         f"block {block_index} of {diagram.key()} has a local crossing but no adjacent crossing pair"
@@ -275,28 +275,37 @@ def _check_equivalence(n=8):
     return True, f"all proper diagram pairs up to length {n} agree"
 
 
-def _check_regular_unique(n=10):
+def _check_regular_unique(n=11):
     """Each block-matrix fiber has exactly one regular diagram; it is
     crossing-minimal, both ``canonicalize`` and strict swaps reach it from
-    every member, and the swap orbit fills the fiber."""
+    every member, and the swap orbit fills the fiber.  Fibers are keyed by
+    the length and the block matrix's upper-triangle tuple, and one pair
+    scan per member gives its crossing count and whether it is regular."""
+    positions = [upper_positions(m) for m in range(n + 2)]
     fibers = defaultdict(list)
     for length in range(4, n + 1):
         for diagram in enumerate_proper_diagrams(length):
-            fibers[(length, block_matrix(diagram).key())].append(diagram)
-    for fiber in fibers.values():
-        regulars = [d for d in fiber if is_regular(d)]
+            table = site_table(length, diagram.arcs)
+            pairs = block_pair_counts(table, diagram.arcs)
+            # proper: no arc within one block or from the first to the last
+            key = tuple(pairs[p] for p in positions[table.free_count + 1])
+            count, local = _crossings_and_leftmost_local_block(diagram.arcs, table.block)
+            fibers[length, key].append((diagram, count, local is None))
+    for members in fibers.values():
+        first = members[0][0]
+        regulars = [(d, count) for d, count, regular in members if regular]
         if len(regulars) != 1:
-            return False, f"fiber of {fiber[0].key()} has {len(regulars)} regular diagrams"
-        regular = regulars[0]
-        if crossing_count(regular) != min(crossing_count(d) for d in fiber):
+            return False, f"fiber of {first.key()} has {len(regulars)} regular diagrams"
+        regular, crossings = regulars[0]
+        if crossings != min(count for _, count, _ in members):
             return False, f"regular diagram {regular.key()} is not crossing-minimal"
-        for diagram in fiber:
+        for diagram, _, _ in members:
             if canonicalize(diagram) != regular:
                 return False, f"canonicalize({diagram.key()}) missed the regular diagram"
             if _canonicalize_by_swaps(diagram) != regular:
                 return False, f"strict swaps from {diagram.key()} missed the regular diagram"
-        if swap_orbit(fiber[0]) != set(fiber):
-            return False, f"swap orbit of {fiber[0].key()} is not the fiber"
+        if swap_orbit(first) != {d for d, _, _ in members}:
+            return False, f"swap orbit of {first.key()} is not the fiber"
     return True, f"{len(fibers)} fibers up to length {n}"
 
 
@@ -374,7 +383,7 @@ _CHECKS = {
     "theta": (_check_theta, [{"m": 5, "k": 1}, {"m": 6, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}]),
     "kappa": (_check_kappa, [{"m": 5, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}]),
     "equivalence": (_check_equivalence, [{"n": 8}]),
-    "regular-unique": (_check_regular_unique, [{"n": 10}]),
+    "regular-unique": (_check_regular_unique, [{"n": 11}]),
     "dual-matrix": (_check_dual_matrix, [{"n": 7}]),
     "realize-roundtrip": (_check_realize_roundtrip, [{"m": 6, "k": 2, "r": 2}]),
     "length-bound": (_check_length_bound, [{"n": 8}]),

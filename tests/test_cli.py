@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import arcposet
 from arcposet import cli
 from arcposet import poset as poset_module
 from arcposet.errors import InvariantError, ResourceLimitError
@@ -390,6 +394,77 @@ def _argvs(draw):
         argv += ["--check", draw(st.sampled_from(check_names()))]
         argv += ["--grid", draw(st.lists(_PARAMS, min_size=1, max_size=2).map(";".join))]
     return argv
+
+
+# Runs the argv lists given as JSON in one fresh process and prints, per
+# call, the exit code, stdout and stderr, plus how many ArgumentParser
+# objects existed after importing arcposet.cli and after each call.
+_SEQUENCE_PROBE = """
+import argparse, contextlib, io, json, sys
+built = [0]
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    built[0] += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+from arcposet import cli
+results, parsers = [], [built[0]]
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+    parsers.append(built[0])
+print(json.dumps({"results": results, "parsers": parsers}))
+"""
+
+
+def _run_in_fresh_process(*argvs):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(arcposet.__file__))}
+    done = subprocess.run(
+        [sys.executable, "-c", _SEQUENCE_PROBE, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    return json.loads(done.stdout)
+
+
+class TestParserCache:
+    SEQUENCES = {
+        "json then text": (
+            ["--format", "json", "inspect", "n=7; arcs=(1,4),(2,6)"],
+            ["inspect", "n=7; arcs=(1,4),(2,6)"],
+        ),
+        "grid then default grid": (
+            ["verify", "--check", "length-bound", "--grid", "n=6"],
+            ["verify", "--check", "length-bound"],
+        ),
+        "argparse error then valid": (
+            ["inspect"],
+            ["canonicalize", "n=7; arcs=(1,4),(2,6)"],
+        ),
+        "cap then no cap": (
+            ["--cap", "5", "enum", "--family", "S", "--params", "n=5,k=1"],
+            ["enum", "--family", "S", "--params", "n=5,k=1"],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_later_calls_match_first_calls(self, name):
+        first, second = self.SEQUENCES[name]
+        together = _run_in_fresh_process(first, second)["results"]
+        alone = [_run_in_fresh_process(argv)["results"][0] for argv in (first, second)]
+        assert together == alone
+        assert together[0] != together[1]
+
+    def test_parser_is_built_once_on_first_use(self):
+        first, second = self.SEQUENCES["json then text"]
+        parsers = _run_in_fresh_process(first, second)["parsers"]
+        assert parsers[0] == 0  # importing arcposet.cli builds no parser
+        assert parsers[1] > 0
+        assert parsers[2] == parsers[1]
 
 
 @settings(max_examples=300, deadline=None)

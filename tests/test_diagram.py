@@ -72,6 +72,15 @@ class TestConstruction:
         with pytest.raises(InvalidArgumentError):
             Diagram(5, [(3, 7)])
 
+    @pytest.mark.parametrize(
+        "length,arcs,named",
+        [(7.9, [(1.5, 4.2)], "7.9"), (7, [(1.5, 4.2)], "1.5"), (True, [], "True"), (7, [(1, True)], "True")],
+    )
+    def test_rejects_non_integers(self, length, arcs, named):
+        # no silent int(): Diagram(7.9, [(1.5, 4.2)]) would otherwise be n=7; arcs=(1,4)
+        with pytest.raises(InvalidArgumentError, match=f"got {named}$"):
+            Diagram(length, arcs)
+
     def test_trivial(self):
         assert Diagram(4).is_trivial()
         assert not Diagram(5, [(1, 3)]).is_trivial()

@@ -54,6 +54,12 @@ class TestConstruction:
         with pytest.raises(InvalidArgumentError, match="list of lists"):
             SymmetricMatrix.from_json(f'{{"order": 2, "rows": {rows}}}')
 
+    @pytest.mark.parametrize("rows", [[[0, 1.7], [1.2, 0]], [[0, True], [True, 0]]])
+    def test_rejects_non_integer_entries(self, rows):
+        # no silent int(): 1.7 would otherwise become 1, True would become 1
+        with pytest.raises(InvalidArgumentError, match=f"got {rows[0][1]!r}"):
+            SymmetricMatrix(rows)
+
     def test_from_entries_symmetrizes(self):
         m = SymmetricMatrix.from_entries(3, {(1, 3): 2})
         assert m.entry(3, 1) == 2

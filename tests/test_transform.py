@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from arcposet import verify
+from arcposet import transform, verify
 
 from arcposet.diagram import (
     Diagram,
@@ -68,6 +68,12 @@ class TestSwap:
     def test_requires_proper(self):
         with pytest.raises(InvalidArgumentError):
             swap(Diagram(6, [(1, 3), (3, 6)]), 3)
+
+    @pytest.mark.parametrize("site", [True, 1.0])
+    def test_rejects_a_site_that_is_not_an_integer(self, site):
+        # swap(d, True) would otherwise swap at site 1
+        with pytest.raises(InvalidArgumentError, match=f"got {site!r}$"):
+            swap(parse("n=7; arcs=(1,4),(2,6)"), site)
 
     def test_legal_sites(self):
         d = parse("n=7; arcs=(1,4),(2,6)")
@@ -143,6 +149,22 @@ class TestEquivalence:
         orbit = swap_orbit(d)
         assert d in orbit
         assert all(equivalent(d, other) for other in orbit)
+
+    def test_swap_orbit_requires_a_proper_start(self):
+        with pytest.raises(InvalidArgumentError):
+            swap_orbit(Diagram(6, [(1, 3), (2, 5)]))
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            lambda arcs, site: arcs[::-1],  # not in ascending order
+            lambda arcs, site: ((1, 3), (2, 6)),  # (1,3) covers no free site
+        ],
+    )
+    def test_swap_orbit_checks_every_new_arc_tuple(self, monkeypatch, broken):
+        monkeypatch.setattr(transform, "_swapped", broken)
+        with pytest.raises(InvariantError):
+            swap_orbit(parse("n=7; arcs=(1,4),(2,6)"))
 
     def test_swap_orbit_cap_is_a_resource_limit(self):
         d = parse("n=7; arcs=(1,4),(2,6)")
