@@ -15,9 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .crossing import crossing_adjacency, masked_clique_exists, noncrossing_subset_masks
+from .crossing import maximal_noncrossing_masks
 from .diagram import Arc
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError
 from .poset import FinitePoset, element_key
 from .snf import invariant_factors
 from .transform import is_k_relevant
@@ -157,27 +157,28 @@ def noncrossing_complex(
 
     This is the underlying complex of the inclusion-ordered diagram family
     on the same arc pool: the family's order complex is its barycentric
-    subdivision, so both have the same homology.  ``cap`` bounds the
-    subsets visited (the empty one included).
+    subdivision, so both have the same homology.  Its facets come from
+    ``maximal_noncrossing_masks``: the cone arcs (those in no k+1 mutually
+    crossing arcs of the pool, read off the pool's own crossing graph) lie
+    in every facet, and a set is k-noncrossing exactly when its other
+    ("core") arcs are (k+1 mutually crossing arcs include no cone arc by
+    definition), so one exact search over the core sets finds every
+    facet once, each checked for maximality only against the core arcs it
+    skipped while they were still addable.  ``cap`` bounds the search
+    nodes visited (the empty core set included).
     """
     if label is None:
         label = lambda arc: f"{arc[0]}-{arc[1]}"
-    adjacency = crossing_adjacency(pool)
-    facets = []
-    for visited, mask in enumerate(noncrossing_subset_masks(pool, k), start=1):
-        if visited > cap:
-            raise ResourceLimitError(f"complex search exceeded {cap} subsets", bound=cap)
-        maximal = all(
-            mask >> i & 1 or masked_clique_exists(adjacency, mask & adjacency[i], k)
-            for i in range(len(pool))
-        )
-        if maximal:
-            facets.append(frozenset(label(pool[i]) for i in range(len(pool)) if mask >> i & 1))
-    return SimplicialComplex(facets)
+    return SimplicialComplex(
+        frozenset(label(pool[i]) for i in range(len(pool)) if mask >> i & 1)
+        for mask in maximal_noncrossing_masks(pool, k, cap)
+    )
 
 
 def build_gamma(m: int, k: int) -> list[Arc]:
     """The k-relevant diagonals of a convex m-gon (endpoint gap in (k, m-k))."""
+    if m < 3:
+        raise InvalidArgumentError(f"a polygon needs m >= 3 vertices, got {m}")
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     return [
@@ -359,8 +360,14 @@ def write_facets(complex_: SimplicialComplex) -> str:
 
 
 def read_facets(text: str) -> SimplicialComplex:
+    """Parse a facet list.  A text whose only line is blank is the empty
+    complex (one facet, the empty face: what ``write_facets`` writes for
+    it); a text with no facet otherwise is refused."""
+    lines = text.splitlines()
+    if len(lines) == 1 and not lines[0].strip():
+        return SimplicialComplex([frozenset()])
     facets = []
-    for line in text.splitlines():
+    for line in lines:
         line = line.strip()
         if not line:
             continue

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
+from .errors import ResourceLimitError
+
 Pair = tuple[int, int]
 
 
@@ -74,3 +76,60 @@ def noncrossing_subset_masks(pairs: Sequence[Pair], k: int) -> Iterator[int]:
                 yield from extend(mask | (1 << i), i + 1)
 
     yield from extend(0, 0)
+
+
+def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[int]:
+    """The maximal subsets of ``pairs`` without k+1 mutually crossing
+    members (as bitmasks), each listed once, from one exact search.
+
+    A cone pair lies in no k+1 mutually crossing pairs, so it can join any
+    such subset: it is in every maximal one, and a set is k-noncrossing
+    exactly when its non-cone ("core") part is.  The search therefore runs
+    on the core pairs only, in index order, one node per k-noncrossing
+    core set, and ORs the cone mask into each result.  A node carries the
+    later pairs it can still take (``addable``) and the earlier ones that
+    were skipped on the way to it while addable and are still addable now
+    (``pending``); a pair skipped while blocked stays blocked, since masks
+    only grow.  A node is maximal exactly when both lists are empty, and a
+    branch stops as soon as some pending pair cannot be blocked even by
+    every pair the branch may still add.  ``cap`` bounds the nodes visited.
+    """
+    adj = crossing_adjacency(pairs)
+    cone = 0
+    core = []
+    for i in range(len(pairs)):
+        if masked_clique_exists(adj, adj[i], k):
+            core.append(i)
+        else:
+            cone |= 1 << i
+    facets: list[int] = []
+    nodes = 0
+
+    def search(mask: int, addable: list[int], pending: list[int]) -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > cap:
+            raise ResourceLimitError(f"complex search exceeded {cap} subsets", bound=cap)
+        if pending:
+            reach = mask
+            for j in addable:
+                reach |= 1 << j
+            if not all(masked_clique_exists(adj, reach & adj[p], k) for p in pending):
+                return
+        if not addable:
+            facets.append(mask | cone)
+            return
+        skipped = list(pending)
+        for at, i in enumerate(addable):
+            bit = 1 << i
+            child = mask | bit
+            # adding i can only block the pairs that cross it
+            search(
+                child,
+                [j for j in addable[at + 1:] if not (adj[j] & bit and masked_clique_exists(adj, child & adj[j], k))],
+                [p for p in skipped if not (adj[p] & bit and masked_clique_exists(adj, child & adj[p], k))],
+            )
+            skipped.append(i)
+
+    search(0, core, [])
+    return facets

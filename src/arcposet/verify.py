@@ -376,7 +376,12 @@ _MATRIX_FAMILY_GRID = (
 )
 
 _CHECKS = {
-    "thm11": (_check_thm11, [{"f": f, "k": 1} for f in (4, 5, 6)] + [{"f": f, "k": 2} for f in (5, 6, 7)]),
+    "thm11": (
+        _check_thm11,
+        [{"f": f, "k": 1} for f in (4, 5, 6, 7, 8)]
+        + [{"f": f, "k": 2} for f in (5, 6, 7)]
+        + [{"f": 6, "k": 3}],
+    ),
     "thm12": (_check_thm12, _MATRIX_FAMILY_GRID),
     "beta": (_check_beta, _MATRIX_FAMILY_GRID),
     "tau": (_check_tau, [{"f": f, "k": k} for f in (3, 4, 5) for k in (1, 2) if f >= 2 * k]),
@@ -387,7 +392,10 @@ _CHECKS = {
     "dual-matrix": (_check_dual_matrix, [{"n": 7}]),
     "realize-roundtrip": (_check_realize_roundtrip, [{"m": 6, "k": 2, "r": 2}]),
     "length-bound": (_check_length_bound, [{"n": 8}]),
-    "join": (_check_join, [{"m": 5, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}]),
+    "join": (
+        _check_join,
+        [{"m": m, "k": k} for m, k in ((5, 1), (6, 2), (7, 2), (7, 3), (8, 1), (9, 1))],
+    ),
     "rho": (
         _check_rho,
         [{"f": 3, "k": k, "r": r} for k in (1, 2) for r in (0, 1, 2)]

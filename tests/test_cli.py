@@ -219,12 +219,34 @@ class TestComplexAndHomology:
         code, out, _ = run(capsys, "homology", "--facets", str(facets))
         assert code == 0 and out.strip() == "H~_1 = Z"
 
+    @pytest.mark.parametrize("m, k", [(5, 2), (7, 3)])
+    def test_empty_sphere_pipeline(self, capsys, tmp_path, m, k):
+        # T(2k+1, k) has no k-relevant diagonal: its one facet is empty
+        facets = tmp_path / "facets.txt"
+        code, out, _ = run(capsys, "complex", "--T", str(m), str(k), "--facets", str(facets))
+        assert code == 0 and out == f"1 facets written to {facets}\n"
+        assert facets.read_text() == "\n"
+        code, out, _ = run(capsys, "homology", "--facets", str(facets))
+        assert code == 0 and out == "H~_-1 = Z\n"
+
+    def test_zero_byte_facet_file_exit_2(self, capsys, tmp_path):
+        facets = tmp_path / "facets.txt"
+        facets.write_text("")
+        code, out, err = run(capsys, "homology", "--facets", str(facets))
+        assert code == 2 and out == "" and err == "error: facet list is empty\n"
+
+    @pytest.mark.parametrize("m", ["-3", "0", "2"])
+    def test_complex_needs_a_polygon(self, capsys, m):
+        code, out, err = run(capsys, "complex", "--T", m, "1")
+        assert code == 2 and out == "" and err == f"error: a polygon needs m >= 3 vertices, got {m}\n"
+
     def test_complex_to_stdout(self, capsys):
         code, out, _ = run(capsys, "complex", "--T", "6", "2")
         assert code == 0 and len(out.strip().splitlines()) == 3
 
     def test_complex_cap_counts_visited_subsets(self, capsys):
-        # T(6,2) has 7 faces with the empty one: 3 diagonals, any 2 of them
+        # the search on T(6,2) visits 7 nodes: the empty set, each of the 3
+        # diagonals and the 3 pairs of them, which are its facets
         code, out, _ = run(capsys, "--cap", "7", "complex", "--T", "6", "2")
         assert code == 0 and len(out.strip().splitlines()) == 3
         code, out, err = run(capsys, "--cap", "6", "complex", "--T", "6", "2")

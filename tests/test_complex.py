@@ -1,6 +1,7 @@
 """Simplicial complexes, joins, order complexes, and exact homology."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcposet import complexes
 from arcposet.complexes import (
@@ -18,8 +19,14 @@ from arcposet.complexes import (
     sphere_signature,
     write_facets,
 )
-from arcposet.errors import InvalidArgumentError
-from arcposet.families import admissible_arcs
+from arcposet.crossing import (
+    crossing_adjacency,
+    masked_clique_exists,
+    maximal_noncrossing_masks,
+    noncrossing_subset_masks,
+)
+from arcposet.errors import InvalidArgumentError, ResourceLimitError
+from arcposet.families import admissible_arcs, nonrelevant_arcs, relevant_arcs
 from arcposet.poset import FinitePoset
 from arcposet.snf import invariant_factors
 
@@ -251,6 +258,86 @@ class TestDiagonalComplexes:
         c = noncrossing_complex(admissible_arcs(5), 1)
         assert len(c.faces()) == 10
 
+    @pytest.mark.parametrize("m", [-3, 0, 1, 2])
+    def test_gamma_needs_a_polygon(self, m):
+        with pytest.raises(InvalidArgumentError, match="m >= 3"):
+            build_gamma(m, 1)
+
+    @pytest.mark.parametrize("m, k", [(3, 1), (5, 2), (7, 3)])
+    def test_T_2k_plus_1_is_the_empty_sphere(self, m, k):
+        t = build_T(m, k)
+        assert t.facets == (frozenset(),)
+        assert sphere_signature(t) == -1
+
+
+CAP = 10_000_000
+
+
+def maximal_by_definition(pool, k):
+    """The k-noncrossing subsets of ``pool`` to which no outside arc can be
+    added without leaving the family."""
+    family = set(noncrossing_subset_masks(pool, k))
+    return sorted(
+        mask for mask in family
+        if all(mask >> i & 1 or mask | 1 << i not in family for i in range(len(pool)))
+    )
+
+
+def cone_mask(pool, k):
+    adj = crossing_adjacency(pool)
+    return sum(1 << i for i in range(len(pool)) if not masked_clique_exists(adj, adj[i], k))
+
+
+# arcs with distinct endpoints on sites 1..10, drawn as unordered pairs
+_ARC_POOLS = st.lists(
+    st.tuples(st.integers(1, 10), st.integers(1, 10))
+    .filter(lambda p: p[0] != p[1])
+    .map(lambda p: (min(p), max(p))),
+    unique=True,
+    max_size=14,
+)
+
+
+class TestMaximalNoncrossingMasks:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_arc_pools_match_the_definition(self, m, k):
+        for pool in (admissible_arcs(m), relevant_arcs(m, k), nonrelevant_arcs(m, k)):
+            found = maximal_noncrossing_masks(pool, k, CAP)
+            assert sorted(found) == maximal_by_definition(pool, k)
+            assert len(found) == len(set(found))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", range(3, 11))
+    def test_relevant_diagonals_match_the_definition(self, m, k):
+        pool = build_gamma(m, k)
+        assert sorted(maximal_noncrossing_masks(pool, k, CAP)) == maximal_by_definition(pool, k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pool=_ARC_POOLS, k=st.integers(1, 3))
+    def test_random_pools_match_the_definition(self, pool, k):
+        assert sorted(maximal_noncrossing_masks(pool, k, CAP)) == maximal_by_definition(pool, k)
+
+    @pytest.mark.parametrize(
+        "pool, k, cones",
+        [(admissible_arcs(7), 2, 7), (admissible_arcs(9), 2, 9), (admissible_arcs(8), 3, 16)],
+        ids=["adm7-k2", "adm9-k2", "adm8-k3"],
+    )
+    def test_cone_arcs_lie_in_every_facet(self, pool, k, cones):
+        cone = cone_mask(pool, k)
+        assert cone.bit_count() == cones
+        facets = maximal_noncrossing_masks(pool, k, CAP)
+        assert facets and all(facet & cone == cone for facet in facets)
+
+    def test_all_cone_pool_is_one_simplex(self):
+        pool = admissible_arcs(7)
+        assert maximal_noncrossing_masks(pool, 3, CAP) == [(1 << len(pool)) - 1]
+
+    def test_cap_counts_search_nodes(self):
+        with pytest.raises(ResourceLimitError, match="exceeded 10 subsets"):
+            build_T(8, 2, cap=10)
+        assert len(build_T(8, 2).facets) == 84
+
 
 class TestFacetFiles:
     def test_round_trip(self):
@@ -261,3 +348,11 @@ class TestFacetFiles:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             read_facets("\n\n")
+        with pytest.raises(InvalidArgumentError):
+            read_facets("")
+
+    def test_empty_complex_round_trip(self):
+        empty = simplex(-1)
+        assert write_facets(empty) == "\n"
+        assert read_facets("\n").facets == empty.facets
+        assert reduced_homology(read_facets(write_facets(empty))).report_lines() == ["H~_-1 = Z"]
