@@ -35,7 +35,7 @@ from .verify import check_names, run_check
 SCHEMA = 1
 
 # the commands that bound their work by the global --cap; the rest refuse it
-CAPPED_COMMANDS = ("realize", "enum", "poset", "complex")
+CAPPED_COMMANDS = ("realize", "enum", "poset", "complex", "homology")
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -184,7 +184,7 @@ def _cmd_homology(args) -> int:
             complex_ = read_facets(handle.read())
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read facet file {args.facets!r}: {exc}") from exc
-    homology = reduced_homology(complex_)
+    homology = reduced_homology(complex_) if args.cap is None else reduced_homology(complex_, cap=args.cap)
     lines = homology.report_lines()
     payload = {
         "groups": {

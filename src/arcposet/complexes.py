@@ -1,9 +1,10 @@
 """Finite simplicial complexes and exact integral homology.
 
 Complexes are stored by their facets (frozensets of hashable vertex
-labels).  Reduced homology is computed over the integers by coreductions
-plus sparse/dense Smith normal form, on faces held as integer masks over
-the vertices; labels appear only at the boundary (facets and facet files).
+labels).  Reduced homology is computed over the integers relative to the
+star of one vertex, by coreductions plus sparse/dense Smith normal form,
+on faces held as integer masks over the vertices; labels appear only at
+the boundary (facets and facet files).
 Also built here: order complexes of posets, joins, the complex of
 k-noncrossing arc subsets, and the multitriangulation complex of
 k-relevant polygon diagonals.
@@ -11,13 +12,13 @@ k-relevant polygon diagonals.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import combinations
 
 from .crossing import maximal_noncrossing_masks
 from .diagram import Arc
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, ResourceLimitError
 from .poset import FinitePoset, element_key
 from .snf import invariant_factors
 from .transform import is_k_relevant
@@ -250,33 +251,82 @@ class HomologyResult:
         )
 
 
-def reduced_homology(complex_: SimplicialComplex, collapse: bool = True) -> HomologyResult:
+def _face_masks(facet_masks, cap: int) -> dict[int, int]:
+    """Every face of the given facet masks (the empty face included), each
+    mapped to itself, in insertion order.  Raises ``ResourceLimitError``
+    when more than ``cap`` masks would be inserted."""
+    faces: dict[int, int] = {}
+    for facet in facet_masks:
+        # a facet that cannot overflow the cap even if all its faces are
+        # new skips the count on every insertion
+        counted = len(faces) + (1 << facet.bit_count()) > cap
+        face = facet
+        while True:
+            faces[face] = face
+            if counted and len(faces) > cap:
+                raise ResourceLimitError(f"homology exceeded {cap} faces", bound=cap)
+            if not face:
+                break
+            face = (face - 1) & facet
+    return faces
+
+
+def reduced_homology(
+    complex_: SimplicialComplex, collapse: bool = True, cap: int = 10_000_000
+) -> HomologyResult:
     """Reduced homology over the integers, exactly.
 
-    Faces are integer masks over the vertices in ``element_key`` order, the
-    empty face included, so the chain complex is the augmented one.  Each
-    face maps to the mask of the vertices whose removal gives a face still
-    present.  With ``collapse``, coreductions first remove pairs (a, b)
-    where a is the only face left in the boundary of b, breadth first from
-    (first vertex, empty face); such a removal changes no other boundary.
-    Smith normal form gets what remains.
+    Faces are integer masks over the vertices in ``element_key`` order.
+    With ``collapse``, the homology is that of the pair (K, st v), where
+    the apex v is the vertex in the most facets (ties go to the first
+    vertex): the closed star of v is a cone, so H~(K) = H(K, st v) for
+    every complex.  Only the faces of the facets without v are built, and
+    the faces of the link of v (each facet containing v, less v) are then
+    deleted, which leaves exactly the faces outside the star; a cone
+    leaves nothing.  Each remaining cell maps to the mask of the vertices
+    whose removal gives a cell still present.  Coreductions then remove
+    pairs (a, b) where a is the only cell left in the boundary of b,
+    breadth first from every such b in insertion order; such a removal
+    changes no other boundary.  Smith normal form gets what remains.
+    Without ``collapse``, every face of K, the empty face included (the
+    augmented chain complex), goes to Smith normal form.  ``cap`` bounds
+    the face masks inserted; more raise ``ResourceLimitError``.
     """
     if complex_.is_void():
         return HomologyResult({})
     bit = {v: 1 << i for i, v in enumerate(complex_.vertices())}
-    vertex_bits = list(bit.values())
-    boundary: dict[int, int] = {}
-    for facet in complex_.facets:
-        facet_mask = sum(bit[v] for v in facet)
-        face = facet_mask
-        while True:
-            boundary[face] = face
-            if not face:
-                break
-            face = (face - 1) & facet_mask
-
-    if collapse and vertex_bits:
+    facet_masks = [sum(bit[v] for v in facet) for facet in complex_.facets]
+    if not (collapse and bit):
+        boundary = _face_masks(facet_masks, cap)
+    else:
+        uses = Counter(v for facet in complex_.facets for v in facet)
+        apex = bit[max(bit, key=uses.__getitem__)]
+        outside = [facet for facet in facet_masks if not facet & apex]
+        built = 0
+        for facet in outside:
+            built |= facet
+        boundary = _face_masks(outside, cap)
+        for facet in facet_masks:
+            if facet & apex:
+                link = face = facet & built
+                while True:
+                    boundary.pop(face, None)
+                    if not face:
+                        break
+                    face = (face - 1) & link
         queue = deque()
+        for cell in boundary:
+            rest = 0
+            bits = cell
+            while bits:
+                v = bits & -bits
+                bits ^= v
+                if cell ^ v in boundary:
+                    rest |= v
+            boundary[cell] = rest
+            if rest and not rest & (rest - 1):
+                queue.append(cell)
+        vertex_bits = [b for b in bit.values() if b & built]
 
         def remove(cell: int) -> None:
             del boundary[cell]
@@ -291,8 +341,6 @@ def reduced_homology(complex_: SimplicialComplex, collapse: bool = True) -> Homo
                     if rest and not rest & (rest - 1):
                         queue.append(coface)
 
-        remove(0)
-        remove(vertex_bits[0])
         while queue:
             cell = queue.popleft()
             rest = boundary.get(cell)

@@ -378,9 +378,9 @@ _MATRIX_FAMILY_GRID = (
 _CHECKS = {
     "thm11": (
         _check_thm11,
-        [{"f": f, "k": 1} for f in (4, 5, 6, 7, 8)]
-        + [{"f": f, "k": 2} for f in (5, 6, 7)]
-        + [{"f": 6, "k": 3}],
+        [{"f": f, "k": 1} for f in (4, 5, 6, 7, 8, 9)]
+        + [{"f": f, "k": 2} for f in (5, 6, 7, 8)]
+        + [{"f": f, "k": 3} for f in (6, 7)],
     ),
     "thm12": (_check_thm12, _MATRIX_FAMILY_GRID),
     "beta": (_check_beta, _MATRIX_FAMILY_GRID),
@@ -394,7 +394,7 @@ _CHECKS = {
     "length-bound": (_check_length_bound, [{"n": 8}]),
     "join": (
         _check_join,
-        [{"m": m, "k": k} for m, k in ((5, 1), (6, 2), (7, 2), (7, 3), (8, 1), (9, 1))],
+        [{"m": m, "k": k} for m, k in ((5, 1), (6, 2), (7, 2), (7, 3), (8, 1), (8, 2), (8, 3), (9, 1))],
     ),
     "rho": (
         _check_rho,

@@ -343,12 +343,22 @@ class TestGlobalCap:
             ("dual", "n=5; arcs=(2,4)"),
             ("blowup", "n=5; arcs=(1,3),(3,5)"),
             ("equiv", "n=5; arcs=(1,3)", "n=5; arcs=(2,4)"),
-            ("homology", "--facets", "missing.txt"),
         ],
     )
     def test_commands_that_ignore_a_cap_refuse_it(self, capsys, argv):
         code, out, err = run(capsys, "--cap", "0", *argv)
         assert code == 2 and out == "" and err == f"error: {argv[0]} takes no --cap\n"
+
+    def test_homology_caps_the_faces_it_builds(self, capsys, tmp_path):
+        # the facet missing the apex alone has 2^12 faces
+        facets = tmp_path / "facets.txt"
+        facets.write_text(
+            ",".join(f"a{i}" for i in range(12)) + "\n" + ",".join(f"b{i}" for i in range(12)) + "\n"
+        )
+        code, out, err = run(capsys, "--cap", "100", "homology", "--facets", str(facets))
+        assert code == 3 and out == "" and err == "resource cap: homology exceeded 100 faces\n"
+        code, out, _ = run(capsys, "--cap", "4096", "homology", "--facets", str(facets))
+        assert code == 0 and out == "H~_0 = Z\n"
 
     def test_negative_cap_exit_2(self, capsys):
         code, out, err = run(capsys, "--cap", "-1", "complex", "--T", "6", "2")

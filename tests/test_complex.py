@@ -224,6 +224,100 @@ class TestHomology:
         assert sphere_signature(impure) is None
 
 
+def seven_vertex_torus():
+    return SimplicialComplex(
+        [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
+        + [{i, (i + 2) % 7, (i + 3) % 7} for i in range(7)]
+    )
+
+
+def grid_surface(twisted):
+    """A 3x3 grid of squares, each cut into two triangles, with opposite
+    sides glued: the torus, or the Klein bottle when one gluing flips."""
+    def label(x, y):
+        y %= 3
+        if x == 3:
+            x, y = 0, (-y) % 3 if twisted else y
+        return f"{x}{y}"
+
+    return SimplicialComplex(
+        triangle
+        for x in range(3)
+        for y in range(3)
+        for triangle in (
+            {label(x, y), label(x + 1, y), label(x + 1, y + 1)},
+            {label(x, y), label(x, y + 1), label(x + 1, y + 1)},
+        )
+    )
+
+
+# complexes on at most 9 vertices and 8 facets, empty and impure facets
+# included; SimplicialComplex keeps the maximal ones
+_COMPLEXES = st.lists(
+    st.frozensets(st.integers(0, 8), max_size=9), min_size=1, max_size=8
+).map(SimplicialComplex)
+
+
+class TestRelativeHomology:
+    """Homology relative to the star of the vertex in the most facets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(complex_=_COMPLEXES)
+    def test_agrees_with_every_face_to_smith_form(self, complex_):
+        relative = reduced_homology(complex_, collapse=True)
+        assert relative.groups == reduced_homology(complex_, collapse=False).groups
+
+    @pytest.mark.parametrize(
+        "complex_builder, lines",
+        [
+            (seven_vertex_torus, ["H~_1 = Z^2", "H~_2 = Z"]),
+            (lambda: grid_surface(False), ["H~_1 = Z^2", "H~_2 = Z"]),
+            (lambda: grid_surface(True), ["H~_1 = Z + Z/2"]),
+        ],
+        ids=["torus7", "torus9", "klein"],
+    )
+    def test_surfaces(self, complex_builder, lines):
+        c = complex_builder()
+        assert reduced_homology(c).report_lines() == lines
+        assert reduced_homology(c, collapse=False).report_lines() == lines
+
+    def test_cone_with_the_last_vertex_as_apex(self):
+        # "z" follows every circle vertex and lies in every facet
+        cone = SimplicialComplex(f | {"z"} for f in circle().facets)
+        assert cone.vertices()[-1] == "z"
+        assert reduced_homology(cone, cap=0).is_trivial()
+        assert reduced_homology(cone, collapse=False).is_trivial()
+
+    def test_apex_is_the_vertex_in_the_most_facets(self):
+        # a circle b-c-d with whiskers a-b and b-e: b lies in four facets,
+        # and the only facet missing it, {c, d}, has four faces
+        c = SimplicialComplex([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"b", "d"}, {"b", "e"}])
+        assert reduced_homology(c, cap=4).report_lines() == ["H~_1 = Z"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 3 faces"):
+            reduced_homology(c, cap=3)
+
+    def test_ties_go_to_the_first_vertex(self):
+        # every vertex lies in one facet: "a" is the apex, so only the
+        # faces of {c, d, e} are built (8, the empty face included); "e"
+        # as apex would build the 4 faces of {a, b}
+        c = SimplicialComplex([{"a", "b"}, {"c", "d", "e"}])
+        assert reduced_homology(c, cap=8).report_lines() == ["H~_0 = Z"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 7 faces"):
+            reduced_homology(c, cap=7)
+
+    def test_cap_counts_the_masks_actually_inserted(self):
+        # without collapse both triangles are built: 8 + 8 masks, one of
+        # them the shared empty face
+        c = SimplicialComplex([{"a", "b", "c"}, {"d", "e", "f"}])
+        assert reduced_homology(c, collapse=False, cap=15).report_lines() == ["H~_0 = Z"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 14 faces"):
+            reduced_homology(c, collapse=False, cap=14)
+
+    def test_no_face_of_a_cone_is_built(self):
+        # 2^40 faces, none of which is built
+        assert reduced_homology(simplex(39), cap=1).is_trivial()
+
+
 class TestOrderComplex:
     def test_chain_gives_simplex(self):
         chain = FinitePoset(["a", "b", "c"], lambda x, y: x <= y)
