@@ -1,10 +1,10 @@
 """Finite simplicial complexes and exact integral homology.
 
-Complexes are stored by their facets (frozensets of hashable vertex
-labels).  Reduced homology is computed over the integers relative to the
-star of one vertex, by coreductions plus sparse/dense Smith normal form,
-on faces held as integer masks over the vertices; labels appear only at
-the boundary (facets and facet files).
+A complex holds each facet as an integer mask over its vertices; labels
+appear only at the boundary (facets, faces, face posets, facet files).
+Faces, f-vector, face poset and homology share one walk over the masks.
+Reduced homology is computed over the integers relative to the star of
+one vertex, by coreductions plus sparse/dense Smith normal form.
 Also built here: order complexes of posets, joins, the complex of
 k-noncrossing arc subsets, and the multitriangulation complex of
 k-relevant polygon diagonals.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
 
 from .crossing import maximal_noncrossing_masks
 from .diagram import Arc
@@ -25,44 +24,55 @@ from .transform import is_k_relevant
 
 
 class SimplicialComplex:
-    """A finite simplicial complex, held as its maximal faces."""
+    """A finite simplicial complex, held as its maximal faces.
+
+    ``masks`` holds each facet as an int whose bit i is vertex i of
+    ``vertices()`` (in ``element_key`` order), and ``facets`` the same
+    facets as label sets; both by size, then by their vertices in order.
+    """
 
     def __init__(self, facets):
-        by_size: dict[int, list[frozenset]] = {}
-        for f in {frozenset(f) for f in facets}:
-            by_size.setdefault(len(f), []).append(f)
+        given = {frozenset(f) for f in facets}
+        self._vertices: tuple = tuple(sorted(set().union(*given), key=element_key))
+        bit = {v: 1 << i for i, v in enumerate(self._vertices)}
+        by_size: dict[int, list[tuple[int, frozenset]]] = {}
+        for f in given:
+            by_size.setdefault(len(f), []).append((sum(map(bit.__getitem__, f)), f))
         # a face below a larger candidate is below a larger maximal one
-        maximal: list[frozenset] = []
+        maximal: list[tuple[int, frozenset]] = []
         for size in sorted(by_size, reverse=True):
-            maximal += [f for f in by_size[size] if not any(f < g for g in maximal)]
-        self.facets: tuple[frozenset, ...] = tuple(
-            sorted(maximal, key=lambda f: (len(f), sorted(element_key(v) for v in f)))
-        )
+            maximal += [(m, f) for m, f in by_size[size] if not any(m & g == m for g, _ in maximal)]
+        # of two facets of one size, the one holding the first vertex where
+        # they differ comes first: its mask is higher with the bits reversed
+        width = f"0{len(bit)}b"
+        maximal.sort(key=lambda mf: (len(mf[1]), -int(format(mf[0], width)[::-1], 2)))
+        self.masks: tuple[int, ...] = tuple(m for m, _ in maximal)
+        self.facets: tuple[frozenset, ...] = tuple(f for _, f in maximal)
 
     def is_void(self) -> bool:
         """True for the complex with no faces at all (not even the empty one)."""
         return not self.facets
 
     def vertices(self) -> tuple:
-        seen = set().union(*self.facets) if self.facets else set()
-        return tuple(sorted(seen, key=element_key))
+        return self._vertices
 
     def dimension(self) -> int:
         if self.is_void():
             raise InvalidArgumentError("the void complex has no dimension")
-        return max(len(f) for f in self.facets) - 1
+        return len(self.facets[-1]) - 1
+
+    def _named_faces(self) -> dict[int, frozenset]:
+        """Every face mask, the empty one included, ascending, to its labels."""
+        name = {1 << i: v for i, v in enumerate(self._vertices)}
+        named: dict[int, frozenset] = {}
+        for face in sorted(_face_masks(self.masks)):
+            low = face & -face
+            named[face] = named[face ^ low] | {name[low]} if face else frozenset()
+        return named
 
     def faces(self, include_empty: bool = False) -> set[frozenset]:
         """All faces (downward closure of the facets)."""
-        result: set[frozenset] = set()
-        for facet in self.facets:
-            members = tuple(facet)
-            for size in range(1, len(members) + 1):
-                for combo in combinations(members, size):
-                    result.add(frozenset(combo))
-        if include_empty and not self.is_void():
-            result.add(frozenset())
-        return result
+        return {face for face in self._named_faces().values() if face or include_empty}
 
     def contains(self, face) -> bool:
         face = frozenset(face)
@@ -70,12 +80,8 @@ class SimplicialComplex:
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, from 0 up."""
-        if self.is_void():
-            return ()
-        counts = [0] * (self.dimension() + 1)
-        for face in self.faces():
-            counts[len(face) - 1] += 1
-        return tuple(counts)
+        sizes = Counter(map(int.bit_count, _face_masks(self.masks)))
+        return tuple(sizes[d] for d in range(1, max(sizes, default=0) + 1))
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** d * c for d, c in enumerate(self.f_vector()))
@@ -137,23 +143,24 @@ def order_complex(poset: FinitePoset) -> SimplicialComplex:
 def face_poset(complex_: SimplicialComplex) -> FinitePoset:
     """Nonempty faces ordered by inclusion: a face is covered by itself
     plus one vertex."""
-    faces = list(complex_.faces())
-    index = {face: i for i, face in enumerate(faces)}
-    covers: list[list[int]] = [[] for _ in faces]
-    for j, face in enumerate(faces):
-        if len(face) > 1:
-            for vertex in face:
-                covers[index[face - {vertex}]].append(j)
-    return FinitePoset(faces, covers=covers, validate=False)
+    named = complex_._named_faces()
+    named.pop(0, None)
+    index = {face: i for i, face in enumerate(named)}
+    covers: list[list[int]] = [[] for _ in named]
+    for j, face in enumerate(named):
+        rest = face if face & (face - 1) else 0
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            covers[index[face ^ v]].append(j)
+    return FinitePoset(named.values(), covers=covers, validate=False)
 
 
 # ---------------------------------------------------------------------------
 # arc and diagonal complexes
 
 
-def noncrossing_complex(
-    pool: list[Arc], k: int, label=None, cap: int = 10_000_000
-) -> SimplicialComplex:
+def noncrossing_complex(pool: list[Arc], k: int, cap: int = 10_000_000) -> SimplicialComplex:
     """The complex whose faces are the k-noncrossing subsets of ``pool``.
 
     This is the underlying complex of the inclusion-ordered diagram family
@@ -166,12 +173,12 @@ def noncrossing_complex(
     definition), so one exact search over the core sets finds every
     facet once, each checked for maximality only against the core arcs it
     skipped while they were still addable.  ``cap`` bounds the search
-    nodes visited (the empty core set included).
+    nodes visited (the empty core set included).  Arc (a, b) is labelled
+    "a-b".
     """
-    if label is None:
-        label = lambda arc: f"{arc[0]}-{arc[1]}"
+    names = [f"{a}-{b}" for a, b in pool]
     return SimplicialComplex(
-        frozenset(label(pool[i]) for i in range(len(pool)) if mask >> i & 1)
+        frozenset(names[i] for i in range(len(pool)) if mask >> i & 1)
         for mask in maximal_noncrossing_masks(pool, k, cap)
     )
 
@@ -251,7 +258,7 @@ class HomologyResult:
         )
 
 
-def _face_masks(facet_masks, cap: int) -> dict[int, int]:
+def _face_masks(facet_masks, cap: float = float("inf")) -> dict[int, int]:
     """Every face of the given facet masks (the empty face included), each
     mapped to itself, in insertion order.  Raises ``ResourceLimitError``
     when more than ``cap`` masks would be inserted."""
@@ -276,13 +283,14 @@ def reduced_homology(
 ) -> HomologyResult:
     """Reduced homology over the integers, exactly.
 
-    Faces are integer masks over the vertices in ``element_key`` order.
-    With ``collapse``, the homology is that of the pair (K, st v), where
-    the apex v is the vertex in the most facets (ties go to the first
-    vertex): the closed star of v is a cone, so H~(K) = H(K, st v) for
-    every complex.  Only the faces of the facets without v are built, and
-    the faces of the link of v (each facet containing v, less v) are then
-    deleted, which leaves exactly the faces outside the star; a cone
+    Faces are the complex's vertex masks.  With ``collapse``, the
+    homology is that of the pair (K, st v), where the apex v is the vertex
+    in the most facets (ties go to the first vertex): the closed star of v
+    is a cone, so H~(K) = H(K, st v) for every complex.  Only the faces of
+    the facets without v are built; those in the link of v are deleted,
+    grown from the empty face one vertex at a time (each from its largest
+    vertex, through built faces only, carrying the link facets that still
+    contain it), in at most (faces built) x (vertices) steps.  A cone
     leaves nothing.  Each remaining cell maps to the mask of the vertices
     whose removal gives a cell still present.  Coreductions then remove
     pairs (a, b) where a is the only cell left in the boundary of b,
@@ -294,26 +302,29 @@ def reduced_homology(
     """
     if complex_.is_void():
         return HomologyResult({})
-    bit = {v: 1 << i for i, v in enumerate(complex_.vertices())}
-    facet_masks = [sum(bit[v] for v in facet) for facet in complex_.facets]
-    if not (collapse and bit):
-        boundary = _face_masks(facet_masks, cap)
+    masks = complex_.masks
+    if not (collapse and complex_.vertices()):
+        boundary = _face_masks(masks, cap)
     else:
-        uses = Counter(v for facet in complex_.facets for v in facet)
-        apex = bit[max(bit, key=uses.__getitem__)]
-        outside = [facet for facet in facet_masks if not facet & apex]
+        every = (1 << i for i in range(len(complex_.vertices())))
+        apex = max(every, key=lambda v: sum(1 for facet in masks if facet & v))
+        outside = [facet for facet in masks if not facet & apex]
         built = 0
         for facet in outside:
             built |= facet
         boundary = _face_masks(outside, cap)
-        for facet in facet_masks:
-            if facet & apex:
-                link = face = facet & built
-                while True:
-                    boundary.pop(face, None)
-                    if not face:
-                        break
-                    face = (face - 1) & link
+        vertex_bits = [1 << i for i in range(built.bit_length()) if built >> i & 1]
+        links = [facet & built for facet in masks if facet & apex]
+        # per built vertex, the link facets holding it (bit j: links[j])
+        holders = {v: sum(1 << j for j, link in enumerate(links) if link & v) for v in vertex_bits}
+        stack = [(0, (1 << len(links)) - 1, 0)] if boundary else []
+        while stack:
+            face, held, start = stack.pop()
+            del boundary[face]
+            for at in range(start, len(vertex_bits)):
+                v = vertex_bits[at]
+                if face | v in boundary and (still := held & holders[v]):
+                    stack.append((face | v, still, at + 1))
         queue = deque()
         for cell in boundary:
             rest = 0
@@ -326,7 +337,6 @@ def reduced_homology(
             boundary[cell] = rest
             if rest and not rest & (rest - 1):
                 queue.append(cell)
-        vertex_bits = [b for b in bit.values() if b & built]
 
         def remove(cell: int) -> None:
             del boundary[cell]
@@ -401,10 +411,7 @@ def join_signature(left: int | None, right: int | None) -> int | None:
 
 
 def write_facets(complex_: SimplicialComplex) -> str:
-    lines = []
-    for facet in complex_.facets:
-        lines.append(",".join(sorted(str(v) for v in facet)))
-    return "\n".join(lines) + "\n"
+    return "\n".join(",".join(sorted(str(v) for v in facet)) for facet in complex_.facets) + "\n"
 
 
 def read_facets(text: str) -> SimplicialComplex:
@@ -414,12 +421,11 @@ def read_facets(text: str) -> SimplicialComplex:
     lines = text.splitlines()
     if len(lines) == 1 and not lines[0].strip():
         return SimplicialComplex([frozenset()])
-    facets = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        facets.append(frozenset(part.strip() for part in line.split(",") if part.strip()))
+    facets = [
+        frozenset(part.strip() for part in line.split(",") if part.strip())
+        for line in lines
+        if line.strip()
+    ]
     if not facets:
         raise InvalidArgumentError("facet list is empty")
     return SimplicialComplex(facets)

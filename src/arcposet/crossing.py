@@ -51,16 +51,6 @@ def masked_clique_exists(adj: list[int], candidates: int, size: int) -> bool:
     return False
 
 
-def max_crossing_clique(pairs: Sequence[Pair]) -> int:
-    """Size of a maximum set of mutually crossing pairs (exact, branch and bound)."""
-    adj = crossing_adjacency(pairs)
-    n = len(pairs)
-    best = 0
-    while best < n and masked_clique_exists(adj, (1 << n) - 1, best + 1):
-        best += 1
-    return best
-
-
 def noncrossing_subset_masks(pairs: Sequence[Pair], k: int) -> Iterator[int]:
     """All subsets of ``pairs`` (as bitmasks, empty included) without k+1
     mutually crossing members, each yielded exactly once."""

@@ -27,7 +27,7 @@ from itertools import accumulate, chain, combinations
 from operator import not_
 from typing import NamedTuple
 
-from .crossing import max_crossing_clique, pairs_cross
+from .crossing import crossing_adjacency, masked_clique_exists, pairs_cross
 from .errors import InvalidArgumentError, require_int
 from .matrix import SymmetricMatrix
 
@@ -272,10 +272,11 @@ def is_regular(diagram: Diagram) -> bool:
 
 
 def is_k_noncrossing(diagram: Diagram, k: int) -> bool:
-    """No k+1 mutually crossing arcs (exact maximum-clique search)."""
+    """No k+1 mutually crossing arcs (exact clique search)."""
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
-    return max_crossing_clique(diagram.arcs) <= k
+    adj = crossing_adjacency(diagram.arcs)
+    return not masked_clique_exists(adj, (1 << len(adj)) - 1, k + 1)
 
 
 def classify_arc(diagram: Diagram, arc: Arc) -> str:

@@ -12,7 +12,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
 
-from .crossing import masked_clique_exists, crossing_adjacency, max_crossing_clique
+from .crossing import masked_clique_exists, crossing_adjacency
 from .errors import InvalidArgumentError, ResourceLimitError, require_int
 
 
@@ -137,7 +137,8 @@ def is_k_noncrossing_matrix(matrix: SymmetricMatrix, k: int) -> bool:
     """No k+1 mutually crossing nonzero entries."""
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
-    return max_crossing_clique(matrix.nonzero_positions()) <= k
+    adj = crossing_adjacency(matrix.nonzero_positions())
+    return not masked_clique_exists(adj, (1 << len(adj)) - 1, k + 1)
 
 
 def dominates(small: SymmetricMatrix, large: SymmetricMatrix) -> bool:

@@ -1,5 +1,7 @@
 """Simplicial complexes, joins, order complexes, and exact homology."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -110,6 +112,60 @@ class TestSimplicialComplex:
         assert s.f_vector() == (3, 3, 1)
         with pytest.raises(InvalidArgumentError):
             simplex(-2)
+
+
+# labels whose string order differs from the order of their numbers
+_LABELS = ["a", "b", "3-6", "3-10", "x1", "x10", "x2", "z", "zz"]
+
+
+@st.composite
+def label_complexes(draw):
+    """Facet lists on at most 9 labels, with nested, duplicate, impure and
+    empty facets."""
+    facets = draw(st.lists(st.frozensets(st.sampled_from(_LABELS)), max_size=7))
+    nested = [f - {min(f)} for f in facets if f and draw(st.booleans())]
+    repeated = [f for f in facets if draw(st.booleans())]
+    return facets + nested + repeated + draw(st.sampled_from([[], [frozenset()]]))
+
+
+def faces_by_definition(facets):
+    return {frozenset(c) for f in facets for size in range(len(f) + 1) for c in combinations(f, size)}
+
+
+class TestFacetMasks:
+    @settings(max_examples=300, deadline=None)
+    @given(facets=label_complexes())
+    def test_face_walk_matches_the_definition(self, facets):
+        c = SimplicialComplex(facets)
+        every = faces_by_definition(facets)
+        nonempty = every - {frozenset()}
+        assert c.faces(include_empty=True) == every
+        assert c.faces() == nonempty
+        top = max(map(len, every), default=0)
+        assert c.f_vector() == tuple(sum(len(f) == d for f in nonempty) for d in range(1, top + 1))
+        poset = face_poset(c)
+        assert set(poset.elements) == nonempty
+        assert set(poset.cover_edges()) == {(f - {v}, f) for f in nonempty if len(f) > 1 for v in f}
+        vertices = c.vertices()
+        assert [frozenset(v for i, v in enumerate(vertices) if m >> i & 1) for m in c.masks] == list(c.facets)
+
+    def test_two_digit_labels_keep_one_vertex_order(self):
+        # string order puts "3-10" before "3-6"; masks, facets and the
+        # facet file all follow vertices()
+        t = build_T(10, 2)
+        vertices = t.vertices()
+        assert vertices.index("3-10") < vertices.index("3-6")
+        assert list(vertices) == sorted(vertices)
+        named = [[v for i, v in enumerate(vertices) if m >> i & 1] for m in t.masks]
+        assert [frozenset(labels) for labels in named] == list(t.facets)
+        lines = write_facets(t).splitlines()
+        assert lines == [",".join(labels) for labels in named]
+        assert lines[:2] == [
+            "1-4,1-5,1-6,1-7,1-8,2-5,2-6,2-7,2-8,2-9",
+            "1-4,1-5,1-6,1-7,1-8,2-5,2-6,2-7,2-8,7-10",
+        ]
+        assert lines[90] == "1-4,1-5,1-6,1-7,1-8,3-10,3-6,3-7,3-8,3-9"
+        assert read_facets(write_facets(t)).masks == t.masks
 
 
 class TestJoin:
@@ -312,6 +368,18 @@ class TestRelativeHomology:
         assert reduced_homology(c, collapse=False, cap=15).report_lines() == ["H~_0 = Z"]
         with pytest.raises(ResourceLimitError, match="homology exceeded 14 faces"):
             reduced_homology(c, collapse=False, cap=14)
+
+    def test_cap_bounds_the_link_deletion(self):
+        # one facet {v, a00..a39} plus the edges {a_i, w_i}: the apex a00
+        # lies in two facets, the 39 other edges are built (118 faces,
+        # the empty one included), and the link facet holds 2^39 subsets
+        # of the built vertices, of which 40 are built faces
+        lines = ["v," + ",".join(f"a{i:02d}" for i in range(40))]
+        lines += [f"a{i:02d},w{i:02d}" for i in range(40)]
+        c = read_facets("\n".join(lines) + "\n")
+        assert reduced_homology(c, cap=118).is_trivial()
+        with pytest.raises(ResourceLimitError, match="homology exceeded 117 faces"):
+            reduced_homology(c, cap=117)
 
     def test_no_face_of_a_cone_is_built(self):
         # 2^40 faces, none of which is built

@@ -1,7 +1,9 @@
 """Diagram construction, text format, blocks, predicates, arc removal."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arcposet.diagram import (
     Diagram,
@@ -24,6 +26,7 @@ from arcposet.diagram import (
     to_text,
 )
 from arcposet.errors import InvalidArgumentError
+from arcposet.matrix import SymmetricMatrix, is_k_noncrossing_matrix
 
 
 def binary_diagrams(max_length=9):
@@ -224,3 +227,40 @@ class TestArcRemoval:
         assume(is_proper(d))
         for arc in d.arcs:
             assert len(free_sites(suppress_arc(d, arc))) == len(free_sites(d))
+
+
+@st.composite
+def arc_sets(draw):
+    """A length n and up to 10 distinct admissible arcs of a diagram of that length."""
+    n = draw(st.integers(4, 12))
+    candidates = [(a, b) for a in range(1, n + 1) for b in range(a + 2, n + 1) if b - a < n - 1]
+    arcs = draw(st.lists(st.sampled_from(candidates), unique=True, max_size=10))
+    return n, sorted(arcs)
+
+
+def largest_crossing_set(arcs):
+    """The most mutually crossing arcs, by trying every subset."""
+    def cross(p, q):
+        (a, b), (c, d) = p, q
+        return a < c < b < d or c < a < d < b
+
+    return max(
+        (
+            size
+            for size in range(1, len(arcs) + 1)
+            for chosen in combinations(arcs, size)
+            if all(cross(p, q) for p, q in combinations(chosen, 2))
+        ),
+        default=0,
+    )
+
+
+class TestKNoncrossingPredicates:
+    @settings(max_examples=200, deadline=None)
+    @given(arc_sets(), st.integers(1, 4))
+    def test_diagram_and_matrix_agree_with_brute_force(self, drawn, k):
+        n, arcs = drawn
+        expected = largest_crossing_set(arcs) <= k
+        assert is_k_noncrossing(Diagram(n, arcs), k) == expected
+        matrix = SymmetricMatrix.from_entries(n, {arc: 1 for arc in arcs})
+        assert is_k_noncrossing_matrix(matrix, k) == expected
