@@ -82,12 +82,12 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 def _cmd_inspect(args) -> int:
     diagram = parse(args.diagram)
-    decomposition = block_list(diagram)
+    blocks = block_list(diagram)
     matrix = block_matrix(diagram)
     payload = {
         "diagram": to_text(diagram),
         "free_sites": list(free_sites(diagram)),
-        "blocks": [list(b) for b in decomposition.blocks],
+        "blocks": [list(b) for b in blocks],
         "block_matrix": [list(row) for row in matrix.rows],
         "binary": is_binary(diagram),
         "proper": is_proper(diagram),
@@ -98,7 +98,7 @@ def _cmd_inspect(args) -> int:
     lines = [
         f"diagram: {to_text(diagram)}",
         f"free sites: {' '.join(map(str, free_sites(diagram)))}",
-        "blocks: " + " | ".join("{" + ",".join(map(str, b)) + "}" for b in decomposition.blocks),
+        "blocks: " + " | ".join("{" + ",".join(map(str, b)) + "}" for b in blocks),
         f"block matrix: {matrix.to_json()}",
         f"binary: {is_binary(diagram)}  proper: {is_proper(diagram)}  regular: {is_regular(diagram)}",
         f"crossings: {crossing_count(diagram)}  tautology: {tautology_number(diagram)}",

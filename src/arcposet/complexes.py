@@ -398,20 +398,22 @@ def sphere_signature(complex_: SimplicialComplex) -> int | None:
     return None
 
 
-def join_signature(left: int | None, right: int | None) -> int | None:
-    """Sphere dimension of a join of two sphere-like complexes
-    (S^a * S^b = S^(a+b+1)); None propagates."""
-    if left is None or right is None:
-        return None
-    return left + right + 1
-
-
 # ---------------------------------------------------------------------------
 # facet-list file format: one facet per line, comma-separated labels
 
 
 def write_facets(complex_: SimplicialComplex) -> str:
-    return "\n".join(",".join(sorted(str(v) for v in facet)) for facet in complex_.facets) + "\n"
+    """One facet per line, its labels written with ``str`` and sorted.  A
+    label whose text would not read back as itself (empty, holding a comma
+    or a line break, or with leading or trailing whitespace), or that two
+    vertices share, is refused."""
+    texts = {v: str(v) for v in complex_.vertices()}
+    for text in texts.values():
+        if not text or "," in text or text.strip() != text or text.splitlines() != [text]:
+            raise InvalidArgumentError(f"vertex label {text!r} cannot be written to a facet file")
+    if len(set(texts.values())) != len(texts):
+        raise InvalidArgumentError("two vertex labels write as the same text")
+    return "\n".join(",".join(sorted(texts[v] for v in facet)) for facet in complex_.facets) + "\n"
 
 
 def read_facets(text: str) -> SimplicialComplex:

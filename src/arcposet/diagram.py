@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 from .crossing import crossing_adjacency, masked_clique_exists, pairs_cross
 from .errors import InvalidArgumentError, require_int
-from .matrix import SymmetricMatrix
+from .matrix import SymmetricMatrix, p_value, r_value
 
 Arc = tuple[int, int]
 
@@ -188,34 +188,15 @@ def covered_free_sites(diagram: Diagram, arc: Arc) -> frozenset[int]:
     return frozenset(s for s in free_sites(diagram) if a < s < b)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Free sites u_1 < ... < u_f and the f+1 maximal non-free intervals
-    between them (empty blocks included), with sentinels u_0 = 0 and
-    u_{f+1} = n+1."""
-
-    free_sites: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-    def block_index_of(self, site: int) -> int:
-        """1-based index of the block containing a non-free ``site`` (a
-        linear scan; hot paths read ``site_table``'s block array)."""
-        for i, block in enumerate(self.blocks, start=1):
-            if site in block:
-                return i
-        raise InvalidArgumentError(f"site {site} is free or out of range")
-
-
-def block_list(diagram: Diagram) -> BlockDecomposition:
+def block_list(diagram: Diagram) -> tuple[tuple[int, ...], ...]:
+    """The f+1 maximal non-free intervals between the f free sites, empty
+    blocks included."""
     table = _table(diagram)
     blocks: list[list[int]] = [[] for _ in range(table.free_count + 1)]
-    free = []
     for site in range(1, diagram.length + 1):
         if table.partner[site]:
             blocks[table.block[site] - 1].append(site)
-        else:
-            free.append(site)
-    return BlockDecomposition(tuple(free), tuple(map(tuple, blocks)))
+    return tuple(map(tuple, blocks))
 
 
 def block_matrix(diagram: Diagram) -> SymmetricMatrix:
@@ -328,9 +309,9 @@ def suppress_arc(diagram: Diagram, arc: Arc) -> Diagram:
 def tautology_number(diagram: Diagram) -> int:
     """Tautology number of the block matrix (parallel excess plus
     semi-diagonal sum)."""
-    return block_matrix(diagram).r_value()
+    return r_value(block_matrix(diagram))
 
 
 def p_value_of_diagram(diagram: Diagram) -> int:
     """Parallel excess of the block matrix."""
-    return block_matrix(diagram).p_value()
+    return p_value(block_matrix(diagram))

@@ -127,12 +127,6 @@ def r_value(matrix: SymmetricMatrix) -> int:
     return p_value(matrix) + q_value(matrix)
 
 
-# convenience methods
-SymmetricMatrix.p_value = p_value
-SymmetricMatrix.q_value = q_value
-SymmetricMatrix.r_value = r_value
-
-
 def is_k_noncrossing_matrix(matrix: SymmetricMatrix, k: int) -> bool:
     """No k+1 mutually crossing nonzero entries."""
     if k < 1:
@@ -261,8 +255,3 @@ def enumerate_matrices(
     cells = [[slot.get((min(i, j), max(i, j)), 0) for j in range(1, m + 1)] for i in range(1, m + 1)]
     padded = ((0, *key) for key in keys)
     return [SymmetricMatrix([[cell[c] for c in row] for row in cells]) for cell in padded]
-
-
-def enumerate_base_family(m: int, k: int) -> list[SymmetricMatrix]:
-    """All members of M_{m,k} (= M^0_{m,k})."""
-    return enumerate_matrices(m, k, 0)

@@ -3,13 +3,13 @@
 Elements are kept in a canonical order with the upper covers of each; the
 order itself is read from one up-set per element, a Python-int bitmask
 built lazily from the covers, and capped.  Provides chains and purity,
-covers, intervals, bottom adjunction, direct products, isomorphism
-testing, order-map classification, and DOT/stats export.
+covers, intervals, bottom adjunction, direct products, order-map
+classification, and DOT/stats export.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
 
@@ -19,31 +19,12 @@ from .errors import InvalidArgumentError, ResourceLimitError
 LEQ_BYTE_CAP = 1 << 28
 
 
-def _check_up_set_bytes(n: int) -> None:
-    size = n * ((n + 7) // 8)
-    if size > LEQ_BYTE_CAP:
-        message = f"{n} up-sets of {n} bits exceed {LEQ_BYTE_CAP} bytes"
-        raise ResourceLimitError(message, bound=LEQ_BYTE_CAP)
-
-
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _reach_masks(adjacent: list[list[int]], order: Iterable[int]) -> list[int]:
-    """Per element, the bitmask of itself and everything reachable along
-    ``adjacent``; ``order`` lists each element after all it reaches."""
-    masks = [0] * len(adjacent)
-    for i in order:
-        mask = 1 << i
-        for j in adjacent[i]:
-            mask |= masks[j]
-        masks[i] = mask
-    return masks
 
 
 def _through(up: list[int], i: int) -> int:
@@ -129,63 +110,29 @@ def element_key(element) -> str:
 class FinitePoset:
     """A finite poset over hashable elements, held as its cover digraph.
 
-    Give the order either as ``covers`` -- per element, the indices (into
-    ``elements``) of the elements covering it -- or as ``leq``, a callable
-    evaluated once on all pairs into up-sets and reduced to its covers.
-    With ``validate``, a relation is checked for reflexivity, antisymmetry
-    and transitivity, and covers for acyclicity and irredundancy, with a
-    witness in the error message.  ``up_sets`` holds, per element, the
-    bitmask of the elements above it; it is built from the covers on first
-    use and refused above ``LEQ_BYTE_CAP`` bytes.
+    The order is given as ``covers``: per element, the indices (into
+    ``elements``) of the elements covering it.  With ``validate``, the
+    covers are checked for acyclicity and irredundancy, with a witness in
+    the error message.  ``up_sets`` holds, per element, the bitmask of the
+    elements above it; it is built from the covers on first use and
+    refused above ``LEQ_BYTE_CAP`` bytes.
     """
 
-    def __init__(self, elements: Iterable, leq=None, *, covers=None, validate: bool = True):
+    def __init__(self, elements: Iterable, covers, *, validate: bool = True):
         supplied = list(elements)
         permutation = sorted(range(len(supplied)), key=lambda i: element_key(supplied[i]))
         self.elements: tuple = tuple(supplied[i] for i in permutation)
         self._index: dict = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise InvalidArgumentError("duplicate elements")
-        if (leq is None) == (covers is None):
-            raise InvalidArgumentError("give exactly one of leq and covers")
         n = len(self.elements)
-        if covers is not None:
-            if len(covers) != n:
-                raise InvalidArgumentError(f"{len(covers)} cover lists for {n} elements")
-            position = {old: new for new, old in enumerate(permutation)}
-            # upper covers of each element, as sorted canonical indices
-            self.succ = [sorted({position[j] for j in covers[i]}) for i in permutation]
-            if validate:
-                self._validate_covers()
-            return
-        if not callable(leq):
-            raise InvalidArgumentError("leq must be a callable")
-        _check_up_set_bytes(n)
-        self.up_sets = [
-            sum(1 << j for j, b in enumerate(self.elements) if leq(a, b)) for a in self.elements
-        ]
+        if len(covers) != n:
+            raise InvalidArgumentError(f"{len(covers)} cover lists for {n} elements")
+        position = {old: new for new, old in enumerate(permutation)}
+        # upper covers of each element, as sorted canonical indices
+        self.succ = [sorted({position[j] for j in covers[i]}) for i in permutation]
         if validate:
-            self._validate_relation()
-        self.succ = _covers_from_up_sets(self.up_sets)
-
-    def _validate_relation(self) -> None:
-        up = self.up_sets
-        for i, mask in enumerate(up):
-            if not mask >> i & 1:
-                raise InvalidArgumentError(f"not reflexive at {self.elements[i]!r}")
-        for i, mask in enumerate(up):
-            for j in _bits(mask & ~(1 << i)):
-                if up[j] >> i & 1:
-                    raise InvalidArgumentError(
-                        f"not antisymmetric: {self.elements[i]!r} and {self.elements[j]!r}"
-                    )
-        for i, mask in enumerate(up):
-            gap = _through(up, i) & ~mask
-            if gap:
-                j = next(_bits(gap))
-                raise InvalidArgumentError(
-                    f"not transitive: {self.elements[i]!r} ... {self.elements[j]!r}"
-                )
+            self._validate_covers()
 
     def _validate_covers(self) -> None:
         up = self.up_sets  # topological_order raises on a cycle
@@ -201,8 +148,17 @@ class FinitePoset:
     @cached_property
     def up_sets(self) -> list[int]:
         """Per element i, the bitmask of the elements j with i <= j."""
-        _check_up_set_bytes(len(self))
-        return _reach_masks(self.succ, reversed(topological_order(self.succ)))
+        n = len(self)
+        if n * ((n + 7) // 8) > LEQ_BYTE_CAP:
+            message = f"{n} up-sets of {n} bits exceed {LEQ_BYTE_CAP} bytes"
+            raise ResourceLimitError(message, bound=LEQ_BYTE_CAP)
+        up = [0] * n
+        for i in reversed(topological_order(self.succ)):  # each after all above it
+            mask = 1 << i
+            for j in self.succ[i]:
+                mask |= up[j]
+            up[i] = mask
+        return up
 
     @cached_property
     def _chain_stats(self) -> tuple[int, bool]:
@@ -291,81 +247,7 @@ class FinitePoset:
         ]
         return FinitePoset(elements, covers=covers, validate=False)
 
-    # -- isomorphism and order maps --
-
-    def _refined_classes(self) -> list[int]:
-        """Stable colouring of elements by iterated cover-degree refinement."""
-        succ = self.succ
-        pred: list[list[int]] = [[] for _ in range(len(self))]
-        for i, outs in enumerate(succ):
-            for j in outs:
-                pred[j].append(i)
-        up = self.up_sets  # capped; the down-sets below take as many bytes
-        down = _reach_masks(pred, topological_order(succ))
-        colour = {
-            i: (down[i].bit_count(), up[i].bit_count(), len(pred[i]), len(succ[i]))
-            for i in range(len(self))
-        }
-        for _ in range(len(self)):
-            fresh = {
-                i: (
-                    colour[i],
-                    tuple(sorted(Counter(colour[p] for p in pred[i]).items())),
-                    tuple(sorted(Counter(colour[s] for s in succ[i]).items())),
-                )
-                for i in range(len(self))
-            }
-            if len(set(fresh.values())) == len(set(colour.values())):
-                break
-            colour = fresh
-        palette = {c: n for n, c in enumerate(sorted(set(colour.values()), key=repr))}
-        return [palette[colour[i]] for i in range(len(self))]
-
-    def is_isomorphic(self, other: "FinitePoset", cap: int = 2000) -> bool:
-        """Exact order-isomorphism test (invariant-refined backtracking)."""
-        if len(self) != len(other):
-            return False
-        mine = self._refined_classes()
-        theirs = other._refined_classes()
-        if sorted(mine) != sorted(theirs):
-            return False
-        candidates = [
-            [j for j in range(len(other)) if theirs[j] == mine[i]]
-            for i in range(len(self))
-        ]
-        order = sorted(range(len(self)), key=lambda i: len(candidates[i]))
-        a, b = self.up_sets, other.up_sets
-        used = [False] * len(other)
-        assigned: dict[int, int] = {}
-        nodes = 0
-
-        def extend(depth: int) -> bool:
-            nonlocal nodes
-            if depth == len(order):
-                return True
-            nodes += 1
-            if nodes > cap * len(self):
-                raise ResourceLimitError(
-                    f"isomorphism search exceeded {cap * len(self)} nodes", bound=cap
-                )
-            i = order[depth]
-            for j in candidates[i]:
-                if used[j]:
-                    continue
-                if any(
-                    a[i] >> i2 & 1 != b[j] >> j2 & 1 or a[i2] >> i & 1 != b[j2] >> j & 1
-                    for i2, j2 in assigned.items()
-                ):
-                    continue
-                used[j] = True
-                assigned[i] = j
-                if extend(depth + 1):
-                    return True
-                used[j] = False
-                del assigned[i]
-            return False
-
-        return extend(0)
+    # -- order maps --
 
     def check_order_map(self, other: "FinitePoset", mapping: Mapping | Callable) -> str:
         """Classify a map into ``other`` as 'isomorphism', 'homomorphism'

@@ -20,7 +20,6 @@ from .diagram import (
     arcs_error,
     block_matrix,
     covered_free_sites,
-    crossing_count,
     free_sites,
     is_k_noncrossing,
     is_proper,
@@ -65,11 +64,6 @@ def legal_swap_sites(diagram: Diagram) -> tuple[int, ...]:
     arc); on a proper diagram, the sites at which ``swap`` applies."""
     partner = site_table(diagram.length, diagram.arcs).partner
     return tuple(s for s in range(1, diagram.length) if partner[s] and partner[s + 1])
-
-
-def is_strict_swap(diagram: Diagram, site: int) -> bool:
-    """True iff the swap at ``site`` removes exactly one crossing."""
-    return crossing_count(swap(diagram, site)) == crossing_count(diagram) - 1
 
 
 def swap_orbit(diagram: Diagram, cap: int = 1_000_000) -> set[Diagram]:

@@ -113,8 +113,7 @@ class TestBlocks:
     def test_worked_example(self):
         d = parse("n=9; arcs=(1,4),(5,9),(6,8)")
         assert free_sites(d) == (2, 3, 7)
-        decomposition = block_list(d)
-        assert decomposition.blocks == ((1,), (), (4, 5, 6), (8, 9))
+        assert block_list(d) == ((1,), (), (4, 5, 6), (8, 9))
         matrix = block_matrix(d)
         assert matrix.entry(1, 3) == 1
         assert matrix.entry(3, 4) == 2
@@ -122,12 +121,7 @@ class TestBlocks:
 
     def test_empty_blocks_are_kept(self):
         d = Diagram(5, [(2, 4)])
-        assert block_list(d).blocks == ((), (2,), (4,), ())
-
-    def test_block_index_of_free_site_raises(self):
-        d = Diagram(5, [(2, 4)])
-        with pytest.raises(InvalidArgumentError):
-            block_list(d).block_index_of(1)
+        assert block_list(d) == ((), (2,), (4,), ())
 
     def test_adjacency_matrix(self):
         d = Diagram(5, [(1, 3), (2, 5)])

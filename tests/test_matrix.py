@@ -7,7 +7,6 @@ from arcposet.errors import InvalidArgumentError, ResourceLimitError
 from arcposet.matrix import (
     SymmetricMatrix,
     dominates,
-    enumerate_base_family,
     enumerate_matrices,
     family_membership,
     is_k_noncrossing_matrix,
@@ -87,7 +86,6 @@ class TestTautology:
         assert p_value(m) == 1
         assert q_value(m) == 2
         assert r_value(m) == 3
-        assert m.r_value() == 3
 
     def test_zero_for_zero_one_off_semidiagonal(self):
         m = SymmetricMatrix.from_entries(5, {(1, 3): 1, (2, 5): 1})
@@ -144,9 +142,6 @@ class TestEnumeration:
     )
     def test_known_counts(self, m, k, r, count):
         assert len(enumerate_matrices(m, k, r)) == count
-
-    def test_base_family_alias(self):
-        assert enumerate_base_family(5, 1) == enumerate_matrices(5, 1, 0)
 
     def test_members_verify(self):
         for m in enumerate_matrices(5, 2, 2):

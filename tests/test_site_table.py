@@ -121,7 +121,7 @@ def assert_table_predicates(d):
     assert free_sites(d) == free
     assert is_binary(d) == binary_by_definition(d)
     assert is_proper(d) == proper_by_definition(d)
-    blocks = block_list(d).blocks
+    blocks = block_list(d)
     assert len(blocks) == len(free) + 1
     assert all(block_by_scan(d, s) == i for i, block in enumerate(blocks, 1) for s in block)
     assert sorted(s for block in blocks for s in block) == [
