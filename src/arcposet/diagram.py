@@ -247,9 +247,13 @@ def local_crossing_count(diagram: Diagram) -> int:
     return _local_crossing_count(_table(diagram), diagram.arcs)
 
 
+def table_is_regular(table: SiteTable, arcs: tuple[Arc, ...]) -> bool:
+    """Binary, and no two arcs cross at sites of a common block."""
+    return _table_is_binary(table, arcs) and not _local_crossing_count(table, arcs)
+
+
 def is_regular(diagram: Diagram) -> bool:
-    table = _table(diagram)
-    return _table_is_binary(table, diagram.arcs) and not _local_crossing_count(table, diagram.arcs)
+    return table_is_regular(_table(diagram), diagram.arcs)
 
 
 def is_k_noncrossing(diagram: Diagram, k: int) -> bool:
@@ -272,11 +276,16 @@ def classify_arc(diagram: Diagram, arc: Arc) -> str:
 
 
 def parallel_classes(diagram: Diagram) -> tuple[tuple[Arc, ...], ...]:
-    """Arcs grouped by their covered-free-site set, in canonical order."""
-    groups: dict[frozenset[int], list[Arc]] = {}
-    for arc in diagram.arcs:
-        groups.setdefault(covered_free_sites(diagram, arc), []).append(arc)
-    return tuple(tuple(group) for _, group in sorted(groups.items(), key=lambda kv: kv[1]))
+    """Arcs grouped by their covered-free-site set, in canonical order.
+
+    An arc's ends are non-free, so the free sites it covers are those
+    numbered block[a] to block[b] - 1 from the left: the range names the
+    set, and every empty range is the empty set."""
+    block = _table(diagram).block
+    groups: dict[range, list[Arc]] = {}
+    for a, b in diagram.arcs:
+        groups.setdefault(range(block[a], block[b]), []).append((a, b))
+    return tuple(tuple(group) for group in sorted(groups.values()))
 
 
 # ---------------------------------------------------------------------------

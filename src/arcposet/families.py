@@ -30,20 +30,21 @@ from .crossing import crossing_adjacency, masked_clique_exists, noncrossing_subs
 from .diagram import (
     Arc,
     Diagram,
-    block_matrix,
+    block_pair_counts,
     free_sites,
     is_k_noncrossing,
     is_proper,
     is_regular,
+    site_table,
     suppress_arc,
     table_from_partners,
     table_is_proper,
     tautology_number,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from .matrix import SymmetricMatrix, enumerate_matrices, upper_positions
+from .matrix import SymmetricMatrix, enumerate_matrices, enumerate_matrix_keys, upper_positions
 from .poset import FinitePoset, chain_stats_from_covers
-from .transform import beta_inverse, is_k_relevant
+from .transform import is_k_relevant, regular_arcs
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +193,11 @@ def matrix_family_covers(
 
 
 def matrix_family_chain_stats(m: int, k: int, r: int, cap: int = 10_000_000):
-    """(size, rank_cardinality, pure) of the matrix family under domination."""
-    matrices, succ = matrix_family_covers(m, k, r, cap=cap)
-    rank_length, pure = chain_stats_from_covers(succ)
-    return len(matrices), rank_length + 1, pure
+    """(size, rank_cardinality, pure) of the matrix family under domination,
+    from the covers of its upper-triangle keys."""
+    keys = enumerate_matrix_keys(m, k, r, cap=cap)
+    rank_length, pure = chain_stats_from_covers(unit_step_covers(keys))
+    return len(keys), rank_length + 1, pure
 
 
 def build_M(m: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
@@ -207,15 +209,21 @@ def build_M(m: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
 def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
     """Regular proper diagrams with f free sites, k-noncrossing, tautology
     at most r, ordered by block-matrix domination: beta_inverse carries
-    M^r_{f+1,k} and its covers over, block matrix by block matrix."""
+    M^r_{f+1,k} and its covers over, member by member, here by laying out
+    the block-pair counts of each upper-triangle key."""
     if f < 3:
         raise InvalidArgumentError(f"f must be >= 3, got {f}")
-    matrices, succ = matrix_family_covers(f + 1, k, r, cap=cap)
-    diagrams = [beta_inverse(matrix, k, r) for matrix in matrices]
-    for matrix, diagram in zip(matrices, diagrams):
-        if block_matrix(diagram) != matrix:
-            raise InvariantError(f"beta_inverse({matrix.key()}) has another block matrix")
-    return FinitePoset(diagrams, covers=succ, validate=False)
+    keys = enumerate_matrix_keys(f + 1, k, r, cap=cap)
+    positions = upper_positions(f + 1)
+    diagrams = []
+    for key in keys:
+        pairs = {pair: value for pair, value in zip(positions, key) if value}
+        arcs = regular_arcs(pairs)
+        diagram = Diagram(f + 2 * len(arcs), arcs)
+        if block_pair_counts(site_table(diagram.length, arcs), arcs) != pairs:
+            raise InvariantError(f"the layout of key {key}, {diagram.key()}, has other block-pair counts")
+        diagrams.append(diagram)
+    return FinitePoset(diagrams, covers=unit_step_covers(keys), validate=False)
 
 
 # ---------------------------------------------------------------------------

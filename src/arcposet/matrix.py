@@ -2,7 +2,9 @@
 
 Houses the tautology functional r = p + q, the domination order, the
 matrix families (base, k-noncrossing, tautology-bounded), and exact
-enumeration of the bounded family.
+enumeration of the bounded family.  The enumeration yields flat
+upper-triangle keys, on which the hot layers run; ``SymmetricMatrix`` is
+the validated boundary type of the API and the CLI.
 """
 
 from __future__ import annotations
@@ -197,10 +199,11 @@ def upper_positions(m: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if (i, j) != (1, m)]
 
 
-def enumerate_matrices(
+def enumerate_matrix_keys(
     m: int, k: int, r: int, cap: int = 10_000_000
-) -> list[SymmetricMatrix]:
-    """All members of M^r_{m,k}, canonically sorted (row-major entry order).
+) -> list[tuple[int, ...]]:
+    """The members of M^r_{m,k} as upper-triangle value tuples over
+    ``upper_positions(m)``, sorted.
 
     Every admissible position is assigned a value whose tautology cost
     (semi-diagonal units plus excess over 1) fits the remaining budget,
@@ -249,9 +252,24 @@ def enumerate_matrices(
             value += 1
 
     assign(0, r, 0)
-    keys.sort()  # the order of the rows, since they repeat earlier values
+    keys.sort()
+    return keys
+
+
+def matrices_from_keys(m: int, keys: list[tuple[int, ...]]) -> list[SymmetricMatrix]:
+    """The order-m matrices with these upper-triangle value tuples over
+    ``upper_positions(m)``."""
     # each cell's slot in (0, *key): the diagonal and the rainbow read 0
-    slot = {pair: t + 1 for t, pair in enumerate(positions)}
+    slot = {pair: t + 1 for t, pair in enumerate(upper_positions(m))}
     cells = [[slot.get((min(i, j), max(i, j)), 0) for j in range(1, m + 1)] for i in range(1, m + 1)]
     padded = ((0, *key) for key in keys)
     return [SymmetricMatrix([[cell[c] for c in row] for row in cells]) for cell in padded]
+
+
+def enumerate_matrices(
+    m: int, k: int, r: int, cap: int = 10_000_000
+) -> list[SymmetricMatrix]:
+    """All members of M^r_{m,k}, canonically sorted: the matrices of
+    ``enumerate_matrix_keys``, whose key order is the order of the rows,
+    since the rows repeat earlier values."""
+    return matrices_from_keys(m, enumerate_matrix_keys(m, k, r, cap))

@@ -1,17 +1,21 @@
 """Diagram-to-diagram and diagram-to-matrix constructions.
 
-``realize_matrix`` lays out the unique regular diagram of a block matrix
-directly, and is the one construction of it: ``canonicalize`` realizes a
-diagram's block matrix and ``beta_inverse`` a family member.  Also here:
-the swap involution and swap orbits, the two equivalence tests, the dual
-and blow-up constructions, and the named structure-preserving maps between
-diagram and matrix families.  The definitional route to the regular form,
-strict swaps until no local crossing is left, is an oracle in ``verify``.
+``regular_arcs`` lays out the unique regular diagram of a set of
+block-pair counts directly, and is the one construction of it:
+``canonicalize`` lays out the counts of a diagram's site table,
+``realize_matrix`` and ``beta_inverse`` those of a validated
+``SymmetricMatrix``, and the ``verify`` checks those of flat family keys.
+Also here: the swap involution and swap orbits, the two equivalence tests,
+the dual and blow-up constructions, and the named structure-preserving
+maps between diagram and matrix families.  The definitional route to the
+regular form, strict swaps until no local crossing is left, is an oracle
+in ``verify``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Mapping
 
 from .diagram import (
     Arc,
@@ -19,6 +23,7 @@ from .diagram import (
     adjacency_matrix,
     arcs_error,
     block_matrix,
+    block_pair_counts,
     covered_free_sites,
     free_sites,
     is_k_noncrossing,
@@ -107,11 +112,13 @@ def swap_orbit(diagram: Diagram, cap: int = 1_000_000) -> set[Diagram]:
 
 
 def canonicalize(diagram: Diagram) -> Diagram:
-    """The unique regular diagram equivalent to ``diagram``: the realization
-    of its block matrix."""
-    if not is_proper(diagram):
+    """The unique regular diagram equivalent to ``diagram``: the layout of
+    the block-pair counts of its site table, which has its length."""
+    table = site_table(diagram.length, diagram.arcs)
+    if not table_is_proper(table, diagram.arcs):
         raise InvalidArgumentError("canonicalize requires a proper diagram")
-    return realize_matrix(block_matrix(diagram), cap=diagram.size)
+    pairs = block_pair_counts(table, diagram.arcs)
+    return Diagram(diagram.length, regular_arcs(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -180,15 +187,40 @@ def blow_up(diagram: Diagram) -> Diagram:
 # realization of block matrices
 
 
-def realize_matrix(matrix: SymmetricMatrix, cap: int = 1_000_000) -> Diagram:
-    """The regular diagram whose block matrix is ``matrix``.
+def regular_arcs(pairs: Mapping[tuple[int, int], int]) -> tuple[Arc, ...]:
+    """The ascending arcs of the regular diagram with ``pairs[i, j]`` arcs
+    between blocks i < j (1-indexed; zero counts and pairs with i >= j are
+    ignored).  The number of blocks is not needed: blocks past the last one
+    used only add free sites at the right end.  With m blocks, the diagram
+    has length m - 1 plus twice the arc count.
 
     The blocks are laid out left to right with one free site between
     neighbours.  Block i holds first the endpoints of its arcs to earlier
     blocks, nearest partner block first, then those of its arcs to later
     blocks, farthest partner block first, and parallel arcs nest.  Two arcs
     with endpoints in a common block then nest or lie side by side, so no
-    local crossing arises.  Raises ``ResourceLimitError`` before building
+    local crossing arises.
+    """
+    counts = [(i, j, count) for (i, j), count in pairs.items() if i < j and count]
+    # one slot per block and partner block, in layout order
+    slots = sorted((b, c > b, -c, count) for i, j, count in counts for b, c in ((i, j), (j, i)))
+    first = {}  # (block, partner block) -> the first site of the slot
+    ends = 0
+    for b, _, c, count in slots:
+        first[b, -c] = ends + b  # after the earlier slots' ends and b - 1 free sites
+        ends += count
+    return tuple(
+        sorted(
+            (first[i, j] + t, first[j, i] + count - 1 - t)
+            for i, j, count in counts
+            for t in range(count)
+        )
+    )
+
+
+def realize_matrix(matrix: SymmetricMatrix, cap: int = 1_000_000) -> Diagram:
+    """The regular diagram whose block matrix is ``matrix``, laid out by
+    ``regular_arcs``.  Raises ``ResourceLimitError`` before building
     anything when the diagram would have more than ``cap`` arcs.
     """
     m = matrix.order
@@ -200,25 +232,11 @@ def realize_matrix(matrix: SymmetricMatrix, cap: int = 1_000_000) -> Diagram:
             raise InvalidArgumentError(f"nonzero diagonal entry at ({i + 1},{i + 1})")
     if m >= 2 and rows[0][m - 1]:
         raise InvalidArgumentError(f"nonzero rainbow entry at (1,{m})")
-    size = sum(rows[i][j] for i in range(m) for j in range(i + 1, m))
+    pairs = {(i + 1, j + 1): rows[i][j] for i in range(m) for j in range(i + 1, m) if rows[i][j]}
+    size = sum(pairs.values())
     if size > cap:
         raise ResourceLimitError(f"realization has {size} arcs, over cap {cap}", bound=cap)
-
-    ends: dict[tuple[int, int], range] = {}  # (block, partner block) -> sites
-    site = 0
-    for i in range(m):
-        if i:
-            site += 1  # the free site before block i
-        for j in (*range(i - 1, -1, -1), *range(m - 1, i, -1)):
-            ends[i, j] = range(site + 1, site + 1 + rows[i][j])
-            site += rows[i][j]
-    arcs = [
-        arc
-        for i in range(m)
-        for j in range(i + 1, m)
-        for arc in zip(ends[i, j], reversed(ends[j, i]))
-    ]
-    return Diagram(site, arcs)
+    return Diagram(m - 1 + 2 * size, regular_arcs(pairs))
 
 
 # ---------------------------------------------------------------------------

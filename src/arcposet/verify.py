@@ -27,13 +27,14 @@ from .complexes import (
 from .diagram import (
     Diagram,
     adjacency_matrix,
+    arcs_error,
     block_matrix,
     block_pair_counts,
     free_sites,
-    is_regular,
     parallel_classes,
     p_value_of_diagram,
     site_table,
+    table_is_regular,
 )
 from .errors import InvalidArgumentError, InvariantError
 from .families import (
@@ -46,7 +47,7 @@ from .families import (
     relevant_arcs,
 )
 from .crossing import noncrossing_subset_masks, pairs_cross
-from .matrix import enumerate_matrices, upper_positions
+from .matrix import enumerate_matrices, enumerate_matrix_keys, matrices_from_keys, upper_positions
 from .transform import (
     BOTTOM_RELEVANT,
     BOTTOM_STAR,
@@ -56,7 +57,7 @@ from .transform import (
     equivalent,
     equivalent_by_definition,
     kappa,
-    realize_matrix,
+    regular_arcs,
     swap,
     swap_orbit,
     tau_inverse,
@@ -174,21 +175,44 @@ def _check_thm12(f, k, r):
     return ok, f"size {size}, rank_cardinality {rank_card} (expected {expected}), pure {pure}"
 
 
+def _key_layout(order, positions, key):
+    """Lay out the block-pair counts of an upper-triangle key over
+    ``positions``.  Returns the arcs, whether they form a regular diagram
+    of length order - 1 + 2 * size with order - 1 free sites, and whether
+    its block-pair counts are exactly the key's: equal on every upper
+    position, and no other pair, such as a diagonal one, present."""
+    pairs = {pair: value for pair, value in zip(positions, key) if value}
+    arcs = regular_arcs(pairs)
+    length = order - 1 + 2 * len(arcs)
+    if arcs_error(length, arcs) is not None:
+        return arcs, False, False
+    table = site_table(length, arcs)
+    regular = table_is_regular(table, arcs) and table.free_count == order - 1
+    return arcs, regular, block_pair_counts(table, arcs) == pairs  # compared as dicts
+
+
+def _key_text(order, key):
+    """The ``SymmetricMatrix.key()`` text of an upper-triangle key."""
+    return matrices_from_keys(order, [key])[0].key()
+
+
 def _check_beta(f, k, r):
     """beta_inverse is a bijection from matrices onto regular diagrams with
     block matrix as its inverse; both orders are block-matrix domination,
-    so this makes beta an order-isomorphism."""
-    matrices = enumerate_matrices(f + 1, k, r)
+    so this makes beta an order-isomorphism.  Each member is laid out from
+    its upper-triangle key, as beta_inverse lays out a validated matrix."""
+    positions = upper_positions(f + 1)
+    keys = enumerate_matrix_keys(f + 1, k, r)
     images = set()
-    for matrix in matrices:
-        diagram = beta_inverse(matrix, k, r)
-        if not is_regular(diagram) or len(free_sites(diagram)) != f:
-            return False, f"non-regular image for {matrix.key()}"
-        if block_matrix(diagram) != matrix:
-            return False, f"beta(beta_inverse) mismatch at {matrix.key()}"
-        images.add(diagram)
-    ok = len(images) == len(matrices)
-    return ok, f"{len(matrices)} matrices, {len(images)} distinct regular diagrams"
+    for key in keys:
+        arcs, regular, exact = _key_layout(f + 1, positions, key)
+        if not regular:
+            return False, f"non-regular image for {_key_text(f + 1, key)}"
+        if not exact:
+            return False, f"beta(beta_inverse) mismatch at {_key_text(f + 1, key)}"
+        images.add(arcs)
+    ok = len(images) == len(keys)
+    return ok, f"{len(keys)} matrices, {len(images)} distinct regular diagrams"
 
 
 def _check_tau(f, k):
@@ -324,20 +348,24 @@ def _check_dual_matrix(n=7):
 
 
 def _check_realize_roundtrip(m=6, k=2, r=2):
-    """realize_matrix inverts the block matrix on the whole family, and
-    (0,1) matrices realize without parallel arcs."""
+    """The layout of realize_matrix inverts the block matrix on the whole
+    family and gives regular diagrams, and (0,1) matrices realize without
+    parallel arcs."""
     checked = 0
     for order in range(4, m + 1):
+        positions = upper_positions(order)
         for crossings in range(1, k + 1):
             for tautology in range(0, r + 1):
-                for matrix in enumerate_matrices(order, crossings, tautology):
-                    diagram = realize_matrix(matrix)
-                    if block_matrix(diagram) != matrix:
-                        return False, f"round trip failed for {matrix.key()}"
-                    if matrix.is_zero_one() and any(
-                        len(group) > 1 for group in parallel_classes(diagram)
-                    ):
-                        return False, f"parallel arcs realizing {matrix.key()}"
+                for key in enumerate_matrix_keys(order, crossings, tautology):
+                    arcs, regular, exact = _key_layout(order, positions, key)
+                    if not exact:
+                        return False, f"round trip failed for {_key_text(order, key)}"
+                    if not regular:
+                        return False, f"non-regular realization of {_key_text(order, key)}"
+                    if max(key) <= 1:
+                        diagram = Diagram(order - 1 + 2 * len(arcs), arcs)
+                        if any(len(group) > 1 for group in parallel_classes(diagram)):
+                            return False, f"parallel arcs realizing {_key_text(order, key)}"
                     checked += 1
     return True, f"{checked} matrices up to order {m}"
 
@@ -373,6 +401,8 @@ _MATRIX_FAMILY_GRID = (
     [{"f": f, "k": k, "r": r} for f in (3, 4, 5) for k in (1, 2) if f >= 2 * k for r in (0, 1, 2)]
     + [{"f": 6, "k": 1, "r": r} for r in (0, 1, 2)]
     + [{"f": 6, "k": 2, "r": 0}]
+    + [{"f": 5, "k": 3, "r": r} for r in (0, 1, 2)]
+    + [{"f": 6, "k": 3, "r": 0}, {"f": 7, "k": 1, "r": 1}]
 )
 
 _CHECKS = {

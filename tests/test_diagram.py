@@ -20,6 +20,7 @@ from arcposet.diagram import (
     is_proper,
     is_regular,
     local_crossing_count,
+    parallel_classes,
     parse,
     suppress_arc,
     tautology_number,
@@ -258,3 +259,19 @@ class TestKNoncrossingPredicates:
         assert is_k_noncrossing(Diagram(n, arcs), k) == expected
         matrix = SymmetricMatrix.from_entries(n, {arc: 1 for arc in arcs})
         assert is_k_noncrossing_matrix(matrix, k) == expected
+
+
+class TestParallelClasses:
+    def test_example(self):
+        # free sites 6, 9 and 11; (1,4) covers none of them
+        d = Diagram(11, [(1, 4), (2, 8), (3, 7), (5, 10)])
+        assert parallel_classes(d) == (((1, 4),), ((2, 8), (3, 7)), ((5, 10),))
+
+    @given(arc_sets())
+    def test_groups_by_covered_free_sites(self, drawn):
+        n, arcs = drawn
+        d = Diagram(n, arcs)
+        groups = {}
+        for arc in d.arcs:
+            groups.setdefault(covered_free_sites(d, arc), []).append(arc)
+        assert parallel_classes(d) == tuple(tuple(group) for group in sorted(groups.values()))

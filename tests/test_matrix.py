@@ -8,11 +8,13 @@ from arcposet.matrix import (
     SymmetricMatrix,
     dominates,
     enumerate_matrices,
+    enumerate_matrix_keys,
     family_membership,
     is_k_noncrossing_matrix,
     p_value,
     q_value,
     r_value,
+    upper_positions,
 )
 
 
@@ -159,6 +161,16 @@ class TestEnumeration:
                 count += 1
                 assert m.key() in listed
         assert count == len(listed)
+
+    def test_matrices_are_the_keys_wrapped(self):
+        for m in (4, 5, 6):
+            positions = upper_positions(m)
+            for k in (1, 2):
+                for r in (0, 1, 2):
+                    keys = enumerate_matrix_keys(m, k, r)
+                    wrapped = [SymmetricMatrix.from_entries(m, dict(zip(positions, key))) for key in keys]
+                    assert enumerate_matrices(m, k, r) == wrapped
+                    assert keys == sorted(set(keys))
 
     def test_sorted_deterministically(self):
         mats = enumerate_matrices(5, 2, 1)

@@ -1,9 +1,10 @@
 """Swaps, canonicalization, equivalence, dual, blow-up, realization, maps."""
 
+from collections import defaultdict
 from itertools import product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from arcposet import transform, verify
 
@@ -18,6 +19,7 @@ from arcposet.diagram import (
     is_regular,
     parallel_classes,
     parse,
+    site_table,
 )
 from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from arcposet.matrix import SymmetricMatrix, enumerate_matrices
@@ -35,6 +37,7 @@ from arcposet.transform import (
     kappa,
     legal_swap_sites,
     realize_matrix,
+    regular_arcs,
     swap,
     swap_orbit,
     tau,
@@ -47,6 +50,35 @@ from .test_diagram import binary_diagrams
 
 def proper_diagrams(max_length=9):
     return binary_diagrams(max_length).filter(is_proper)
+
+
+@st.composite
+def block_diagrams(draw):
+    """Crossing-rich proper diagrams drawn block by block: f free sites and
+    up to 4 sites per block, each matched to a site of another block, but
+    never the first block to the last; a site left unmatched is dropped."""
+    f = draw(st.integers(2, 5))
+    slots = [b for b in range(f + 1) for _ in range(draw(st.integers(0, 4)))]
+    unmatched = list(range(len(slots)))
+    matched = []
+    while unmatched:
+        s = unmatched.pop(0)
+        partners = [t for t in unmatched if slots[t] != slots[s] and {slots[s], slots[t]} != {0, f}]
+        if partners:
+            t = draw(st.sampled_from(partners))
+            unmatched.remove(t)
+            matched.append((s, t))
+    assume(matched)
+    kept = sorted(s for pair in matched for s in pair)
+    # the kept slots in order, with one free site after each block but the last
+    site_of, site = {}, 0
+    for block in range(f + 1):
+        for s in kept:
+            if slots[s] == block:
+                site += 1
+                site_of[s] = site
+        site += block < f
+    return Diagram(site, [(site_of[s], site_of[t]) for s, t in matched])
 
 
 class TestSwap:
@@ -256,6 +288,75 @@ class TestRealize:
             realize_matrix(SymmetricMatrix.from_entries(4, {(1, 4): 1}))
         with pytest.raises(InvalidArgumentError):
             realize_matrix(SymmetricMatrix.from_entries(4, {(2, 2): 1}))
+
+
+class TestFlatLayout:
+    @given(st.one_of(proper_diagrams(), block_diagrams()))
+    def test_canonicalize_matches_the_matrix_route(self, d):
+        assert canonicalize(d) == realize_matrix(block_matrix(d))
+
+    def test_layout_ignores_zero_and_lower_pairs(self):
+        pairs = {(1, 3): 1, (3, 4): 2, (2, 3): 0, (4, 3): 5, (2, 2): 1}
+        assert regular_arcs(pairs) == ((1, 4), (5, 9), (6, 8))
+
+    def test_beta_inverse_refuses_a_non_member(self):
+        # (1,4), (2,5) and (3,6) cross pairwise: 2-crossing, not 2-noncrossing
+        matrix = SymmetricMatrix.from_entries(6, {(1, 4): 1, (2, 5): 1, (3, 6): 1})
+        with pytest.raises(InvalidArgumentError):
+            beta_inverse(matrix, 2, 0)
+        assert beta_inverse(matrix, 3, 0) == realize_matrix(matrix)
+
+
+def _drop_an_arc(pairs):
+    """The layout with its first arc suppressed when it has two or more: a
+    regular diagram still, but with other block-pair counts."""
+    arcs = regular_arcs(pairs)
+    if len(arcs) < 2:
+        return arcs
+    (a, b), rest = arcs[0], arcs[1:]
+    return tuple((s - (s > a) - (s > b), t - (t > a) - (t > b)) for s, t in rest)
+
+
+def _cross_parallel_arcs(pairs):
+    """The layout with each class of parallel arcs crossing, not nesting."""
+    arcs = regular_arcs(pairs)
+    block = site_table(max(b for _, b in arcs), arcs).block
+    classes = defaultdict(list)
+    for a, b in arcs:
+        classes[block[a], block[b]].append((a, b))
+    crossed = []
+    for group in classes.values():
+        crossed += zip(sorted(a for a, _ in group), sorted(b for _, b in group))
+    return tuple(sorted(crossed))
+
+
+class TestLayoutNegativeControls:
+    """A broken layout makes every check built on it fail."""
+
+    @pytest.fixture(params=[_drop_an_arc, _cross_parallel_arcs], ids=["drop", "cross"])
+    def broken_layout(self, request, monkeypatch):
+        monkeypatch.setattr(transform, "regular_arcs", request.param)
+        monkeypatch.setattr(verify, "regular_arcs", request.param)
+
+    @pytest.mark.parametrize(
+        "name,grid",
+        [
+            ("beta", {"f": 4, "k": 2, "r": 1}),
+            ("realize-roundtrip", {"m": 5, "k": 2, "r": 2}),
+            ("regular-unique", {"n": 8}),
+        ],
+    )
+    def test_check_fails(self, broken_layout, name, grid):
+        report = verify.run_check(name, [grid])
+        assert not report.passed
+
+    def test_arcs_past_the_length_fail_the_checks(self, monkeypatch):
+        def shifted(pairs):
+            return tuple((a + 1, b + 1) for a, b in regular_arcs(pairs))
+
+        monkeypatch.setattr(verify, "regular_arcs", shifted)
+        assert not verify.run_check("beta", [{"f": 4, "k": 2, "r": 1}]).passed
+        assert not verify.run_check("realize-roundtrip", [{"m": 5, "k": 2, "r": 2}]).passed
 
 
 class TestNamedMaps:
