@@ -232,24 +232,33 @@ def crossing_count(diagram: Diagram) -> int:
     return sum(1 for e1, e2 in combinations(diagram.arcs, 2) if pairs_cross(e1, e2))
 
 
-def _local_crossing_count(table: SiteTable, arcs: tuple[Arc, ...]) -> int:
+def local_crossing_count(diagram: Diagram) -> int:
+    """Crossing arc pairs supported at two sites of a common block."""
+    block = _table(diagram).block
     # arcs ascend, so (a, b) before (c, d) cross iff a < c < b < d
-    block = table.block
     return sum(
         1
-        for (a, b), (c, d) in combinations(arcs, 2)
+        for (a, b), (c, d) in combinations(diagram.arcs, 2)
         if a < c < b < d and {block[a], block[b]} & {block[c], block[d]}
     )
 
 
-def local_crossing_count(diagram: Diagram) -> int:
-    """Crossing arc pairs supported at two sites of a common block."""
-    return _local_crossing_count(_table(diagram), diagram.arcs)
-
-
 def table_is_regular(table: SiteTable, arcs: tuple[Arc, ...]) -> bool:
-    """Binary, and no two arcs cross at sites of a common block."""
-    return _table_is_binary(table, arcs) and not _local_crossing_count(table, arcs)
+    """Binary, and no two arcs cross at sites of a common block.
+
+    One pass over the sites: along each block, the arcs to earlier sites
+    must come first and each group's partners descend, so the key
+    ``(partner > site, -partner)`` strictly increases from every non-free
+    site to a non-free right neighbour.  ``local_crossing_count`` counts the
+    crossings by the pair scan instead."""
+    if not _table_is_binary(table, arcs):
+        return False
+    partner = table.partner
+    for site in range(1, len(partner) - 1):
+        p, q = partner[site], partner[site + 1]
+        if p and q and (p > site, -p) >= (q > site + 1, -q):
+            return False
+    return True
 
 
 def is_regular(diagram: Diagram) -> bool:

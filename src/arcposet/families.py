@@ -67,21 +67,30 @@ def nonrelevant_arcs(m: int, k: int) -> list[Arc]:
     return [arc for arc in admissible_arcs(m) if not is_k_relevant(arc, m, k)]
 
 
-def _site_matchings(n: int):
+def _site_matchings(n: int, proper: bool = False):
     """Every binary arc set of length n (the empty one included), by
     matching sites left to right: each site is left free first, then
-    joined to each later site in turn.  Yields the ascending arc list and
-    the partner array (0 for a free site), both reused between yields."""
+    joined to each later site in turn.  With ``proper``, an arc is dropped
+    as soon as it closes with no free site inside it, as no proper diagram
+    has such an arc.  Yields the ascending arc list and the partner array
+    (0 for a free site), both reused between yields."""
     arcs: list[Arc] = []
     partner = [0] * (n + 1)
+    free = [0] * (n + 1)  # free[s]: the free sites among 1..s
 
     def extend(site: int):
         if site > n:
             yield arcs, partner
             return
-        yield from extend(site + 1)  # the site stays free or ends an earlier arc
-        if partner[site]:
+        start = partner[site]
+        if start:  # the site ends the arc from an earlier site
+            free[site] = free[site - 1]
+            if not (proper and free[site] == free[start]):
+                yield from extend(site + 1)
             return
+        free[site] = free[site - 1] + 1
+        yield from extend(site + 1)  # the site stays free
+        free[site] -= 1
         for t in range(site + 2, min(n, site + n - 2) + 1):
             if not partner[t]:
                 arcs.append((site, t))
@@ -100,13 +109,21 @@ def enumerate_binary_diagrams(n: int):
         yield Diagram(n, arcs)
 
 
+def proper_matchings(n: int):
+    """The ascending arc tuple and site table of every proper diagram of
+    length n, in the order of ``enumerate_binary_diagrams``.  The matching
+    search drops each arc that covers no free site as it closes, and the
+    rest are checked against the site table before anything is yielded."""
+    for arcs, partner in _site_matchings(n, proper=True):
+        table = table_from_partners(partner)
+        if table_is_proper(table, arcs):
+            yield tuple(arcs), table._replace(partner=partner[:])
+
+
 def enumerate_proper_diagrams(n: int):
-    """All proper diagrams of length n, in the order of
-    ``enumerate_binary_diagrams``; properness is read off each matching's
-    partner array before any diagram is built."""
-    for arcs, partner in _site_matchings(n):
-        if table_is_proper(table_from_partners(partner), arcs):
-            yield Diagram(n, arcs)
+    """All proper diagrams of length n, as ``proper_matchings`` finds them."""
+    for arcs, _ in proper_matchings(n):
+        yield Diagram(n, arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ block-pair counts directly, and is the one construction of it:
 Also here: the swap involution and swap orbits, the two equivalence tests,
 the dual and blow-up constructions, and the named structure-preserving
 maps between diagram and matrix families.  The definitional route to the
-regular form, strict swaps until no local crossing is left, is an oracle
-in ``verify``.
+regular form, strict swaps until no local crossing is left, is checked
+in ``verify``, one strict swap per proper diagram.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .matrix import SymmetricMatrix, family_membership, r_value
 # swaps
 
 
-def _swapped(arcs: tuple[Arc, ...], site: int) -> tuple[Arc, ...]:
+def swapped_arcs(arcs: tuple[Arc, ...], site: int) -> tuple[Arc, ...]:
     """The ascending arc tuple after the swap at ``site``.  Exchanging the
     partners of the non-free sites ``site`` and ``site + 1`` relabels the
     two sites in every arc, since no arc joins them (an arc spans more than
@@ -61,7 +61,7 @@ def swap(diagram: Diagram, site: int) -> Diagram:
     for end in (site, site + 1):
         if not table.partner[end]:
             raise InvalidArgumentError(f"site {end} is free; swap needs two non-free sites")
-    return Diagram(diagram.length, _swapped(diagram.arcs, site))
+    return Diagram(diagram.length, swapped_arcs(diagram.arcs, site))
 
 
 def legal_swap_sites(diagram: Diagram) -> tuple[int, ...]:
@@ -73,38 +73,46 @@ def legal_swap_sites(diagram: Diagram) -> tuple[int, ...]:
 
 def swap_orbit(diagram: Diagram, cap: int = 1_000_000) -> set[Diagram]:
     """All diagrams reachable from the proper ``diagram`` by sequences of
-    swaps.
-
-    The search runs on sorted arc tuples and their site tables.  A swap
-    keeps a proper diagram proper, so each new arc tuple is checked for
-    admissibility and properness and a failure raises
-    :class:`InvariantError`; diagrams are built for the orbit only.
-    """
+    swaps, found by ``swap_orbit_arcs``."""
     if not is_proper(diagram):
         raise InvalidArgumentError("swap orbit requires a proper diagram")
     n = diagram.length
-    seen = {diagram.arcs}
-    queue = deque([(diagram.arcs, site_table(n, diagram.arcs).partner)])
+    return {Diagram(n, arcs) for arcs in swap_orbit_arcs(n, diagram.arcs, cap)}
+
+
+def swap_orbit_arcs(
+    length: int, arcs: tuple[Arc, ...], cap: int = 1_000_000
+) -> set[tuple[Arc, ...]]:
+    """The arc tuples reachable by sequences of swaps from the ascending
+    arc tuple of a proper diagram of ``length``.
+
+    The search runs on arc tuples and their site tables.  A swap keeps a
+    proper diagram proper, so each new arc tuple is checked for
+    admissibility and properness and a failure raises
+    :class:`InvariantError`.
+    """
+    seen = {arcs}
+    queue = deque([(arcs, site_table(length, arcs).partner)])
     while queue:
         arcs, partner = queue.popleft()
-        for site in range(1, n):
+        for site in range(1, length):
             if not (partner[site] and partner[site + 1]):
                 continue
-            neighbour = _swapped(arcs, site)
+            neighbour = swapped_arcs(arcs, site)
             if neighbour in seen:
                 continue
-            error = arcs_error(n, neighbour)
+            error = arcs_error(length, neighbour)
             if error is None:
-                table = site_table(n, neighbour)
+                table = site_table(length, neighbour)
                 if not table_is_proper(table, neighbour):
                     error = "it is not proper"
             if error is not None:
-                raise InvariantError(f"the swap at {site} of {Diagram(n, arcs).key()} fails: {error}")
+                raise InvariantError(f"the swap at {site} of {Diagram(length, arcs).key()} fails: {error}")
             if len(seen) >= cap:
                 raise ResourceLimitError(f"swap orbit exceeds cap {cap}", bound=cap)
             seen.add(neighbour)
             queue.append((neighbour, table.partner))
-    return {Diagram(n, arcs) for arcs in seen}
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Each check re-derives one structural claim from first principles on a
 small grid and reports pass/fail per grid point with a counterexample
 key on failure.  Wall time is recorded on the report object but never
 serialized, so output stays byte-reproducible.  Slow definitional paths
-live here as oracles: strict swaps to the regular form, against which
-``canonicalize`` is checked.
+live here as oracles: ``regular-unique`` checks ``canonicalize`` against
+strict swaps, taking one strict swap from each member of a block-matrix
+fiber to a member with fewer crossings.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .families import (
     enumerate_proper_diagrams,
     matrix_family_chain_stats,
     nonrelevant_arcs,
+    proper_matchings,
     relevant_arcs,
 )
 from .crossing import noncrossing_subset_masks, pairs_cross
@@ -58,8 +60,8 @@ from .transform import (
     equivalent_by_definition,
     kappa,
     regular_arcs,
-    swap,
-    swap_orbit,
+    swap_orbit_arcs,
+    swapped_arcs,
     tau_inverse,
     theta,
     theta_inverse,
@@ -85,26 +87,7 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# the swap route to the regular form, an oracle for ``canonicalize``
-
-
-def _canonicalize_by_swaps(diagram: Diagram) -> Diagram:
-    """The regular diagram equivalent to a proper ``diagram``, by strict swaps.
-
-    While some block supports a local crossing, swap a pair of adjacent
-    crossing arcs incident with the leftmost such block (smallest site
-    first).  Each swap removes exactly one crossing, so this terminates.
-    """
-    current, crossings = diagram, None
-    while True:
-        block = site_table(current.length, current.arcs).block
-        count, offending = _crossings_and_leftmost_local_block(current.arcs, block)
-        if crossings is not None and count >= crossings:
-            raise InvariantError(f"a swap on the way to {current.key()} removed no crossing")
-        if offending is None:
-            return current
-        crossings = count
-        current = swap(current, _strict_swap_site(current, block, offending))
+# the strict swap, the definitional step toward the regular form
 
 
 def _crossings_and_leftmost_local_block(arcs, block):
@@ -122,23 +105,24 @@ def _crossings_and_leftmost_local_block(arcs, block):
     return count, leftmost
 
 
-def _strict_swap_site(diagram: Diagram, block, block_index: int) -> int:
+def _strict_swap_site(arcs, table, block_index: int) -> int:
     """Smallest site of an adjacent crossing arc pair incident with the
-    block, given the block index of each non-free site.
+    block, for the ascending arc tuple ``arcs`` and its site table.
 
     Along a block, the arcs are in local order exactly when they are sorted
     by partner (arcs to earlier blocks first), and each local crossing is an
     inversion of that order; so a block with one has an adjacent one.
     """
-    partner = site_table(diagram.length, diagram.arcs).partner
-    for site in range(1, diagram.length):
+    partner, block = table.partner, table.block
+    for site in range(1, len(partner) - 1):
         e1, e2 = (site, partner[site]), (site + 1, partner[site + 1])
         if not (e1[1] and e2[1]):
             continue  # no swap at a free site
         if pairs_cross(e1, e2) and block_index in {block[s] for s in e1} & {block[s] for s in e2}:
             return site
     raise InvariantError(
-        f"block {block_index} of {diagram.key()} has a local crossing but no adjacent crossing pair"
+        f"block {block_index} of {Diagram(len(partner) - 1, arcs).key()} has a local "
+        "crossing but no adjacent crossing pair"
     )
 
 
@@ -300,37 +284,66 @@ def _check_equivalence(n=8):
 
 
 def _check_regular_unique(n=11):
-    """Each block-matrix fiber has exactly one regular diagram; it is
-    crossing-minimal, both ``canonicalize`` and strict swaps reach it from
-    every member, and the swap orbit fills the fiber.  Fibers are keyed by
-    the length and the block matrix's upper-triangle tuple, and one pair
-    scan per member gives its crossing count and whether it is regular."""
+    """Each block-matrix fiber of proper diagrams has exactly one regular
+    diagram; it is crossing-minimal, it is the layout of every member's
+    block-pair counts (as ``canonicalize`` lays them out), every other
+    member's strict swap leads to a member with fewer crossings, and the
+    swap orbit of one member fills the fiber.  Following strict swaps, the
+    crossing count falls until a member without a local crossing, the
+    regular one, is reached: strict swaps lead every member to it.
+
+    Fibers are keyed by the block matrix's upper-triangle tuple within one
+    length, and fibers of different lengths are disjoint, so each length's
+    fibers are checked and dropped before the next length is enumerated.
+    Members stay arc tuples with their site tables; a ``Diagram`` is built
+    only for a failure message."""
     positions = [upper_positions(m) for m in range(n + 2)]
-    fibers = defaultdict(list)
+    total = 0
     for length in range(4, n + 1):
-        for diagram in enumerate_proper_diagrams(length):
-            table = site_table(length, diagram.arcs)
-            pairs = block_pair_counts(table, diagram.arcs)
+        fibers = defaultdict(dict)
+        for arcs, table in proper_matchings(length):
+            pairs = block_pair_counts(table, arcs)
             # proper: no arc within one block or from the first to the last
             key = tuple(pairs[p] for p in positions[table.free_count + 1])
-            count, local = _crossings_and_leftmost_local_block(diagram.arcs, table.block)
-            fibers[length, key].append((diagram, count, local is None))
-    for members in fibers.values():
-        first = members[0][0]
-        regulars = [(d, count) for d, count, regular in members if regular]
-        if len(regulars) != 1:
-            return False, f"fiber of {first.key()} has {len(regulars)} regular diagrams"
-        regular, crossings = regulars[0]
-        if crossings != min(count for _, count, _ in members):
-            return False, f"regular diagram {regular.key()} is not crossing-minimal"
-        for diagram, _, _ in members:
-            if canonicalize(diagram) != regular:
-                return False, f"canonicalize({diagram.key()}) missed the regular diagram"
-            if _canonicalize_by_swaps(diagram) != regular:
-                return False, f"strict swaps from {diagram.key()} missed the regular diagram"
-        if swap_orbit(first) != {d for d, _, _ in members}:
-            return False, f"swap orbit of {first.key()} is not the fiber"
-    return True, f"{len(fibers)} fibers up to length {n}"
+            count, local = _crossings_and_leftmost_local_block(arcs, table.block)
+            fibers[key][arcs] = (count, local, table)
+        for members in fibers.values():
+            failure = _fiber_failure(length, members)
+            if failure is not None:
+                return False, failure
+        total += len(fibers)
+    return True, f"{total} fibers up to length {n}"
+
+
+def _fiber_failure(length, members):
+    """What fails the checks of ``_check_regular_unique`` on one fiber,
+    None when nothing does.  The fiber is a dict from each member's arc
+    tuple to its crossing count, leftmost block with a local crossing and
+    site table."""
+
+    def text(arcs):
+        return Diagram(length, arcs).key()
+
+    first = next(iter(members))
+    regulars = [arcs for arcs, (_, local, _) in members.items() if local is None]
+    if len(regulars) != 1:
+        return f"fiber of {text(first)} has {len(regulars)} regular diagrams"
+    regular = regulars[0]
+    if members[regular][0] != min(count for count, _, _ in members.values()):
+        return f"regular diagram {text(regular)} is not crossing-minimal"
+    for arcs, (count, local, table) in members.items():
+        if regular_arcs(block_pair_counts(table, arcs)) != regular:
+            return f"canonicalize({text(arcs)}) missed the regular diagram"
+        if local is None:
+            continue
+        successor = swapped_arcs(arcs, _strict_swap_site(arcs, table, local))
+        if successor not in members:
+            return f"the strict swap of {text(arcs)} leaves its fiber"
+        if members[successor][0] >= count:
+            return f"the strict swap of {text(arcs)} removes no crossing"
+    if swap_orbit_arcs(length, first) != members.keys():
+        return f"swap orbit of {text(first)} is not the fiber"
+    return None
 
 
 def _check_dual_matrix(n=7):

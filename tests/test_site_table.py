@@ -206,7 +206,13 @@ def test_crossing_rich_diagrams_match_the_definitions(d):
     assert_swaps(d, cap=300)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+def test_one_pass_regularity_is_the_pair_scan():
+    for n in range(2, 11):
+        for d in enumerate_binary_diagrams(n):
+            assert is_regular(d) == (is_binary(d) and local_crossing_count(d) == 0)
+
+
+@pytest.mark.parametrize("n", range(2, 12))
 def test_proper_enumeration_is_the_filtered_binary_scan(n):
     expected = [d for d in enumerate_binary_diagrams(n) if is_proper(d)]
     assert list(enumerate_proper_diagrams(n)) == expected

@@ -40,6 +40,8 @@ from arcposet.transform import (
     regular_arcs,
     swap,
     swap_orbit,
+    swap_orbit_arcs,
+    swapped_arcs,
     tau,
     tau_inverse,
     theta,
@@ -133,7 +135,7 @@ class TestCanonicalize:
         assert is_regular(canonical)
         assert block_matrix(canonical) == block_matrix(d)
         assert crossing_count(canonical) <= crossing_count(d)
-        assert canonical == verify._canonicalize_by_swaps(d)
+        assert canonical in swap_orbit(d)
 
     def test_requires_proper(self):
         with pytest.raises(InvalidArgumentError):
@@ -144,12 +146,51 @@ class TestSwapOracle:
     def test_no_adjacent_crossing_pair_is_an_invariant_error(self):
         regular = parse("n=7; arcs=(1,6),(2,4)")
         with pytest.raises(InvariantError):
-            verify._strict_swap_site(regular, {1: 1, 2: 1, 4: 2, 6: 3}, 1)
+            verify._strict_swap_site(regular.arcs, site_table(7, regular.arcs), 1)
 
-    def test_swap_that_keeps_the_crossings_is_an_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(verify, "swap", lambda diagram, site: diagram)
-        with pytest.raises(InvariantError):
-            verify._canonicalize_by_swaps(parse("n=7; arcs=(1,4),(2,6)"))
+    def test_swap_that_keeps_the_crossings_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(verify, "swapped_arcs", lambda arcs, site: arcs)
+        report = verify.run_check("regular-unique", [{"n": 7}])
+        assert not report.passed
+        assert report.points[0].detail.endswith("removes no crossing")
+
+
+class TestRegularUnique:
+    @pytest.mark.parametrize(
+        "n,detail", [(8, "117 fibers up to length 8"), (10, "699 fibers up to length 10")]
+    )
+    def test_fiber_counts(self, n, detail):
+        (point,) = verify.run_check("regular-unique", [{"n": n}]).points
+        assert point.passed
+        assert point.detail == detail
+
+    def test_swap_that_changes_nothing_fails(self, monkeypatch):
+        def unchanged(arcs, site):
+            return arcs
+
+        monkeypatch.setattr(transform, "swapped_arcs", unchanged)
+        monkeypatch.setattr(verify, "swapped_arcs", unchanged)
+        assert not verify.run_check("regular-unique", [{"n": 8}]).passed
+
+    def test_strict_swap_that_leaves_the_fiber_fails(self, monkeypatch):
+        def drop_an_arc(arcs, site):
+            return swapped_arcs(arcs, site)[1:]
+
+        monkeypatch.setattr(verify, "swapped_arcs", drop_an_arc)
+        report = verify.run_check("regular-unique", [{"n": 8}])
+        assert not report.passed
+        assert report.points[0].detail.endswith("leaves its fiber")
+
+    def test_orbit_that_drops_a_member_fails(self, monkeypatch):
+        def short_orbit(length, arcs, cap=1_000_000):
+            orbit = swap_orbit_arcs(length, arcs, cap)
+            orbit.discard(max(orbit))
+            return orbit
+
+        monkeypatch.setattr(verify, "swap_orbit_arcs", short_orbit)
+        report = verify.run_check("regular-unique", [{"n": 8}])
+        assert not report.passed
+        assert report.points[0].detail.endswith("is not the fiber")
 
 
 class TestEquivalence:
@@ -193,7 +234,7 @@ class TestEquivalence:
         ],
     )
     def test_swap_orbit_checks_every_new_arc_tuple(self, monkeypatch, broken):
-        monkeypatch.setattr(transform, "_swapped", broken)
+        monkeypatch.setattr(transform, "swapped_arcs", broken)
         with pytest.raises(InvariantError):
             swap_orbit(parse("n=7; arcs=(1,4),(2,6)"))
 
