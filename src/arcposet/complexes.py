@@ -406,7 +406,10 @@ def write_facets(complex_: SimplicialComplex) -> str:
     """One facet per line, its labels written with ``str`` and sorted.  A
     label whose text would not read back as itself (empty, holding a comma
     or a line break, or with leading or trailing whitespace), or that two
-    vertices share, is refused."""
+    vertices share, is refused, and so is the void complex: no text reads
+    back as it."""
+    if complex_.is_void():
+        raise InvalidArgumentError("the void complex cannot be written to a facet file")
     texts = {v: str(v) for v in complex_.vertices()}
     for text in texts.values():
         if not text or "," in text or text.strip() != text or text.splitlines() != [text]:

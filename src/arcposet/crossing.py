@@ -35,8 +35,8 @@ def crossing_adjacency(pairs: Sequence[Pair]) -> list[int]:
 
 def masked_clique_exists(adj: list[int], candidates: int, size: int) -> bool:
     """True iff the graph restricted to ``candidates`` has a clique of ``size``."""
-    if size <= 0:
-        return True
+    if size <= 1:
+        return size <= 0 or candidates != 0
     if candidates.bit_count() < size:
         return False
     rest = candidates
@@ -53,19 +53,27 @@ def masked_clique_exists(adj: list[int], candidates: int, size: int) -> bool:
 
 def noncrossing_subset_masks(pairs: Sequence[Pair], k: int) -> Iterator[int]:
     """All subsets of ``pairs`` (as bitmasks, empty included) without k+1
-    mutually crossing members, each yielded exactly once."""
+    mutually crossing members, each yielded exactly once, in the order of
+    a depth-first search that adds pairs in increasing index order.
+
+    Each node carries the later pairs still addable to its mask.  Adding
+    pair i blocks an addable pair j exactly when j crosses i and the pairs
+    of the mask crossing both hold a (k-1)-clique: j was addable, so any
+    k-clique among its chosen neighbours must contain i."""
     adj = crossing_adjacency(pairs)
-    n = len(pairs)
 
-    def extend(mask: int, start: int) -> Iterator[int]:
+    def extend(mask: int, addable: list[int]) -> Iterator[int]:
         yield mask
-        for i in range(start, n):
-            # adding i is legal unless its chosen crossing-neighbours contain
-            # a k-clique (which together with i would make k+1)
-            if not masked_clique_exists(adj, mask & adj[i], k):
-                yield from extend(mask | (1 << i), i + 1)
+        for at, i in enumerate(addable):
+            bit = 1 << i
+            near = mask & adj[i]
+            yield from extend(
+                mask | bit,
+                [j for j in addable[at + 1:] if not (adj[j] & bit and masked_clique_exists(adj, near & adj[j], k - 1))],
+            )
 
-    yield from extend(0, 0)
+    # at k <= 0 even a single pair is too many
+    yield from extend(0, list(range(len(pairs))) if k > 0 else [])
 
 
 def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[int]:
@@ -83,6 +91,12 @@ def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[i
     only grow.  A node is maximal exactly when both lists are empty, and a
     branch stops as soon as some pending pair cannot be blocked even by
     every pair the branch may still add.  ``cap`` bounds the nodes visited.
+
+    Both lists hold pairs addable to the node's mask, so adding pair i
+    blocks one of them, j, exactly when j crosses i and the pairs of the
+    mask crossing both hold a (k-1)-clique: any k-clique among j's chosen
+    neighbours must contain i.  That is the only test made when a
+    child's two lists are filtered.
     """
     adj = crossing_adjacency(pairs)
     cone = 0
@@ -112,12 +126,11 @@ def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[i
         skipped = list(pending)
         for at, i in enumerate(addable):
             bit = 1 << i
-            child = mask | bit
-            # adding i can only block the pairs that cross it
+            near = mask & adj[i]
             search(
-                child,
-                [j for j in addable[at + 1:] if not (adj[j] & bit and masked_clique_exists(adj, child & adj[j], k))],
-                [p for p in skipped if not (adj[p] & bit and masked_clique_exists(adj, child & adj[p], k))],
+                mask | bit,
+                [j for j in addable[at + 1:] if not (adj[j] & bit and masked_clique_exists(adj, near & adj[j], k - 1))],
+                [p for p in skipped if not (adj[p] & bit and masked_clique_exists(adj, near & adj[p], k - 1))],
             )
             skipped.append(i)
 

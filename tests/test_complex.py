@@ -25,6 +25,7 @@ from arcposet.crossing import (
     masked_clique_exists,
     maximal_noncrossing_masks,
     noncrossing_subset_masks,
+    pairs_cross,
 )
 from arcposet.errors import InvalidArgumentError, ResourceLimitError
 from arcposet.families import admissible_arcs, nonrelevant_arcs, relevant_arcs
@@ -470,7 +471,7 @@ class TestMaximalNoncrossingMasks:
         assert sorted(maximal_noncrossing_masks(pool, k, CAP)) == maximal_by_definition(pool, k)
 
     @settings(max_examples=150, deadline=None)
-    @given(pool=_ARC_POOLS, k=st.integers(1, 3))
+    @given(pool=_ARC_POOLS, k=st.integers(1, 4))
     def test_random_pools_match_the_definition(self, pool, k):
         assert sorted(maximal_noncrossing_masks(pool, k, CAP)) == maximal_by_definition(pool, k)
 
@@ -493,6 +494,60 @@ class TestMaximalNoncrossingMasks:
         with pytest.raises(ResourceLimitError, match="exceeded 10 subsets"):
             build_T(8, 2, cap=10)
         assert len(build_T(8, 2).facets) == 84
+
+    @pytest.mark.parametrize("m, k, nodes", [(9, 1, 2_422), (9, 2, 4_764), (10, 3, 3_553)])
+    def test_search_node_counts_are_pinned(self, m, k, nodes):
+        # the nodes visited are one per k-noncrossing core set on the way to
+        # a facet; a cheaper blocking test must visit exactly the same ones
+        build_T(m, k, cap=nodes)
+        with pytest.raises(ResourceLimitError, match=f"exceeded {nodes - 1} subsets"):
+            build_T(m, k, cap=nodes - 1)
+
+
+class TestNoncrossingSubsetMasks:
+    @settings(max_examples=150, deadline=None)
+    @given(pool=_ARC_POOLS.map(lambda pool: pool[:10]), k=st.integers(0, 4))
+    def test_random_pools_match_the_definition_in_order(self, pool, k):
+        # depth-first order adding pairs by increasing index is the
+        # lexicographic order of the index tuples
+        expected = [
+            sum(1 << i for i in chosen)
+            for chosen in sorted(
+                chosen
+                for size in range(len(pool) + 1)
+                for chosen in combinations(range(len(pool)), size)
+                if not any(
+                    all(pairs_cross(p, q) for p, q in combinations(group, 2))
+                    for group in combinations([pool[i] for i in chosen], k + 1)
+                )
+            )
+        ]
+        assert list(noncrossing_subset_masks(pool, k)) == expected
+
+
+@st.composite
+def masked_graphs(draw):
+    n = draw(st.integers(0, 8))
+    edges = draw(st.sets(st.sampled_from([(a, b) for a in range(n) for b in range(a + 1, n)]))) if n > 1 else set()
+    candidates = draw(st.integers(0, (1 << n) - 1))
+    return n, edges, candidates
+
+
+class TestMaskedCliqueExists:
+    @settings(max_examples=300, deadline=None)
+    @given(graph=masked_graphs(), size=st.integers(0, 4))
+    def test_matches_brute_force(self, graph, size):
+        n, edges, candidates = graph
+        adj = [0] * n
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        members = [v for v in range(n) if candidates >> v & 1]
+        expected = any(
+            all((a, b) in edges for a, b in combinations(chosen, 2))
+            for chosen in combinations(members, size)
+        )
+        assert masked_clique_exists(adj, candidates, size) == expected
 
 
 class TestFacetFiles:
@@ -524,6 +579,11 @@ class TestFacetFiles:
             read_facets("\n\n")
         with pytest.raises(InvalidArgumentError):
             read_facets("")
+
+    def test_void_complex_is_refused(self):
+        # "\n" would read back as the empty complex {∅}, not the void one
+        with pytest.raises(InvalidArgumentError, match="void complex"):
+            write_facets(SimplicialComplex([]))
 
     def test_empty_complex_round_trip(self):
         empty = simplex(-1)
