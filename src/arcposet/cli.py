@@ -82,26 +82,28 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 def _cmd_inspect(args) -> int:
     diagram = parse(args.diagram)
-    blocks = block_list(diagram)
-    matrix = block_matrix(diagram)
+    text, free = to_text(diagram), free_sites(diagram)
+    blocks, matrix = block_list(diagram), block_matrix(diagram)
+    binary, proper, regular = is_binary(diagram), is_proper(diagram), is_regular(diagram)
+    crossings, tautology = crossing_count(diagram), tautology_number(diagram)
     payload = {
-        "diagram": to_text(diagram),
-        "free_sites": list(free_sites(diagram)),
+        "diagram": text,
+        "free_sites": list(free),
         "blocks": [list(b) for b in blocks],
         "block_matrix": [list(row) for row in matrix.rows],
-        "binary": is_binary(diagram),
-        "proper": is_proper(diagram),
-        "regular": is_regular(diagram),
-        "crossings": crossing_count(diagram),
-        "tautology": tautology_number(diagram),
+        "binary": binary,
+        "proper": proper,
+        "regular": regular,
+        "crossings": crossings,
+        "tautology": tautology,
     }
     lines = [
-        f"diagram: {to_text(diagram)}",
-        f"free sites: {' '.join(map(str, free_sites(diagram)))}",
+        f"diagram: {text}",
+        f"free sites: {' '.join(map(str, free))}",
         "blocks: " + " | ".join("{" + ",".join(map(str, b)) + "}" for b in blocks),
         f"block matrix: {matrix.to_json()}",
-        f"binary: {is_binary(diagram)}  proper: {is_proper(diagram)}  regular: {is_regular(diagram)}",
-        f"crossings: {crossing_count(diagram)}  tautology: {tautology_number(diagram)}",
+        f"binary: {binary}  proper: {proper}  regular: {regular}",
+        f"crossings: {crossings}  tautology: {tautology}",
     ]
     _emit(args, payload, lines)
     return 0

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from .crossing import maximal_noncrossing_masks
 from .diagram import Arc
 from .errors import InvalidArgumentError, ResourceLimitError
+from .families import relevant_arcs
 from .poset import FinitePoset, element_key
 from .snf import invariant_factors
-from .transform import is_k_relevant
 
 
 class SimplicialComplex:
@@ -73,10 +73,6 @@ class SimplicialComplex:
     def faces(self, include_empty: bool = False) -> set[frozenset]:
         """All faces (downward closure of the facets)."""
         return {face for face in self._named_faces().values() if face or include_empty}
-
-    def contains(self, face) -> bool:
-        face = frozenset(face)
-        return any(face <= facet for facet in self.facets)
 
     def f_vector(self) -> tuple[int, ...]:
         """Face counts by dimension, from 0 up."""
@@ -183,24 +179,15 @@ def noncrossing_complex(pool: list[Arc], k: int, cap: int = 10_000_000) -> Simpl
     )
 
 
-def build_gamma(m: int, k: int) -> list[Arc]:
-    """The k-relevant diagonals of a convex m-gon (endpoint gap in (k, m-k))."""
+def build_T(m: int, k: int, cap: int = 10_000_000) -> SimplicialComplex:
+    """The multitriangulation complex: faces are the k-noncrossing sets of
+    k-relevant diagonals of a convex m-gon, the arcs of ``relevant_arcs``
+    (endpoint gap in (k, m-k)); ``cap`` bounds the sets visited."""
     if m < 3:
         raise InvalidArgumentError(f"a polygon needs m >= 3 vertices, got {m}")
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
-    return [
-        (a, b)
-        for a in range(1, m + 1)
-        for b in range(a + 1, m + 1)
-        if is_k_relevant((a, b), m, k)
-    ]
-
-
-def build_T(m: int, k: int, cap: int = 10_000_000) -> SimplicialComplex:
-    """The multitriangulation complex: faces are the k-noncrossing sets of
-    k-relevant diagonals; ``cap`` bounds the sets visited."""
-    return noncrossing_complex(build_gamma(m, k), k, cap=cap)
+    return noncrossing_complex(relevant_arcs(m, k), k, cap=cap)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError
 
 Pair = tuple[int, int]
 
@@ -49,6 +49,15 @@ def masked_clique_exists(adj: list[int], candidates: int, size: int) -> bool:
         if rest.bit_count() < size:
             return False
     return False
+
+
+def is_k_noncrossing(pairs: Sequence[Pair], k: int) -> bool:
+    """No k+1 mutually crossing members of ``pairs`` (exact clique search):
+    the arcs of a diagram or the nonzero positions of a matrix."""
+    if k < 1:
+        raise InvalidArgumentError(f"k must be >= 1, got {k}")
+    adj = crossing_adjacency(pairs)
+    return not masked_clique_exists(adj, (1 << len(adj)) - 1, k + 1)
 
 
 def noncrossing_subset_masks(pairs: Sequence[Pair], k: int) -> Iterator[int]:

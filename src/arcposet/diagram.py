@@ -4,8 +4,8 @@ A diagram has sites 1..n joined by implicit backbone edges and a set of
 arcs (s1, s2) with 1 < s2 - s1 < n - 1, drawn as semicircles above the
 line.  This module holds the diagram value type, its text format, and the
 structural predicates everything else is built from: free sites, blocks,
-the block matrix, crossings, regularity, properness, k-noncrossing, the
-tautology number, and the two arc-removal operations.
+the block matrix, crossings, regularity, properness, the tautology
+number, and arc suppression.
 
 The predicates read one site table, built in a single O(n) pass over the
 sites by ``site_table``: each site's partner (0 when the site is free,
@@ -27,7 +27,7 @@ from itertools import accumulate, chain, combinations
 from operator import not_
 from typing import NamedTuple
 
-from .crossing import crossing_adjacency, masked_clique_exists, pairs_cross
+from .crossing import pairs_cross
 from .errors import InvalidArgumentError, require_int
 from .matrix import SymmetricMatrix, p_value, r_value
 
@@ -265,25 +265,6 @@ def is_regular(diagram: Diagram) -> bool:
     return table_is_regular(_table(diagram), diagram.arcs)
 
 
-def is_k_noncrossing(diagram: Diagram, k: int) -> bool:
-    """No k+1 mutually crossing arcs (exact clique search)."""
-    if k < 1:
-        raise InvalidArgumentError(f"k must be >= 1, got {k}")
-    adj = crossing_adjacency(diagram.arcs)
-    return not masked_clique_exists(adj, (1 << len(adj)) - 1, k + 1)
-
-
-def classify_arc(diagram: Diagram, arc: Arc) -> str:
-    """'degenerate' (covers no free site), 'tiny' (exactly one) or 'ordinary'."""
-    _require_arc(diagram, arc)
-    covered = covered_free_sites(diagram, arc)
-    if not covered:
-        return "degenerate"
-    if len(covered) == 1:
-        return "tiny"
-    return "ordinary"
-
-
 def parallel_classes(diagram: Diagram) -> tuple[tuple[Arc, ...], ...]:
     """Arcs grouped by their covered-free-site set, in canonical order.
 
@@ -298,24 +279,14 @@ def parallel_classes(diagram: Diagram) -> tuple[tuple[Arc, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# arc removal
-
-
-def _require_arc(diagram: Diagram, arc: Arc) -> None:
-    if tuple(arc) not in diagram.arcs:
-        raise InvalidArgumentError(f"arc {tuple(arc)} is not in the diagram")
-
-
-def delete_arc(diagram: Diagram, arc: Arc) -> Diagram:
-    """Remove the arc; length unchanged."""
-    _require_arc(diagram, arc)
-    return Diagram(diagram.length, [e for e in diagram.arcs if e != tuple(arc)])
+# arc suppression
 
 
 def suppress_arc(diagram: Diagram, arc: Arc) -> Diagram:
     """Remove the arc and any endpoint it leaves free, relabelling the
     remaining sites consecutively from 1 (free-site count is preserved)."""
-    _require_arc(diagram, arc)
+    if tuple(arc) not in diagram.arcs:
+        raise InvalidArgumentError(f"arc {tuple(arc)} is not in the diagram")
     remaining = [e for e in diagram.arcs if e != tuple(arc)]
     still_used = {s for e in remaining for s in e}
     removed = {s for s in arc if s not in still_used}

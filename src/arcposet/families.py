@@ -21,18 +21,15 @@ as oracles for the tests and ``verify``.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from math import comb
-from operator import itemgetter
 
-from .crossing import crossing_adjacency, masked_clique_exists, noncrossing_subset_masks
+from .crossing import crossing_adjacency, is_k_noncrossing, masked_clique_exists, noncrossing_subset_masks
 from .diagram import (
     Arc,
     Diagram,
     block_pair_counts,
     free_sites,
-    is_k_noncrossing,
     is_proper,
     is_regular,
     site_table,
@@ -42,9 +39,9 @@ from .diagram import (
     tautology_number,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from .matrix import SymmetricMatrix, enumerate_matrices, enumerate_matrix_keys, upper_positions
+from .matrix import SymmetricMatrix, enumerate_matrix_keys, matrices_from_keys
 from .poset import FinitePoset, chain_stats_from_covers
-from .transform import is_k_relevant, regular_arcs
+from .transform import is_k_relevant, layout_key
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +201,8 @@ def matrix_family_covers(
 ) -> tuple[list[SymmetricMatrix], list[list[int]]]:
     """The matrix family M^r_{m,k} with its domination cover digraph, keyed
     by upper-triangle value tuples."""
-    matrices = enumerate_matrices(m, k, r, cap=cap)
-    upper = itemgetter(*((i - 1) * m + j - 1 for i, j in upper_positions(m)))
-    return matrices, unit_step_covers([upper(sum(mat.rows, ())) for mat in matrices])
+    keys = enumerate_matrix_keys(m, k, r, cap=cap)
+    return matrices_from_keys(m, keys), unit_step_covers(keys)
 
 
 def matrix_family_chain_stats(m: int, k: int, r: int, cap: int = 10_000_000):
@@ -227,19 +223,17 @@ def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
     """Regular proper diagrams with f free sites, k-noncrossing, tautology
     at most r, ordered by block-matrix domination: beta_inverse carries
     M^r_{f+1,k} and its covers over, member by member, here by laying out
-    the block-pair counts of each upper-triangle key."""
+    each upper-triangle key with ``layout_key``; a layout that is not
+    regular or has other block-pair counts raises :class:`InvariantError`."""
     if f < 3:
         raise InvalidArgumentError(f"f must be >= 3, got {f}")
     keys = enumerate_matrix_keys(f + 1, k, r, cap=cap)
-    positions = upper_positions(f + 1)
     diagrams = []
     for key in keys:
-        pairs = {pair: value for pair, value in zip(positions, key) if value}
-        arcs = regular_arcs(pairs)
-        diagram = Diagram(f + 2 * len(arcs), arcs)
-        if block_pair_counts(site_table(diagram.length, arcs), arcs) != pairs:
-            raise InvariantError(f"the layout of key {key}, {diagram.key()}, has other block-pair counts")
-        diagrams.append(diagram)
+        arcs, regular, exact = layout_key(f + 1, key)
+        if not (regular and exact):
+            raise InvariantError(f"the layout {arcs} of key {key} is not the regular diagram of its counts")
+        diagrams.append(Diagram(f + 2 * len(arcs), arcs))
     return FinitePoset(diagrams, covers=unit_step_covers(keys), validate=False)
 
 
@@ -275,8 +269,9 @@ def _proper_insertions(arcs: tuple[Arc, ...], f: int, k: int, r: int):
 
     The new arc's endpoints go into the gaps after sites g1 < g2 of the
     diagram, so the arc wraps its sites g1+1..g2: it covers the free sites
-    among them, joins blocks free[g1] and free[g2] (free[t] counts the
-    free sites up to t), and crosses each arc with one endpoint wrapped.
+    among them, joins blocks block[g1] and block[g2] of the site table
+    (block[t] counts the free sites up to t, plus one), and crosses each
+    arc with one endpoint wrapped.
     Insertion keeps every other arc's covered free sites, crossings and
     block pair, so the new diagram is a member iff the new arc covers at
     least one free site and not all of them, its crossing neighbours hold
@@ -287,17 +282,16 @@ def _proper_insertions(arcs: tuple[Arc, ...], f: int, k: int, r: int):
     arc_at = {}
     for t, (a, b) in enumerate(arcs):
         arc_at[a] = arc_at[b] = 1 << t
-    free = [0] * (n + 1)
-    for site in range(1, n + 1):
-        free[site] = free[site - 1] + (site not in arc_at)
-    pairs = Counter((free[a], free[b]) for a, b in arcs)
+    table = site_table(n, arcs)
+    block = table.block
+    pairs = block_pair_counts(table, arcs)
     tautology = sum(count - 1 + count * (j == i + 1) for (i, j), count in pairs.items())
     adjacency = crossing_adjacency(arcs)
     for g1 in range(n):
         wrapped = 0  # the arcs with exactly one endpoint among g1+1..g2
         for g2 in range(g1 + 1, n + 1):
             wrapped ^= arc_at.get(g2, 0)
-            i, j = free[g1], free[g2]
+            i, j = block[g1], block[g2]
             if not 0 < j - i < f:
                 continue
             if tautology + (j == i + 1) + (pairs[i, j] > 0) > r:
@@ -374,7 +368,7 @@ def in_proper_family(diagram: Diagram, f: int, k: int, r: int) -> bool:
     return (
         is_proper(diagram)
         and len(free_sites(diagram)) == f
-        and is_k_noncrossing(diagram, k)
+        and is_k_noncrossing(diagram.arcs, k)
         and tautology_number(diagram) <= r
     )
 

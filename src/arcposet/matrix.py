@@ -12,9 +12,10 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
-from .crossing import masked_clique_exists, crossing_adjacency
+from .crossing import crossing_adjacency, is_k_noncrossing, masked_clique_exists
 from .errors import InvalidArgumentError, ResourceLimitError, require_int
 
 
@@ -47,10 +48,6 @@ class SymmetricMatrix:
                     raise InvalidArgumentError(f"negative entry at ({i + 1},{j + 1})")
                 if value != rows[j][i]:
                     raise InvalidArgumentError(f"asymmetric at ({i + 1},{j + 1})")
-
-    @classmethod
-    def zero(cls, order: int) -> "SymmetricMatrix":
-        return cls([[0] * order for _ in range(order)])
 
     @classmethod
     def from_entries(cls, order: int, entries: Mapping[tuple[int, int], int]) -> "SymmetricMatrix":
@@ -129,14 +126,6 @@ def r_value(matrix: SymmetricMatrix) -> int:
     return p_value(matrix) + q_value(matrix)
 
 
-def is_k_noncrossing_matrix(matrix: SymmetricMatrix, k: int) -> bool:
-    """No k+1 mutually crossing nonzero entries."""
-    if k < 1:
-        raise InvalidArgumentError(f"k must be >= 1, got {k}")
-    adj = crossing_adjacency(matrix.nonzero_positions())
-    return not masked_clique_exists(adj, (1 << len(adj)) - 1, k + 1)
-
-
 def dominates(small: SymmetricMatrix, large: SymmetricMatrix) -> bool:
     """True iff same order and ``small`` <= ``large`` entrywise."""
     if small.order != large.order:
@@ -187,16 +176,17 @@ def family_membership(
     if family in ("M", "Mk"):
         if not matrix.is_zero_one() or not _structural_zeros_ok(matrix, semi_diagonal=True):
             return False
-        return family == "M" or is_k_noncrossing_matrix(matrix, k)
+        return family == "M" or is_k_noncrossing(matrix.nonzero_positions(), k)
     if not _structural_zeros_ok(matrix, semi_diagonal=False):
         return False
-    return r_value(matrix) <= r and is_k_noncrossing_matrix(matrix, k)
+    return r_value(matrix) <= r and is_k_noncrossing(matrix.nonzero_positions(), k)
 
 
-def upper_positions(m: int) -> list[tuple[int, int]]:
+@cache
+def upper_positions(m: int) -> tuple[tuple[int, int], ...]:
     """Above-diagonal 1-indexed positions of an order-m family matrix, row by
     row, without the structurally zero rainbow (1, m)."""
-    return [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if (i, j) != (1, m)]
+    return tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if (i, j) != (1, m))
 
 
 def enumerate_matrix_keys(

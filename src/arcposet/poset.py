@@ -278,11 +278,12 @@ class FinitePoset:
 
     # -- export --
 
-    def to_dot(self, name: str = "poset", label=element_key) -> str:
-        """Graphviz digraph of the cover relation (edges point upward)."""
+    def to_dot(self, name: str = "poset") -> str:
+        """Graphviz digraph of the cover relation (edges point upward),
+        each node labelled by its element's ``element_key``."""
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
         for i, e in enumerate(self.elements):
-            text = label(e).replace('"', '\\"')
+            text = element_key(e).replace('"', '\\"')
             lines.append(f'  n{i} [label="{text}"];')
         for i, outs in enumerate(self.succ):
             lines.extend(f"  n{i} -> n{j};" for j in outs)

@@ -4,7 +4,9 @@
 block-pair counts directly, and is the one construction of it:
 ``canonicalize`` lays out the counts of a diagram's site table,
 ``realize_matrix`` and ``beta_inverse`` those of a validated
-``SymmetricMatrix``, and the ``verify`` checks those of flat family keys.
+``SymmetricMatrix``, and ``layout_key`` those of a flat family key, with
+the check that the layout is regular and has exactly the key's counts
+(``build_P`` and the ``verify`` checks use it).
 Also here: the swap involution and swap orbits, the two equivalence tests,
 the dual and blow-up constructions, and the named structure-preserving
 maps between diagram and matrix families.  The definitional route to the
@@ -17,6 +19,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Mapping
 
+from .crossing import is_k_noncrossing
 from .diagram import (
     Arc,
     Diagram,
@@ -26,14 +29,14 @@ from .diagram import (
     block_pair_counts,
     covered_free_sites,
     free_sites,
-    is_k_noncrossing,
     is_proper,
     is_regular,
     site_table,
     table_is_proper,
+    table_is_regular,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, require_int
-from .matrix import SymmetricMatrix, family_membership, r_value
+from .matrix import SymmetricMatrix, family_membership, r_value, upper_positions
 
 
 # ---------------------------------------------------------------------------
@@ -62,13 +65,6 @@ def swap(diagram: Diagram, site: int) -> Diagram:
         if not table.partner[end]:
             raise InvalidArgumentError(f"site {end} is free; swap needs two non-free sites")
     return Diagram(diagram.length, swapped_arcs(diagram.arcs, site))
-
-
-def legal_swap_sites(diagram: Diagram) -> tuple[int, ...]:
-    """Sites s such that s and s + 1 are both non-free (they never share an
-    arc); on a proper diagram, the sites at which ``swap`` applies."""
-    partner = site_table(diagram.length, diagram.arcs).partner
-    return tuple(s for s in range(1, diagram.length) if partner[s] and partner[s + 1])
 
 
 def swap_orbit(diagram: Diagram, cap: int = 1_000_000) -> set[Diagram]:
@@ -226,6 +222,23 @@ def regular_arcs(pairs: Mapping[tuple[int, int], int]) -> tuple[Arc, ...]:
     )
 
 
+def layout_key(order: int, key: tuple[int, ...]) -> tuple[tuple[Arc, ...], bool, bool]:
+    """Lay out the block-pair counts of an upper-triangle key over
+    ``upper_positions(order)``, the flat form of a family matrix.  Returns
+    the arcs, whether they form a regular diagram of length
+    order - 1 + 2 * size with order - 1 free sites, and whether its
+    block-pair counts are exactly the key's: equal on every upper position,
+    and no other pair, such as a diagonal one, present."""
+    pairs = {pair: value for pair, value in zip(upper_positions(order), key) if value}
+    arcs = regular_arcs(pairs)
+    length = order - 1 + 2 * len(arcs)
+    if arcs_error(length, arcs) is not None:
+        return arcs, False, False
+    table = site_table(length, arcs)
+    regular = table_is_regular(table, arcs) and table.free_count == order - 1
+    return arcs, regular, block_pair_counts(table, arcs) == pairs  # compared as dicts
+
+
 def realize_matrix(matrix: SymmetricMatrix, cap: int = 1_000_000) -> Diagram:
     """The regular diagram whose block matrix is ``matrix``, laid out by
     ``regular_arcs``.  Raises ``ResourceLimitError`` before building
@@ -273,7 +286,7 @@ def beta(diagram: Diagram, k: int, r: int) -> SymmetricMatrix:
     with tautology bound ``r`` and crossing bound ``k``."""
     if not is_regular(diagram):
         raise InvalidArgumentError("beta requires a regular diagram")
-    if not is_k_noncrossing(diagram, k):
+    if not is_k_noncrossing(diagram.arcs, k):
         raise InvalidArgumentError(f"diagram is not {k}-noncrossing")
     result = block_matrix(diagram)
     if r_value(result) > r:
@@ -321,7 +334,7 @@ def theta(face, m: int, k: int) -> Diagram:
         if not is_k_relevant(arc, m, k):
             raise InvalidArgumentError(f"diagonal {arc[0]}-{arc[1]} is not {k}-relevant")
     diagram = Diagram(m, arcs)
-    if not is_k_noncrossing(diagram, k):
+    if not is_k_noncrossing(diagram.arcs, k):
         raise InvalidArgumentError(f"face contains {k + 1} pairwise crossing diagonals")
     return diagram
 
@@ -357,7 +370,7 @@ def kappa(diagram: Diagram, k: int):
     using the bottom markers when a part is empty."""
     if diagram.is_trivial():
         raise InvalidArgumentError("kappa requires a non-trivial diagram")
-    if not is_k_noncrossing(diagram, k):
+    if not is_k_noncrossing(diagram.arcs, k):
         raise InvalidArgumentError(f"diagram is not {k}-noncrossing")
     m = diagram.length
     star_arcs = [e for e in diagram.arcs if not is_k_relevant(e, m, k)]

@@ -28,14 +28,11 @@ from .complexes import (
 from .diagram import (
     Diagram,
     adjacency_matrix,
-    arcs_error,
     block_matrix,
     block_pair_counts,
     free_sites,
     parallel_classes,
     p_value_of_diagram,
-    site_table,
-    table_is_regular,
 )
 from .errors import InvalidArgumentError, InvariantError
 from .families import (
@@ -49,7 +46,7 @@ from .families import (
     relevant_arcs,
 )
 from .crossing import noncrossing_subset_masks, pairs_cross
-from .matrix import enumerate_matrices, enumerate_matrix_keys, matrices_from_keys, upper_positions
+from .matrix import enumerate_matrices, enumerate_matrix_keys, matrices_from_keys
 from .transform import (
     BOTTOM_RELEVANT,
     BOTTOM_STAR,
@@ -59,6 +56,7 @@ from .transform import (
     equivalent,
     equivalent_by_definition,
     kappa,
+    layout_key,
     regular_arcs,
     swap_orbit_arcs,
     swapped_arcs,
@@ -159,22 +157,6 @@ def _check_thm12(f, k, r):
     return ok, f"size {size}, rank_cardinality {rank_card} (expected {expected}), pure {pure}"
 
 
-def _key_layout(order, positions, key):
-    """Lay out the block-pair counts of an upper-triangle key over
-    ``positions``.  Returns the arcs, whether they form a regular diagram
-    of length order - 1 + 2 * size with order - 1 free sites, and whether
-    its block-pair counts are exactly the key's: equal on every upper
-    position, and no other pair, such as a diagonal one, present."""
-    pairs = {pair: value for pair, value in zip(positions, key) if value}
-    arcs = regular_arcs(pairs)
-    length = order - 1 + 2 * len(arcs)
-    if arcs_error(length, arcs) is not None:
-        return arcs, False, False
-    table = site_table(length, arcs)
-    regular = table_is_regular(table, arcs) and table.free_count == order - 1
-    return arcs, regular, block_pair_counts(table, arcs) == pairs  # compared as dicts
-
-
 def _key_text(order, key):
     """The ``SymmetricMatrix.key()`` text of an upper-triangle key."""
     return matrices_from_keys(order, [key])[0].key()
@@ -185,11 +167,10 @@ def _check_beta(f, k, r):
     block matrix as its inverse; both orders are block-matrix domination,
     so this makes beta an order-isomorphism.  Each member is laid out from
     its upper-triangle key, as beta_inverse lays out a validated matrix."""
-    positions = upper_positions(f + 1)
     keys = enumerate_matrix_keys(f + 1, k, r)
     images = set()
     for key in keys:
-        arcs, regular, exact = _key_layout(f + 1, positions, key)
+        arcs, regular, exact = layout_key(f + 1, key)
         if not regular:
             return False, f"non-regular image for {_key_text(f + 1, key)}"
         if not exact:
@@ -220,10 +201,10 @@ def _check_rho(f, k, r):
     the regular family."""
     proper = build_D(f, k, r)
     regular = build_P(f, k, r)
-    image = {canonicalize(d) for d in proper.elements}
-    if image != set(regular.elements):
+    image = {d: canonicalize(d) for d in proper.elements}
+    if set(image.values()) != set(regular.elements):
         return False, "image of canonicalize is not the regular family"
-    kind = proper.check_order_map(regular, canonicalize)
+    kind = proper.check_order_map(regular, image)
     ok = kind in ("homomorphism", "isomorphism")
     return ok, f"|D|={len(proper)}, |P|={len(regular)}, map: {kind}"
 
@@ -292,19 +273,16 @@ def _check_regular_unique(n=11):
     crossing count falls until a member without a local crossing, the
     regular one, is reached: strict swaps lead every member to it.
 
-    Fibers are keyed by the block matrix's upper-triangle tuple within one
-    length, and fibers of different lengths are disjoint, so each length's
-    fibers are checked and dropped before the next length is enumerated.
-    Members stay arc tuples with their site tables; a ``Diagram`` is built
-    only for a failure message."""
-    positions = [upper_positions(m) for m in range(n + 2)]
+    Fibers are keyed by the block-pair counts within one length (they fix
+    the arc count, so the free-site count too), and fibers of different
+    lengths are disjoint, so each length's fibers are checked and dropped
+    before the next length is enumerated.  Members stay arc tuples with
+    their site tables; a ``Diagram`` is built only for a failure message."""
     total = 0
     for length in range(4, n + 1):
         fibers = defaultdict(dict)
         for arcs, table in proper_matchings(length):
-            pairs = block_pair_counts(table, arcs)
-            # proper: no arc within one block or from the first to the last
-            key = tuple(pairs[p] for p in positions[table.free_count + 1])
+            key = frozenset(block_pair_counts(table, arcs).items())
             count, local = _crossings_and_leftmost_local_block(arcs, table.block)
             fibers[key][arcs] = (count, local, table)
         for members in fibers.values():
@@ -366,11 +344,10 @@ def _check_realize_roundtrip(m=6, k=2, r=2):
     parallel arcs."""
     checked = 0
     for order in range(4, m + 1):
-        positions = upper_positions(order)
         for crossings in range(1, k + 1):
             for tautology in range(0, r + 1):
                 for key in enumerate_matrix_keys(order, crossings, tautology):
-                    arcs, regular, exact = _key_layout(order, positions, key)
+                    arcs, regular, exact = layout_key(order, key)
                     if not exact:
                         return False, f"round trip failed for {_key_text(order, key)}"
                     if not regular:

@@ -9,7 +9,6 @@ from arcposet import complexes
 from arcposet.complexes import (
     SimplicialComplex,
     build_T,
-    build_gamma,
     face_poset,
     join,
     noncrossing_complex,
@@ -89,11 +88,6 @@ class TestSimplicialComplex:
         assert c.euler_characteristic() == 0
         assert c.dimension() == 1
         assert c.is_pure()
-
-    def test_contains(self):
-        c = circle()
-        assert c.contains({"a"}) and c.contains({"a", "b"})
-        assert not c.contains({"a", "b", "c"})
 
     def test_empty_complex(self):
         e = simplex(-1)
@@ -403,8 +397,15 @@ class TestOrderComplex:
 
 class TestDiagonalComplexes:
     def test_gamma(self):
-        assert build_gamma(6, 2) == [(1, 4), (2, 5), (3, 6)]
-        assert len(build_gamma(8, 2)) == 12
+        assert relevant_arcs(6, 2) == [(1, 4), (2, 5), (3, 6)]
+        assert len(relevant_arcs(8, 2)) == 12
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_relevant_arcs_are_the_relevant_polygon_diagonals(self, k):
+        # diagonals of a convex m-gon with endpoint gap in (k, m - k)
+        for m in range(3, 16):
+            diagonals = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1) if k < b - a < m - k]
+            assert relevant_arcs(m, k) == diagonals
 
     def test_T62(self):
         t = build_T(6, 2)
@@ -418,7 +419,7 @@ class TestDiagonalComplexes:
     @pytest.mark.parametrize("m", [-3, 0, 1, 2])
     def test_gamma_needs_a_polygon(self, m):
         with pytest.raises(InvalidArgumentError, match="m >= 3"):
-            build_gamma(m, 1)
+            build_T(m, 1)
 
     @pytest.mark.parametrize("m, k", [(3, 1), (5, 2), (7, 3)])
     def test_T_2k_plus_1_is_the_empty_sphere(self, m, k):
@@ -467,7 +468,7 @@ class TestMaximalNoncrossingMasks:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("m", range(3, 11))
     def test_relevant_diagonals_match_the_definition(self, m, k):
-        pool = build_gamma(m, k)
+        pool = relevant_arcs(m, k)
         assert sorted(maximal_noncrossing_masks(pool, k, CAP)) == maximal_by_definition(pool, k)
 
     @settings(max_examples=150, deadline=None)

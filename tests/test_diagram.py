@@ -5,18 +5,16 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from arcposet.crossing import is_k_noncrossing
 from arcposet.diagram import (
     Diagram,
     adjacency_matrix,
     block_list,
     block_matrix,
-    classify_arc,
     covered_free_sites,
     crossing_count,
-    delete_arc,
     free_sites,
     is_binary,
-    is_k_noncrossing,
     is_proper,
     is_regular,
     local_crossing_count,
@@ -27,7 +25,7 @@ from arcposet.diagram import (
     to_text,
 )
 from arcposet.errors import InvalidArgumentError
-from arcposet.matrix import SymmetricMatrix, is_k_noncrossing_matrix
+from arcposet.matrix import SymmetricMatrix
 
 
 def binary_diagrams(max_length=9):
@@ -178,18 +176,10 @@ class TestPredicates:
     def test_k_noncrossing(self):
         d = Diagram(9, [(1, 5), (3, 7), (4, 9)])
         assert crossing_count(d) == 3
-        assert not is_k_noncrossing(d, 2)
-        assert is_k_noncrossing(d, 3)
+        assert not is_k_noncrossing(d.arcs, 2)
+        assert is_k_noncrossing(d.arcs, 3)
         with pytest.raises(InvalidArgumentError):
-            is_k_noncrossing(d, 0)
-
-    def test_classify_arc(self):
-        d = Diagram(8, [(1, 3), (2, 7), (4, 6)])
-        assert classify_arc(d, (1, 3)) == "degenerate"
-        assert classify_arc(d, (4, 6)) == "tiny"
-        # (2, 7) covers only the single free site 5 here, so it is tiny too
-        assert classify_arc(d, (2, 7)) == "tiny"
-        assert classify_arc(Diagram(8, [(2, 7)]), (2, 7)) == "ordinary"
+            is_k_noncrossing(d.arcs, 0)
 
     def test_covered_free_sites(self):
         d = parse("n=7; arcs=(1,4),(2,6)")
@@ -198,13 +188,9 @@ class TestPredicates:
 
 
 class TestArcRemoval:
-    def test_delete_keeps_length(self):
-        d = Diagram(6, [(1, 4), (2, 5)])
-        assert delete_arc(d, (1, 4)) == Diagram(6, [(2, 5)])
-
-    def test_delete_missing_arc(self):
+    def test_suppress_missing_arc(self):
         with pytest.raises(InvalidArgumentError):
-            delete_arc(Diagram(6, [(1, 4)]), (2, 5))
+            suppress_arc(Diagram(6, [(1, 4)]), (2, 5))
 
     def test_suppress_relabels(self):
         d = Diagram(9, [(1, 8), (2, 5), (3, 8)])
@@ -256,9 +242,9 @@ class TestKNoncrossingPredicates:
     def test_diagram_and_matrix_agree_with_brute_force(self, drawn, k):
         n, arcs = drawn
         expected = largest_crossing_set(arcs) <= k
-        assert is_k_noncrossing(Diagram(n, arcs), k) == expected
+        assert is_k_noncrossing(Diagram(n, arcs).arcs, k) == expected
         matrix = SymmetricMatrix.from_entries(n, {arc: 1 for arc in arcs})
-        assert is_k_noncrossing_matrix(matrix, k) == expected
+        assert is_k_noncrossing(matrix.nonzero_positions(), k) == expected
 
 
 class TestParallelClasses:

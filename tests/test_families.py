@@ -4,11 +4,11 @@ import pytest
 
 from arcposet import families
 
+from arcposet.crossing import is_k_noncrossing
 from arcposet.diagram import (
     Diagram,
     block_matrix,
     free_sites,
-    is_k_noncrossing,
     is_proper,
     is_regular,
     tautology_number,
@@ -102,7 +102,7 @@ class TestInclusionFamilies:
 
     def test_members_are_k_noncrossing(self):
         for d in build_S(6, 2).elements:
-            assert is_k_noncrossing(d, 2) and not d.is_trivial()
+            assert is_k_noncrossing(d.arcs, 2) and not d.is_trivial()
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -248,7 +248,7 @@ class TestProperFamily:
         for d in poset.elements:
             assert is_proper(d)
             assert len(free_sites(d)) == 3
-            assert is_k_noncrossing(d, 2)
+            assert is_k_noncrossing(d.arcs, 2)
             assert tautology_number(d) <= 1
 
     def test_suppression_order(self):
@@ -277,7 +277,7 @@ class TestProperFamily:
             d
             for matrix in enumerate_matrices(f + 1, k, r)
             for d in swap_orbit(beta_inverse(matrix, k, r))
-            if is_k_noncrossing(d, k)
+            if is_k_noncrossing(d.arcs, k)
         }
         assert set(build_D(f, k, r).elements) == expected
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from arcposet.crossing import is_k_noncrossing
 from arcposet.errors import InvalidArgumentError, ResourceLimitError
 from arcposet.matrix import (
     SymmetricMatrix,
@@ -10,7 +11,6 @@ from arcposet.matrix import (
     enumerate_matrices,
     enumerate_matrix_keys,
     family_membership,
-    is_k_noncrossing_matrix,
     p_value,
     q_value,
     r_value,
@@ -66,7 +66,7 @@ class TestConstruction:
         assert m.entry(3, 1) == 2
 
     def test_zero_and_predicates(self):
-        z = SymmetricMatrix.zero(4)
+        z = SymmetricMatrix.from_entries(4, {})
         assert z.is_trivial() and z.is_zero_one()
         m = SymmetricMatrix.from_entries(4, {(1, 3): 2})
         assert not m.is_trivial() and not m.is_zero_one()
@@ -100,12 +100,12 @@ class TestOrderAndCrossing:
         large = SymmetricMatrix.from_entries(4, {(1, 3): 2, (2, 4): 1})
         assert dominates(small, large)
         assert not dominates(large, small)
-        assert not dominates(small, SymmetricMatrix.zero(5))
+        assert not dominates(small, SymmetricMatrix.from_entries(5, {}))
 
     def test_k_noncrossing(self):
         crossing = SymmetricMatrix.from_entries(4, {(1, 3): 1, (2, 4): 1})
-        assert not is_k_noncrossing_matrix(crossing, 1)
-        assert is_k_noncrossing_matrix(crossing, 2)
+        assert not is_k_noncrossing(crossing.nonzero_positions(), 1)
+        assert is_k_noncrossing(crossing.nonzero_positions(), 2)
 
 
 class TestFamilies:
@@ -130,11 +130,11 @@ class TestFamilies:
             assert not family_membership(m, "Mr", 5, 1, 5)
 
     def test_trivial_excluded(self):
-        assert not family_membership(SymmetricMatrix.zero(5), "Mr", 5, 1, 2)
+        assert not family_membership(SymmetricMatrix.from_entries(5, {}), "Mr", 5, 1, 2)
 
     def test_unknown_family(self):
         with pytest.raises(InvalidArgumentError):
-            family_membership(SymmetricMatrix.zero(5), "X", 5)
+            family_membership(SymmetricMatrix.from_entries(5, {}), "X", 5)
 
 
 class TestEnumeration:
@@ -157,7 +157,7 @@ class TestEnumeration:
         for mask in range(1, 1 << len(positions)):
             chosen = {positions[i]: 1 for i in range(len(positions)) if mask >> i & 1}
             m = SymmetricMatrix.from_entries(5, chosen)
-            if is_k_noncrossing_matrix(m, 1):
+            if is_k_noncrossing(m.nonzero_positions(), 1):
                 count += 1
                 assert m.key() in listed
         assert count == len(listed)

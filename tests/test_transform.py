@@ -22,6 +22,7 @@ from arcposet.diagram import (
     site_table,
 )
 from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
+from arcposet.families import build_P
 from arcposet.matrix import SymmetricMatrix, enumerate_matrices
 from arcposet.transform import (
     BOTTOM_RELEVANT,
@@ -35,7 +36,6 @@ from arcposet.transform import (
     equivalent_by_definition,
     is_k_relevant,
     kappa,
-    legal_swap_sites,
     realize_matrix,
     regular_arcs,
     swap,
@@ -48,6 +48,7 @@ from arcposet.transform import (
     theta_inverse,
 )
 from .test_diagram import binary_diagrams
+from .test_site_table import legal_sites_by_definition
 
 
 def proper_diagrams(max_length=9):
@@ -109,12 +110,16 @@ class TestSwap:
             swap(parse("n=7; arcs=(1,4),(2,6)"), site)
 
     def test_legal_sites(self):
+        # swap applies where two neighbouring sites are both non-free
         d = parse("n=7; arcs=(1,4),(2,6)")
-        assert legal_swap_sites(d) == (1,)
+        assert swap(d, 1) == parse("n=7; arcs=(1,6),(2,4)")
+        for site in range(2, d.length):
+            with pytest.raises(InvalidArgumentError):
+                swap(d, site)
 
     @given(proper_diagrams())
     def test_involution_and_block_matrix_preserved(self, d):
-        for site in legal_swap_sites(d):
+        for site in legal_sites_by_definition(d):
             swapped = swap(d, site)
             assert swap(swapped, site) == d
             assert block_matrix(swapped) == block_matrix(d)
@@ -324,7 +329,7 @@ class TestRealize:
 
     def test_rejects_trivial_and_structural_nonzeros(self):
         with pytest.raises(InvalidArgumentError):
-            realize_matrix(SymmetricMatrix.zero(4))
+            realize_matrix(SymmetricMatrix.from_entries(4, {}))
         with pytest.raises(InvalidArgumentError):
             realize_matrix(SymmetricMatrix.from_entries(4, {(1, 4): 1}))
         with pytest.raises(InvalidArgumentError):
@@ -391,11 +396,15 @@ class TestLayoutNegativeControls:
         report = verify.run_check(name, [grid])
         assert not report.passed
 
+    def test_build_P_refuses_the_layout(self, broken_layout):
+        with pytest.raises(InvariantError):
+            build_P(4, 2, 1)
+
     def test_arcs_past_the_length_fail_the_checks(self, monkeypatch):
         def shifted(pairs):
             return tuple((a + 1, b + 1) for a, b in regular_arcs(pairs))
 
-        monkeypatch.setattr(verify, "regular_arcs", shifted)
+        monkeypatch.setattr(transform, "regular_arcs", shifted)
         assert not verify.run_check("beta", [{"f": 4, "k": 2, "r": 1}]).passed
         assert not verify.run_check("realize-roundtrip", [{"m": 5, "k": 2, "r": 2}]).passed
 
