@@ -3,7 +3,8 @@
 A complex holds each facet as an integer mask over its vertices; labels
 appear only at the boundary (facets, faces, face posets, facet files).
 Faces, f-vector, face poset and homology share one walk over the masks.
-Reduced homology is computed over the integers relative to the star of
+Reduced homology is read off a greedy vertex decomposition when one is
+found; otherwise it is computed over the integers relative to the star of
 one vertex, by coreductions plus sparse/dense Smith normal form.
 Also built here: order complexes of posets, joins, the complex of
 k-noncrossing arc subsets, and the multitriangulation complex of
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .crossing import maximal_noncrossing_masks
 from .diagram import Arc
@@ -245,19 +248,20 @@ class HomologyResult:
         )
 
 
-def _face_masks(facet_masks, cap: float = float("inf")) -> dict[int, int]:
+def _face_masks(facet_masks, cap: float = float("inf"), spent: int = 0) -> dict[int, int]:
     """Every face of the given facet masks (the empty face included), each
     mapped to itself, in insertion order.  Raises ``ResourceLimitError``
-    when more than ``cap`` masks would be inserted."""
+    when more than ``cap`` masks would be inserted, ``spent`` of them
+    before this call."""
     faces: dict[int, int] = {}
     for facet in facet_masks:
         # a facet that cannot overflow the cap even if all its faces are
         # new skips the count on every insertion
-        counted = len(faces) + (1 << facet.bit_count()) > cap
+        counted = spent + len(faces) + (1 << facet.bit_count()) > cap
         face = facet
         while True:
             faces[face] = face
-            if counted and len(faces) > cap:
+            if counted and spent + len(faces) > cap:
                 raise ResourceLimitError(f"homology exceeded {cap} faces", bound=cap)
             if not face:
                 break
@@ -265,46 +269,156 @@ def _face_masks(facet_masks, cap: float = float("inf")) -> dict[int, int]:
     return faces
 
 
+def _is_connected(masks) -> bool:
+    """False when the facets split into two sets that share no vertex."""
+    reach, rest = masks[0], masks[1:]
+    while rest:
+        left = []
+        for facet in rest:
+            if facet & reach:
+                reach |= facet
+            else:
+                left.append(facet)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
+
+
+def shedding_h_vector(masks, cap: float = float("inf")) -> tuple[list[int] | None, int]:
+    """The h-vector of a pure complex from a greedy vertex decomposition,
+    and the ridge entries inserted to find it.
+
+    ``masks`` are the facets of a pure d-complex, none inside another.  A
+    stack holds complexes, each with the number of links taken to reach
+    it.  One taken from it splits off its cone (the vertices in every
+    facet; h is unchanged), maps each ridge to the vertices that make it
+    a facet, and runs a deletion chain: it takes the first vertex v for
+    which every ridge F - v of a facet F holding v lies in a second
+    facet, so that del v is pure of dimension d, lk v of d - 1, and
+    h(K) = h(del v) + t h(lk v) (Provan and Billera).  lk v goes on the
+    stack; del v keeps the ridge map, less the facets through v.  A
+    complex with one facet is a simplex, h = 1, so h_i counts the
+    simplices reached through i links.  The stack, not recursion, holds
+    the pending links, and only one ridge map is alive at a time.  A
+    complex with no such vertex ends the search: h is None, though the
+    complex may still be decomposable in another order.  A disconnected
+    complex of dimension d >= 1 is not decomposable and costs nothing.
+    Every ridge entry inserted counts against ``cap``; more raise
+    ``ResourceLimitError``.
+    """
+    size = masks[0].bit_count()
+    h = [0] * (size + 1)
+    if size >= 2 and not _is_connected(masks):
+        return None, 0
+    spent = 0
+    stack = [(masks, 0)]
+    while stack:
+        facets, links = stack.pop()
+        if len(facets) == 1:
+            h[links] += 1
+            continue
+        cone = reduce(and_, facets)
+        if cone:
+            facets = [facet ^ cone for facet in facets]
+        # each ridge to the vertices that make it a facet, one bit each
+        ridges: dict[int, int] = {}
+        room = cap - spent
+        for facet in facets:
+            rest = facet
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                ridge = facet ^ v
+                if ridge in ridges:
+                    ridges[ridge] |= v
+                else:
+                    ridges[ridge] = v
+            if len(ridges) > room:
+                raise ResourceLimitError(f"homology exceeded {cap} faces", bound=cap)
+        spent += len(ridges)
+        # per facet, the vertices v whose ridge F - v is in no other facet
+        alone = dict.fromkeys(facets, 0)
+        for ridge, x in ridges.items():
+            if not x & (x - 1):
+                alone[ridge | x] |= x
+        # the deletion chain: del v keeps the ridges of this node that miss
+        # v, so it updates them in place; the ridges through v are left
+        # behind, as no later facet holds v
+        while len(alone) > 1:
+            shedding = reduce(or_, alone) & ~reduce(or_, alone.values())
+            if not shedding:
+                return None, spent
+            v = shedding & -shedding
+            star = [facet for facet in alone if facet & v]
+            stack.append(([facet ^ v for facet in star], links + 1))
+            for facet in star:
+                del alone[facet]
+                x = ridges[facet ^ v] ^ v
+                ridges[facet ^ v] = x
+                if x and not x & (x - 1):
+                    alone[facet ^ v | x] |= x
+        h[links] += 1
+    return h, spent
+
+
 def reduced_homology(
     complex_: SimplicialComplex, collapse: bool = True, cap: int = 10_000_000
 ) -> HomologyResult:
     """Reduced homology over the integers, exactly.
 
-    Faces are the complex's vertex masks.  With ``collapse``, the
-    homology is that of the pair (K, st v), where the apex v is the vertex
-    in the most facets (ties go to the first vertex): the closed star of v
-    is a cone, so H~(K) = H(K, st v) for every complex.  Only the faces of
-    the facets without v are built; those in the link of v are deleted,
-    grown from the empty face one vertex at a time (each from its largest
-    vertex, through built faces only, carrying the link facets that still
-    contain it), in at most (faces built) x (vertices) steps.  A cone
-    leaves nothing.  Each remaining cell maps to the mask of the vertices
+    Faces are the complex's vertex masks.  With ``collapse``, two cases
+    are decided before any face is built.  A cone (some vertex in every
+    facet) has trivial homology.  A pure d-complex goes to
+    ``shedding_h_vector``: a vertex decomposable pure complex is
+    shellable, and so a wedge of h_{d+1} d-spheres (Björner and Wachs),
+    so when it finds a decomposition H~_d = Z^{h_{d+1}} and every other
+    group is 0.  Otherwise (an impure complex, or no decomposition found)
+    the homology is that of the pair (K, st v), where the apex v is the
+    vertex in the most facets (ties go to the first vertex): the closed
+    star of v is a cone, so H~(K) = H(K, st v) for every complex.  Only
+    the faces of the facets without v are built; those in the link of v
+    are deleted, grown from the empty face one vertex at a time (each
+    from its largest vertex, through built faces only, carrying the link
+    facets that still contain it), in at most (faces built) x (vertices)
+    steps.  Each remaining cell maps to the mask of the vertices
     whose removal gives a cell still present.  Coreductions then remove
     pairs (a, b) where a is the only cell left in the boundary of b,
     breadth first from every such b in insertion order; such a removal
     changes no other boundary.  Smith normal form gets what remains.
     Without ``collapse``, every face of K, the empty face included (the
     augmented chain complex), goes to Smith normal form.  ``cap`` bounds
-    the face masks inserted; more raise ``ResourceLimitError``.
+    the ridge entries of the decomposition and the face masks inserted,
+    together; more raise ``ResourceLimitError``.
     """
     if complex_.is_void():
         return HomologyResult({})
     masks = complex_.masks
-    if not (collapse and complex_.vertices()):
+    top = complex_.dimension()
+    if not collapse:
         boundary = _face_masks(masks, cap)
     else:
+        trivial = {d: (0, ()) for d in range(-1, top + 1)}
+        if reduce(and_, masks):
+            return HomologyResult(trivial)
+        spent = 0
+        if masks[0].bit_count() == masks[-1].bit_count():
+            h, spent = shedding_h_vector(masks, cap)
+            if h is not None:
+                return HomologyResult(trivial | {top: (h[top + 1], ())})
+        # neither a cone nor decomposed: some facet misses the apex
         every = (1 << i for i in range(len(complex_.vertices())))
         apex = max(every, key=lambda v: sum(1 for facet in masks if facet & v))
         outside = [facet for facet in masks if not facet & apex]
         built = 0
         for facet in outside:
             built |= facet
-        boundary = _face_masks(outside, cap)
+        boundary = _face_masks(outside, cap, spent)
         vertex_bits = [1 << i for i in range(built.bit_length()) if built >> i & 1]
         links = [facet & built for facet in masks if facet & apex]
         # per built vertex, the link facets holding it (bit j: links[j])
         holders = {v: sum(1 << j for j, link in enumerate(links) if link & v) for v in vertex_bits}
-        stack = [(0, (1 << len(links)) - 1, 0)] if boundary else []
+        stack = [(0, (1 << len(links)) - 1, 0)]
         while stack:
             face, held, start = stack.pop()
             del boundary[face]
@@ -345,7 +459,6 @@ def reduced_homology(
                 remove(cell ^ rest)
                 remove(cell)
 
-    top = complex_.dimension()
     by_dim: dict[int, list[int]] = {d: [] for d in range(-1, top + 1)}
     for cell in sorted(boundary):
         by_dim[cell.bit_count() - 1].append(cell)
@@ -409,15 +522,24 @@ def write_facets(complex_: SimplicialComplex) -> str:
 def read_facets(text: str) -> SimplicialComplex:
     """Parse a facet list.  A text whose only line is blank is the empty
     complex (one facet, the empty face: what ``write_facets`` writes for
-    it); a text with no facet otherwise is refused."""
+    it); a text with no facet otherwise is refused, and so is a line that
+    holds an empty field or names a vertex twice, neither of which
+    ``write_facets`` writes.  Other blank lines are skipped."""
     lines = text.splitlines()
     if len(lines) == 1 and not lines[0].strip():
         return SimplicialComplex([frozenset()])
-    facets = [
-        frozenset(part.strip() for part in line.split(",") if part.strip())
-        for line in lines
-        if line.strip()
-    ]
+    facets = []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        labels = [part.strip() for part in line.split(",")]
+        if "" in labels:
+            raise InvalidArgumentError(f"facet line {number} holds an empty field")
+        facet = frozenset(labels)
+        if len(facet) < len(labels):
+            twice = next(label for label in labels if labels.count(label) > 1)
+            raise InvalidArgumentError(f"facet line {number} names vertex {twice!r} twice")
+        facets.append(facet)
     if not facets:
         raise InvalidArgumentError("facet list is empty")
     return SimplicialComplex(facets)

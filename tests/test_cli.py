@@ -235,6 +235,16 @@ class TestComplexAndHomology:
         code, out, err = run(capsys, "homology", "--facets", str(facets))
         assert code == 2 and out == "" and err == "error: facet list is empty\n"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("a,a,b\n", "facet line 1 names vertex 'a' twice"), ("b,,c\n", "facet line 1 holds an empty field")],
+    )
+    def test_repeated_vertex_or_empty_field_exit_2(self, capsys, tmp_path, text, message):
+        facets = tmp_path / "facets.txt"
+        facets.write_text(text)
+        code, out, err = run(capsys, "homology", "--facets", str(facets))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
     @pytest.mark.parametrize("m", ["-3", "0", "2"])
     def test_complex_needs_a_polygon(self, capsys, m):
         code, out, err = run(capsys, "complex", "--T", m, "1")

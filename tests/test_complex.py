@@ -1,5 +1,6 @@
 """Simplicial complexes, joins, order complexes, and exact homology."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from arcposet.complexes import (
     order_complex,
     read_facets,
     reduced_homology,
+    shedding_h_vector,
     simplex,
     sphere_signature,
     write_facets,
@@ -27,9 +29,11 @@ from arcposet.crossing import (
     pairs_cross,
 )
 from arcposet.errors import InvalidArgumentError, ResourceLimitError
-from arcposet.families import admissible_arcs, nonrelevant_arcs, relevant_arcs
+from arcposet.families import admissible_arcs, build_P, nonrelevant_arcs, relevant_arcs
 from arcposet.poset import FinitePoset
 from arcposet.snf import invariant_factors
+
+from .test_acceptance import hankel_facet_count
 
 
 def circle():
@@ -233,12 +237,14 @@ class TestHomology:
 
     @pytest.mark.parametrize(
         "complex_builder, most",
-        [(lambda: build_T(8, 2), 1), (noncrossing_cone, 0)],
-        ids=["T82", "cone"],
+        [(lambda: order_complex(build_P(5, 1, 0)), 1), (noncrossing_cone, 0)],
+        ids=["P510", "cone"],
     )
     def test_coreduction_leaves_almost_nothing_for_smith_form(
         self, monkeypatch, complex_builder, most
     ):
+        # the 2-sphere P(5,1,0) (84 facets) has no greedy vertex
+        # decomposition, so Smith normal form runs; a cone reaches none
         columns = []
 
         def counting(entries, nrows, ncols):
@@ -248,6 +254,7 @@ class TestHomology:
         monkeypatch.setattr(complexes, "invariant_factors", counting)
         reduced_homology(complex_builder())
         assert sum(columns) <= most
+        assert bool(columns) == bool(most)
 
     def test_collapse_agrees_on_rp2(self):
         c = SimplicialComplex(RP2_FACETS)
@@ -334,9 +341,10 @@ class TestRelativeHomology:
         assert reduced_homology(cone, collapse=False).is_trivial()
 
     def test_apex_is_the_vertex_in_the_most_facets(self):
-        # a circle b-c-d with whiskers a-b and b-e: b lies in four facets,
-        # and the only facet missing it, {c, d}, has four faces
-        c = SimplicialComplex([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"b", "d"}, {"b", "e"}])
+        # a circle b-c-d with a whisker a-b and a triangle b-e-f: b lies in
+        # four facets, and the only facet missing it, {c, d}, has four
+        # faces; the complex is impure, so no vertex decomposition is tried
+        c = SimplicialComplex([{"a", "b"}, {"b", "c"}, {"c", "d"}, {"b", "d"}, {"b", "e", "f"}])
         assert reduced_homology(c, cap=4).report_lines() == ["H~_1 = Z"]
         with pytest.raises(ResourceLimitError, match="homology exceeded 3 faces"):
             reduced_homology(c, cap=3)
@@ -373,6 +381,97 @@ class TestRelativeHomology:
     def test_no_face_of_a_cone_is_built(self):
         # 2^40 faces, none of which is built
         assert reduced_homology(simplex(39), cap=1).is_trivial()
+
+
+def two_circles():
+    return SimplicialComplex(
+        [{"a", "b"}, {"b", "c"}, {"a", "c"}, {"x", "y"}, {"y", "z"}, {"x", "z"}]
+    )
+
+
+def relabelled(masks, order):
+    """The facet masks with vertex i renamed order[i]."""
+    return [sum(1 << order[i] for i in range(mask.bit_length()) if mask >> i & 1) for mask in masks]
+
+
+# pure complexes: every facet of one size, on at most 8 vertices
+_PURE_COMPLEXES = st.integers(0, 4).flatmap(
+    lambda size: st.lists(
+        st.frozensets(st.integers(0, 7), min_size=size, max_size=size), min_size=1, max_size=10
+    )
+).map(SimplicialComplex)
+
+
+class TestVertexDecomposition:
+    """Homology of pure complexes from a greedy vertex decomposition."""
+
+    @pytest.mark.parametrize(
+        "m, k", [(m, k) for k in (1, 2, 3) for m in range(2 * k + 2, 11)]
+    )
+    def test_multitriangulations_decompose_in_any_vertex_order(self, m, k):
+        t = build_T(m, k)
+        rng = random.Random(10 * m + k)
+        order = list(range(len(t.vertices())))
+        for _ in range(6):
+            h, _ = shedding_h_vector(relabelled(t.masks, order))
+            assert h is not None and len(h) == t.dimension() + 2
+            assert h == h[::-1] and h[0] == h[-1] == 1
+            assert sum(h) == hankel_facet_count(m, k)
+            rng.shuffle(order)
+
+    @pytest.mark.parametrize(
+        "complex_builder",
+        [
+            lambda: SimplicialComplex(RP2_FACETS),
+            seven_vertex_torus,
+            lambda: grid_surface(False),
+            lambda: grid_surface(True),
+            two_circles,
+        ],
+        ids=["rp2", "torus7", "torus9", "klein", "two_circles"],
+    )
+    def test_complexes_that_are_not_shellable_give_none(self, complex_builder):
+        assert shedding_h_vector(complex_builder().masks)[0] is None
+
+    def test_the_greedy_order_can_miss_a_decomposition(self):
+        # the order complex of P(4,1,0) is a 10-cycle: the search sheds an
+        # inner vertex of a path and is left with two disjoint edges
+        cycle = order_complex(build_P(4, 1, 0))
+        assert shedding_h_vector(cycle.masks)[0] is None
+        assert reduced_homology(cycle).report_lines() == ["H~_1 = Z"]
+
+    def test_a_long_deletion_chain_needs_no_recursion(self):
+        n = 1500
+        cycle = SimplicialComplex({f"v{i:04d}", f"v{(i + 1) % n:04d}"} for i in range(n))
+        assert shedding_h_vector(cycle.masks)[0] == [1, n - 2, 1]
+        assert reduced_homology(cycle).report_lines() == ["H~_1 = Z"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(complex_=_PURE_COMPLEXES)
+    def test_pure_complexes_agree_with_every_face_to_smith_form(self, complex_):
+        h, _ = shedding_h_vector(complex_.masks)
+        if h is not None:
+            assert sum(h) == len(complex_.masks)
+        relative = reduced_homology(complex_, collapse=True)
+        assert relative.groups == reduced_homology(complex_, collapse=False).groups
+
+    def test_cap_counts_the_ridge_entries(self):
+        # the circle a-b-c inserts its three ridges (its vertices), sheds a,
+        # and the link of a, two points, inserts its one ridge, the empty face
+        c = circle()
+        assert shedding_h_vector(c.masks) == ([1, 1, 1], 4)
+        assert reduced_homology(c, cap=4).report_lines() == ["H~_1 = Z"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 3 faces"):
+            reduced_homology(c, cap=3)
+
+    def test_a_failed_search_and_the_faces_share_one_cap(self):
+        # the search on RP^2 inserts 15 ridge entries before it stops; the
+        # 5 facets missing the apex "1" then have 21 faces
+        c = SimplicialComplex(RP2_FACETS)
+        assert shedding_h_vector(c.masks) == (None, 15)
+        assert reduced_homology(c, cap=36).report_lines() == ["H~_1 = 0 + Z/2"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 35 faces"):
+            reduced_homology(c, cap=35)
 
 
 class TestOrderComplex:
@@ -574,6 +673,21 @@ class TestFacetFiles:
         again = read_facets(write_facets(t))
         assert again.facets == t.facets
         assert reduced_homology(again).report_lines() == ["H~_3 = Z"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,a,b\n", "facet line 1 names vertex 'a' twice"),
+            ("c,d\nb, a ,a\n", "facet line 2 names vertex 'a' twice"),
+            ("b,,c\n", "facet line 1 holds an empty field"),
+            ("a,b\n\na,b,\n", "facet line 3 holds an empty field"),
+            (" , \n", "facet line 1 holds an empty field"),
+        ],
+    )
+    def test_repeated_vertices_and_empty_fields_are_refused(self, text, message):
+        with pytest.raises(InvalidArgumentError) as raised:
+            read_facets(text)
+        assert str(raised.value) == message
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
