@@ -22,7 +22,9 @@ as oracles for the tests and ``verify``.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import comb
+from operator import mul
 
 from .crossing import crossing_adjacency, is_k_noncrossing, masked_clique_exists, noncrossing_subset_masks
 from .diagram import (
@@ -40,7 +42,7 @@ from .diagram import (
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .matrix import SymmetricMatrix, enumerate_matrix_keys, matrices_from_keys
-from .poset import FinitePoset, chain_stats_from_covers
+from .poset import FinitePoset
 from .transform import is_k_relevant, layout_key
 
 
@@ -166,34 +168,72 @@ def build_Sstar(m: int, k: int, cap: int = 1_000_000) -> FinitePoset:
 # matrix families under domination, by unit steps on flat keys
 
 
+def _order_ideal_index(keys: list[tuple[int, ...]]) -> tuple[list[int], dict[int, int], bytearray]:
+    """(steps, index, maximal) of distinct nonnegative integer vectors
+    (else :class:`InvalidArgumentError`).
+
+    Keys are coded as integers in a base above every entry plus one, so a
+    unit step on entry p adds ``steps[p]`` and never carries; ``index``
+    maps the codes, in key order, to key positions.  The keys together
+    with the zero vector must be closed under lowering one entry by one,
+    else :class:`InvariantError`: an order ideal under unit steps.  Each
+    key found one step below another is not maximal, so ``maximal`` flags
+    the keys no unit step leaves the family from.
+    """
+    base = max(map(max, keys)) + 2
+    steps = [base**p for p in range(len(keys[0]))]
+    index = {sum(map(mul, key, steps)): t for t, key in enumerate(keys)}
+    if len(index) != len(keys):
+        raise InvalidArgumentError("duplicate keys")
+    maximal = bytearray(b"\x01") * len(keys)
+    for key, code in zip(keys, index):
+        for step in compress(steps, key):  # the steps down from the key
+            below = index.get(code - step)
+            if below is not None:
+                maximal[below] = 0
+            elif code != step:
+                p = steps.index(step)
+                down = key[:p] + (key[p] - 1,) + key[p + 1 :]
+                raise InvariantError(f"family not closed under decrements: has {key}, lacks {down}")
+    return steps, index, maximal
+
+
 def unit_step_covers(keys: list[tuple[int, ...]]) -> list[list[int]]:
     """Cover digraph of nonnegative integer vectors under entrywise order.
 
-    The family together with the zero vector must be closed under lowering
-    one entry by one (else :class:`InvariantError`); then every strict
-    domination refines into unit steps, and the covers of a key are
-    exactly its +1 steps on one entry that stay inside the family.  Keys
-    are coded as integers in a base above every entry plus one, so a step
-    never carries.
+    When the family together with the zero vector is closed under lowering
+    one entry by one (else :class:`InvariantError`), it is an order ideal
+    in which every strict domination refines into unit steps, so the
+    covers of a key are exactly its +1 steps on one entry that stay inside
+    the family, listed by entry.
     """
     if not keys:
         return []
-    base = max(map(max, keys)) + 2
-    steps = [base**p for p in range(len(keys[0]))]
-    codes = [sum(v * step for v, step in zip(key, steps)) for key in keys]
-    index = {code: t for t, code in enumerate(codes)}
-    succ: list[list[int]] = []
-    for key, code in zip(keys, codes):
-        outs = []
-        for p, (value, step) in enumerate(zip(key, steps)):
-            bumped = index.get(code + step)
-            if bumped is not None:
-                outs.append(bumped)
-            if value and code != step and code - step not in index:
-                down = key[:p] + (value - 1,) + key[p + 1 :]
-                raise InvariantError(f"family not closed under decrements: has {key}, lacks {down}")
-        succ.append(outs)
-    return succ
+    steps, index, _ = _order_ideal_index(keys)
+    ups = ([code + step for step in steps] for code in index)
+    return [[t for t in map(index.get, up) if t is not None] for up in ups]
+
+
+def order_ideal_ranks(keys: list[tuple[int, ...]]) -> tuple[int, bool, tuple[int, ...] | None]:
+    """(rank_length, pure, witness) of distinct nonnegative integer vectors
+    under entrywise order, in one pass over the keys and no cover lists.
+
+    The family is an order ideal under unit steps (checked as in
+    ``unit_step_covers``), so every cover raises the entry sum by one and
+    every minimal key has sum 1, or is the zero vector.  The rank of a key
+    is thus its sum above the bottom, and every maximal chain runs from
+    the bottom to a maximal key: the family is pure exactly when every
+    maximal key has the top sum.  ``witness`` is the first maximal key
+    whose sum is below the top, None when pure.
+    """
+    if not keys:
+        raise InvalidArgumentError("empty poset has no rank")
+    _, _, maximal = _order_ideal_index(keys)
+    sums = [sum(key) for key in compress(keys, maximal)]
+    top = max(sums)
+    witness = next((key for key, total in zip(compress(keys, maximal), sums) if total < top), None)
+    bottom = 1 if any(min(keys)) else 0  # the zero vector is the least key
+    return top - bottom, witness is None, witness
 
 
 def matrix_family_covers(
@@ -207,9 +247,11 @@ def matrix_family_covers(
 
 def matrix_family_chain_stats(m: int, k: int, r: int, cap: int = 10_000_000):
     """(size, rank_cardinality, pure) of the matrix family under domination,
-    from the covers of its upper-triangle keys."""
+    read from its upper-triangle keys by ``order_ideal_ranks``: the rank of
+    a member is its entry sum above the bottom, and the family is pure when
+    every maximal member has the top sum."""
     keys = enumerate_matrix_keys(m, k, r, cap=cap)
-    rank_length, pure = chain_stats_from_covers(unit_step_covers(keys))
+    rank_length, pure, _ = order_ideal_ranks(keys)
     return len(keys), rank_length + 1, pure
 
 

@@ -79,7 +79,7 @@ class SymmetricMatrix:
         )
 
     def key(self) -> str:
-        return ";".join(",".join(str(v) for v in row) for row in self.rows)
+        return ";".join([",".join(map(str, row)) for row in self.rows])
 
     # -- JSON form: {"order": m, "rows": [[...], ...]} --
 

@@ -63,33 +63,37 @@ def topological_order(succ: list[list[int]]) -> list[int]:
 def chain_stats_from_covers(succ: list[list[int]]) -> tuple[int, bool]:
     """(rank_length, pure) of the poset whose cover digraph is ``succ``.
 
-    Pure means every maximal chain has the same length: each element's
-    shortest and longest cover paths down to a source agree, likewise up
-    to a sink, and the two sum to the same total everywhere.
+    One Kahn pass carries each element's shortest and longest cover paths
+    down to a source.  Pure means every maximal chain has the same length,
+    which holds exactly when the two agree at every element and every sink
+    sits at the same height: then each cover raises a well-defined rank by
+    one, and every maximal chain, a cover path from a source to a sink,
+    runs from rank 0 to that one height.
     """
     if not succ:
         raise InvalidArgumentError("empty poset has no rank")
     n = len(succ)
-    pred: list[list[int]] = [[] for _ in range(n)]
-    for i, outs in enumerate(succ):
+    indeg = [0] * n
+    for outs in succ:
         for j in outs:
-            pred[j].append(i)
-    order = topological_order(succ)
-    min_down = [0] * n
-    max_down = [0] * n
-    for i in order:
-        if pred[i]:
-            min_down[i] = 1 + min(min_down[p] for p in pred[i])
-            max_down[i] = 1 + max(max_down[p] for p in pred[i])
-    min_up = [0] * n
-    max_up = [0] * n
-    for i in reversed(order):
-        if succ[i]:
-            min_up[i] = 1 + min(min_up[s] for s in succ[i])
-            max_up[i] = 1 + max(max_up[s] for s in succ[i])
-    totals = {max_down[i] + max_up[i] for i in range(n)}
-    pure = min_down == max_down and min_up == max_up and len(totals) == 1
-    return max(max_down), pure
+            indeg[j] += 1
+    order = [i for i, d in enumerate(indeg) if d == 0]
+    low = [0 if d == 0 else n for d in indeg]
+    high = [0] * n
+    for i in order:  # grows as the sources of what is left are found
+        lo, hi = low[i] + 1, high[i] + 1
+        for j in succ[i]:
+            if lo < low[j]:
+                low[j] = lo
+            if hi > high[j]:
+                high[j] = hi
+            indeg[j] -= 1
+            if not indeg[j]:
+                order.append(j)
+    if len(order) != n:
+        raise InvalidArgumentError("cover digraph has a cycle")
+    heights = {h for h, outs in zip(high, succ) if not outs}
+    return max(heights), low == high and len(heights) == 1
 
 
 def element_key(element) -> str:

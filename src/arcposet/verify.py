@@ -40,8 +40,8 @@ from .families import (
     build_D,
     build_P,
     enumerate_proper_diagrams,
-    matrix_family_chain_stats,
     nonrelevant_arcs,
+    order_ideal_ranks,
     proper_matchings,
     relevant_arcs,
 )
@@ -150,11 +150,19 @@ def _check_thm11(f, k):
 
 
 def _check_thm12(f, k, r):
-    """Purity and rank of the tautology-bounded family under domination."""
-    size, rank_card, pure = matrix_family_chain_stats(f + 1, k, r)
+    """Purity and rank of the tautology-bounded family under domination,
+    read from its keys as an order ideal; when it is not pure, the first
+    maximal member below the top is named."""
+    keys = enumerate_matrix_keys(f + 1, k, r)
+    rank_length, pure, witness = order_ideal_ranks(keys)
+    rank_card = rank_length + 1
     expected = k * (2 * f - 2 * k + 1) + r - f - 1
     ok = pure and rank_card == expected
-    return ok, f"size {size}, rank_cardinality {rank_card} (expected {expected}), pure {pure}"
+    detail = f"size {len(keys)}, rank_cardinality {rank_card} (expected {expected}), pure {pure}"
+    if witness is not None:
+        top = max(map(sum, keys))
+        detail += f"; maximal {_key_text(f + 1, witness)} has upper entry sum {sum(witness)} < {top}"
+    return ok, detail
 
 
 def _key_text(order, key):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,7 @@ from arcposet import poset as poset_module
 from arcposet.errors import InvariantError, ResourceLimitError
 from arcposet.families import build_family
 from arcposet.diagram import parse
-from arcposet.matrix import SymmetricMatrix
+from arcposet.matrix import SymmetricMatrix, enumerate_matrix_keys, matrices_from_keys, upper_positions
 from arcposet.verify import CheckPoint, VerificationReport, check_names
 
 
@@ -317,6 +318,23 @@ class TestVerify:
     def test_theorem_holds_where_f_plus_1_is_2k(self, capsys, grid):
         code, out, _ = run(capsys, "verify", "--check", "thm12", "--grid", grid)
         assert code == 0 and out.endswith("thm12: pass\n")
+
+    def test_thm12_failure_names_a_maximal_member_below_the_top(self, capsys):
+        code, out, _ = run(capsys, "verify", "--check", "thm12", "--grid", "f=3,k=1,r=3")
+        assert code == 1
+        match = re.fullmatch(
+            r"thm12\[f=3,k=1,r=3\]: FAIL -- .*, pure False; maximal (\S+) has upper entry sum (\d+) < (\d+)",
+            out.splitlines()[0],
+        )
+        assert match is not None
+        rows = [tuple(map(int, row.split(","))) for row in match.group(1).split(";")]
+        key = tuple(rows[i - 1][j - 1] for i, j in upper_positions(4))
+        assert SymmetricMatrix(rows) == matrices_from_keys(4, [key])[0]
+        family = set(enumerate_matrix_keys(4, 1, 3))
+        assert key in family
+        assert all(key[:p] + (v + 1,) + key[p + 1 :] not in family for p, v in enumerate(key))
+        top = max(map(sum, family))
+        assert (int(match.group(2)), int(match.group(3))) == (sum(key), top) and sum(key) < top
 
     def test_cap_refused_exit_2(self, capsys):
         code, out, err = run(capsys, "--cap", "5", "verify", "--check", "thm11", "--grid", "f=4,k=1")

@@ -30,13 +30,16 @@ from arcposet.families import (
     matrix_family_chain_stats,
     matrix_family_covers,
     nonrelevant_arcs,
+    order_ideal_ranks,
     proper_length_bound,
     relevant_arcs,
     suppression_leq,
     unit_step_covers,
 )
-from arcposet.matrix import dominates, enumerate_matrices
+from arcposet.matrix import dominates, enumerate_matrices, enumerate_matrix_keys
+from arcposet.poset import chain_stats_from_covers
 from arcposet.transform import beta_inverse, canonicalize, swap_orbit
+from arcposet.verify import _MATRIX_FAMILY_GRID
 
 
 class TestArcPools:
@@ -212,6 +215,49 @@ class TestUnitStepCovers:
     def test_family_not_closed_under_decrement_raises(self):
         with pytest.raises(InvariantError, match="lacks \\(1, 1\\)"):
             unit_step_covers([(1, 0), (0, 1), (2, 0), (2, 1)])
+
+
+class TestOrderIdealRanks:
+    """The one-pass rank and purity of a key family against its covers."""
+
+    @pytest.mark.parametrize(
+        "point",
+        _MATRIX_FAMILY_GRID + [{"f": 3, "k": 1, "r": 3}, {"f": 4, "k": 2, "r": 3}],
+        ids=lambda point: "f={f},k={k},r={r}".format(**point),
+    )
+    def test_matches_the_cover_digraph(self, point):
+        m, k, r = point["f"] + 1, point["k"], point["r"]
+        keys = enumerate_matrix_keys(m, k, r)
+        rank_length, pure = chain_stats_from_covers(unit_step_covers(keys))
+        assert matrix_family_chain_stats(m, k, r) == (len(keys), rank_length + 1, pure)
+        _, _, witness = order_ideal_ranks(keys)
+        assert (witness is None) == pure
+        if witness is not None:
+            family = set(keys)
+            assert witness in family and sum(witness) < max(map(sum, keys))
+            assert all(witness[:p] + (v + 1,) + witness[p + 1 :] not in family for p, v in enumerate(witness))
+
+    def test_zero_vector_is_the_bottom(self):
+        keys = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]
+        assert order_ideal_ranks(keys) == (2, True, None)
+        assert chain_stats_from_covers(unit_step_covers(keys)) == (2, True)
+
+    def test_not_closed_under_decrement_raises(self):
+        with pytest.raises(InvariantError, match="lacks \\(1, 1\\)"):
+            order_ideal_ranks([(1, 0), (0, 1), (2, 0), (2, 1)])
+
+    def test_witness_is_a_maximal_key_below_the_top(self):
+        keys = [(1, 0), (0, 1), (2, 0)]
+        assert order_ideal_ranks(keys) == (1, False, (0, 1))
+        assert chain_stats_from_covers(unit_step_covers(keys)) == (1, False)
+
+    def test_duplicate_keys_are_refused(self):
+        with pytest.raises(InvalidArgumentError, match="duplicate"):
+            unit_step_covers([(1, 0), (0, 1), (1, 0)])
+
+    def test_empty_family_has_no_rank(self):
+        with pytest.raises(InvalidArgumentError):
+            order_ideal_ranks([])
 
 
 class TestRegularFamily:

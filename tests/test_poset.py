@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arcposet
 from arcposet import poset as poset_module
@@ -192,3 +193,65 @@ class TestExportAndHelpers:
         rank_length, pure = chain_stats_from_covers(succ)
         assert rank_length == divisors12.rank_length()
         assert pure == divisors12.is_pure()
+
+
+@st.composite
+def cover_digraphs(draw):
+    """The cover digraph of a random order on at most 9 elements, with the
+    elements numbered in random order, and the order's reachability."""
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    above = [{i} for i in range(n)]  # above[i]: i and everything over it
+    for i in reversed(range(n)):
+        for a, b in edges:
+            if a == i:
+                above[i] |= above[b]
+    succ = [
+        [j for j in above[i] - {i} if not any(j in above[h] for h in above[i] - {i, j})]
+        for i in range(n)
+    ]
+    label = draw(st.permutations(range(n)))
+    relabeled = [[] for _ in range(n)]
+    for i, outs in enumerate(succ):
+        relabeled[label[i]] = [label[j] for j in outs]
+    leq = {(label[i], label[j]) for i in range(n) for j in above[i]}
+    return relabeled, leq
+
+
+def _maximal_chain_lengths(n, leq):
+    """Edge counts of every maximal chain, from every subset of elements."""
+    def comparable(a, b):
+        return (a, b) in leq or (b, a) in leq
+
+    chains = [
+        members
+        for mask in range(1, 1 << n)
+        for members in [[i for i in range(n) if mask >> i & 1]]
+        if all(comparable(a, b) for a in members for b in members)
+    ]
+    maximal = [
+        members
+        for members in chains
+        if not any(x not in members and all(comparable(x, a) for a in members) for x in range(n))
+    ]
+    return {len(members) - 1 for members in maximal}
+
+
+class TestChainStatsFromCovers:
+    @settings(max_examples=300, deadline=None)
+    @given(digraph=cover_digraphs())
+    def test_matches_every_maximal_chain(self, digraph):
+        succ, leq = digraph
+        lengths = _maximal_chain_lengths(len(succ), leq)
+        assert chain_stats_from_covers(succ) == (max(lengths), len(lengths) == 1)
+
+    def test_isolated_point_beside_a_two_chain_is_not_pure(self):
+        assert chain_stats_from_covers([[1], [2], [], []]) == (2, False)
+
+    def test_disjoint_chains_of_equal_length_are_pure(self):
+        assert chain_stats_from_covers([[1], [], [3], []]) == (1, True)
+
+    def test_two_cycle_raises(self):
+        with pytest.raises(InvalidArgumentError, match="cycle"):
+            chain_stats_from_covers([[1], [0]])
