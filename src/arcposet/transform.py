@@ -204,22 +204,44 @@ def regular_arcs(pairs: Mapping[tuple[int, int], int]) -> tuple[Arc, ...]:
     blocks, farthest partner block first, and parallel arcs nest.  Two arcs
     with endpoints in a common block then nest or lie side by side, so no
     local crossing arises.
+
+    The arcs come out ascending, with no sort of the arcs: the left slots
+    (those whose partner block is later) are walked in layout order, block
+    by block and farthest partner first, and each emits its nested arcs
+    outermost first, so the left ends rise.  A right slot's first site is
+    its block's first site plus the arcs into that block from nearer
+    earlier blocks.
     """
-    counts = [(i, j, count) for (i, j), count in pairs.items() if i < j and count]
-    # one slot per block and partner block, in layout order
-    slots = sorted((b, c > b, -c, count) for i, j, count in counts for b, c in ((i, j), (j, i)))
-    first = {}  # (block, partner block) -> the first site of the slot
-    ends = 0
-    for b, _, c, count in slots:
-        first[b, -c] = ends + b  # after the earlier slots' ends and b - 1 free sites
-        ends += count
-    return tuple(
-        sorted(
-            (first[i, j] + t, first[j, i] + count - 1 - t)
-            for i, j, count in counts
-            for t in range(count)
-        )
-    )
+    # the left slots in layout order: by block, then farthest partner first
+    rows = sorted((i, -j, count) for (i, j), count in pairs.items() if i < j and count)
+    if not rows:
+        return ()
+    blocks = -min(j for _, j, _ in rows)
+    into = [0] * (blocks + 1)  # arcs into each block from earlier blocks
+    ends = [0] * (blocks + 1)  # endpoints in each block
+    for i, j, count in rows:
+        into[-j] += count
+        ends[i] += count
+        ends[-j] += count
+    first = [0] * (blocks + 1)  # the first site of each block
+    sites = 0
+    for b in range(1, blocks + 1):
+        first[b] = sites + b  # after the earlier blocks' ends and b - 1 free sites
+        sites += ends[b]
+    nearer = into[:]  # per block, the arcs into it from blocks after the current one
+    arcs = []
+    block = 0
+    for i, j, count in rows:
+        if i != block:
+            block, left = i, first[i] + into[i]
+        nearer[-j] -= count
+        right = first[-j] + nearer[-j] + count - 1
+        if count == 1:
+            arcs.append((left, right))
+        else:
+            arcs += [(left + t, right - t) for t in range(count)]
+        left += count
+    return tuple(arcs)
 
 
 def layout_key(order: int, key: tuple[int, ...]) -> tuple[tuple[Arc, ...], bool, bool]:

@@ -274,12 +274,13 @@ def _check_equivalence(n=8):
 
 def _check_regular_unique(n=11):
     """Each block-matrix fiber of proper diagrams has exactly one regular
-    diagram; it is crossing-minimal, it is the layout of every member's
-    block-pair counts (as ``canonicalize`` lays them out), every other
-    member's strict swap leads to a member with fewer crossings, and the
-    swap orbit of one member fills the fiber.  Following strict swaps, the
-    crossing count falls until a member without a local crossing, the
-    regular one, is reached: strict swaps lead every member to it.
+    diagram; it is crossing-minimal, it is the layout of the fiber's
+    block-pair counts (as ``canonicalize`` lays them out), which every
+    member shares, every other member's strict swap leads to a member with
+    fewer crossings, and the swap orbit of one member fills the fiber.
+    Following strict swaps, the crossing count falls until a member without
+    a local crossing, the regular one, is reached: strict swaps lead every
+    member to it.
 
     Fibers are keyed by the block-pair counts within one length (they fix
     the arc count, so the free-site count too), and fibers of different
@@ -293,19 +294,20 @@ def _check_regular_unique(n=11):
             key = frozenset(block_pair_counts(table, arcs).items())
             count, local = _crossings_and_leftmost_local_block(arcs, table.block)
             fibers[key][arcs] = (count, local, table)
-        for members in fibers.values():
-            failure = _fiber_failure(length, members)
+        for key, members in fibers.items():
+            failure = _fiber_failure(length, key, members)
             if failure is not None:
                 return False, failure
         total += len(fibers)
     return True, f"{total} fibers up to length {n}"
 
 
-def _fiber_failure(length, members):
+def _fiber_failure(length, key, members):
     """What fails the checks of ``_check_regular_unique`` on one fiber,
-    None when nothing does.  The fiber is a dict from each member's arc
-    tuple to its crossing count, leftmost block with a local crossing and
-    site table."""
+    None when nothing does.  ``key`` is the fiber's block-pair counts as a
+    frozenset of items, the same for every member, so they are laid out
+    once.  The fiber is a dict from each member's arc tuple to its crossing
+    count, leftmost block with a local crossing and site table."""
 
     def text(arcs):
         return Diagram(length, arcs).key()
@@ -317,9 +319,9 @@ def _fiber_failure(length, members):
     regular = regulars[0]
     if members[regular][0] != min(count for count, _, _ in members.values()):
         return f"regular diagram {text(regular)} is not crossing-minimal"
+    if regular_arcs(dict(key)) != regular:
+        return f"canonicalize({text(first)}) missed the regular diagram"
     for arcs, (count, local, table) in members.items():
-        if regular_arcs(block_pair_counts(table, arcs)) != regular:
-            return f"canonicalize({text(arcs)}) missed the regular diagram"
         if local is None:
             continue
         successor = swapped_arcs(arcs, _strict_swap_site(arcs, table, local))
@@ -349,12 +351,20 @@ def _check_dual_matrix(n=7):
 def _check_realize_roundtrip(m=6, k=2, r=2):
     """The layout of realize_matrix inverts the block matrix on the whole
     family and gives regular diagrams, and (0,1) matrices realize without
-    parallel arcs."""
+    parallel arcs.
+
+    The families of one order nest in the crossing and tautology bounds,
+    so a key is checked once per order, where it first appears; every
+    family member is still counted."""
     checked = 0
     for order in range(4, m + 1):
+        passed = set()  # the keys of this order already checked
         for crossings in range(1, k + 1):
             for tautology in range(0, r + 1):
                 for key in enumerate_matrix_keys(order, crossings, tautology):
+                    checked += 1
+                    if key in passed:
+                        continue
                     arcs, regular, exact = layout_key(order, key)
                     if not exact:
                         return False, f"round trip failed for {_key_text(order, key)}"
@@ -364,7 +374,7 @@ def _check_realize_roundtrip(m=6, k=2, r=2):
                         diagram = Diagram(order - 1 + 2 * len(arcs), arcs)
                         if any(len(group) > 1 for group in parallel_classes(diagram)):
                             return False, f"parallel arcs realizing {_key_text(order, key)}"
-                    checked += 1
+                    passed.add(key)
     return True, f"{checked} matrices up to order {m}"
 
 
@@ -434,8 +444,34 @@ _CHECKS = {
 }
 
 
-# the checks of the two theorems, whose hypotheses are f >= 3, k >= 1 and f+1 >= 2k
-_THEOREM_CHECKS = ("thm11", "thm12")
+# What a grid point needs: the hypotheses of the two theorems, and for the
+# other checks the bounds below which their loops are empty, so that the
+# check would pass without testing anything.  Checks that enumerate the
+# matrix families refuse such points themselves.
+_THEOREM_HYPOTHESES = (
+    lambda f, k, **_: f >= 3 and k >= 1 and f + 1 >= 2 * k,
+    "the theorem needs f >= 3, k >= 1 and f+1 >= 2k",
+)
+_SOME_LENGTH = (lambda n: n >= 4, "the check needs n >= 4, the length of the shortest proper diagram")
+_SOME_ARC = (lambda m, k: m >= 4 and k >= 1, "the check needs m >= 4 and k >= 1, for a nonempty arc set")
+_POINT_NEEDS = {
+    "thm11": _THEOREM_HYPOTHESES,
+    "thm12": _THEOREM_HYPOTHESES,
+    "realize-roundtrip": (
+        lambda m, k, r: m >= 4 and k >= 1 and r >= 0,
+        "the check needs m >= 4, k >= 1 and r >= 0",
+    ),
+    "regular-unique": _SOME_LENGTH,
+    "equivalence": _SOME_LENGTH,
+    "dual-matrix": _SOME_LENGTH,
+    "length-bound": _SOME_LENGTH,
+    "theta": (
+        lambda m, k: k >= 1 and m >= 2 * k + 2,
+        "the check needs k >= 1 and m >= 2k+2, for a k-relevant diagonal",
+    ),
+    "kappa": _SOME_ARC,
+    "join": _SOME_ARC,
+}
 
 
 def check_names() -> list[str]:
@@ -450,15 +486,14 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
     points = grid if grid is not None else default_grid
     for params in points:
         try:
-            inspect.signature(func).bind(**params)
+            bound = inspect.signature(func).bind(**params)
         except TypeError as exc:
             raise InvalidArgumentError(f"check {name} at {params}: {exc}") from None
-        if name in _THEOREM_CHECKS:
-            f, k = params["f"], params["k"]
-            if not (f >= 3 and k >= 1 and f + 1 >= 2 * k):
-                raise InvalidArgumentError(
-                    f"check {name} at {params}: the theorem needs f >= 3, k >= 1 and f+1 >= 2k"
-                )
+        if name in _POINT_NEEDS:
+            bound.apply_defaults()
+            holds, needs = _POINT_NEEDS[name]
+            if not holds(**bound.arguments):
+                raise InvalidArgumentError(f"check {name} at {params}: {needs}")
     report = VerificationReport(name)
     for params in points:
         start = time.perf_counter()

@@ -314,6 +314,47 @@ class TestVerify:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert "the theorem needs f >= 3, k >= 1 and f+1 >= 2k" in err
 
+    # points on which the check's loops would be empty, so a pass would check nothing
+    @pytest.mark.parametrize(
+        "check,grid",
+        [
+            ("realize-roundtrip", "m=5,k=0,r=2"),
+            ("realize-roundtrip", "m=3,k=2,r=2"),
+            ("realize-roundtrip", "m=5,k=2,r=-1"),
+            ("regular-unique", "n=-2"),
+            ("equivalence", "n=3"),
+            ("dual-matrix", "n=3"),
+            ("length-bound", "n=3"),
+            ("theta", "m=3,k=1"),
+            ("kappa", "m=3,k=0"),
+            ("join", "m=4,k=0"),
+        ],
+    )
+    def test_vacuous_point_exit_2(self, capsys, check, grid):
+        code, out, err = run(capsys, "verify", "--check", check, "--grid", grid)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: check {check} at ") and ": the check needs " in err
+
+    def test_vacuous_point_after_a_valid_one_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--check", "regular-unique", "--grid", "n=5;n=3")
+        assert code == 2 and out == "" and err.count("\n") == 1
+
+    # the smallest points each check accepts still test something
+    @pytest.mark.parametrize(
+        "check,grid,detail",
+        [
+            ("realize-roundtrip", "m=4,k=1,r=0", "2 matrices up to order 4"),
+            ("regular-unique", "n=4", "2 fibers up to length 4"),
+            ("dual-matrix", "n=4", "3 diagrams up to length 4"),
+            ("length-bound", "n=4", "2 proper diagrams up to length 4"),
+            ("theta", "m=4,k=1", "2 faces vs 2 relevant-arc diagrams"),
+            ("kappa", "m=4,k=1", "|S|=2, distinct images 2, product size 2 (star 0, relevant 2)"),
+        ],
+    )
+    def test_smallest_accepted_point(self, capsys, check, grid, detail):
+        code, out, _ = run(capsys, "verify", "--check", check, "--grid", grid)
+        assert code == 0 and out.splitlines()[0] == f"{check}[{grid}]: pass -- {detail}"
+
     @pytest.mark.parametrize("grid", ["f=3,k=2,r=0", "f=5,k=3,r=0"])
     def test_theorem_holds_where_f_plus_1_is_2k(self, capsys, grid):
         code, out, _ = run(capsys, "verify", "--check", "thm12", "--grid", grid)

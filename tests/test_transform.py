@@ -23,7 +23,7 @@ from arcposet.diagram import (
 )
 from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from arcposet.families import build_P
-from arcposet.matrix import SymmetricMatrix, enumerate_matrices
+from arcposet.matrix import SymmetricMatrix, enumerate_matrices, enumerate_matrix_keys
 from arcposet.transform import (
     BOTTOM_RELEVANT,
     BOTTOM_STAR,
@@ -158,6 +158,15 @@ class TestSwapOracle:
         report = verify.run_check("regular-unique", [{"n": 7}])
         assert not report.passed
         assert report.points[0].detail.endswith("removes no crossing")
+
+
+class TestRealizeRoundtrip:
+    def test_every_family_member_is_counted(self):
+        # 1590 members over the families of orders 4 and 5, nested ones
+        # counted again although each key is laid out once per order
+        (point,) = verify.run_check("realize-roundtrip", [{"m": 5, "k": 2, "r": 2}]).points
+        assert point.passed
+        assert point.detail == "1590 matrices up to order 5"
 
 
 class TestRegularUnique:
@@ -345,12 +354,46 @@ class TestFlatLayout:
         pairs = {(1, 3): 1, (3, 4): 2, (2, 3): 0, (4, 3): 5, (2, 2): 1}
         assert regular_arcs(pairs) == ((1, 4), (5, 9), (6, 8))
 
+    @given(st.dictionaries(st.tuples(st.integers(1, 6), st.integers(1, 6)), st.integers(0, 3), max_size=10))
+    def test_layout_is_ascending_without_a_sort(self, pairs):
+        arcs = regular_arcs(pairs)
+        assert arcs == tuple(sorted(arcs))
+        assert arcs == _sorted_layout(pairs)
+        if not arcs:
+            return
+        # parallel arcs nest: along a class, left ends rise as right ends fall
+        block = site_table(max(b for _, b in arcs), arcs).block
+        classes = defaultdict(list)
+        for a, b in arcs:
+            classes[block[a], block[b]].append((a, b))
+        for group in classes.values():
+            assert all(a < c and d < b for (a, b), (c, d) in zip(group, group[1:]))
+
     def test_beta_inverse_refuses_a_non_member(self):
         # (1,4), (2,5) and (3,6) cross pairwise: 2-crossing, not 2-noncrossing
         matrix = SymmetricMatrix.from_entries(6, {(1, 4): 1, (2, 5): 1, (3, 6): 1})
         with pytest.raises(InvalidArgumentError):
             beta_inverse(matrix, 2, 0)
         assert beta_inverse(matrix, 3, 0) == realize_matrix(matrix)
+
+
+def _sorted_layout(pairs):
+    """A reference for ``regular_arcs``: the same slots, with the arcs
+    collected pair by pair and then sorted."""
+    counts = [(i, j, count) for (i, j), count in pairs.items() if i < j and count]
+    slots = sorted((b, c > b, -c, count) for i, j, count in counts for b, c in ((i, j), (j, i)))
+    first = {}
+    ends = 0
+    for b, _, c, count in slots:
+        first[b, -c] = ends + b
+        ends += count
+    return tuple(
+        sorted(
+            (first[i, j] + t, first[j, i] + count - 1 - t)
+            for i, j, count in counts
+            for t in range(count)
+        )
+    )
 
 
 def _drop_an_arc(pairs):
@@ -399,6 +442,40 @@ class TestLayoutNegativeControls:
     def test_build_P_refuses_the_layout(self, broken_layout):
         with pytest.raises(InvariantError):
             build_P(4, 2, 1)
+
+    def test_layout_broken_for_one_fiber_fails_regular_unique(self, monkeypatch):
+        # the fiber of (1,3),(4,6) and (1,4),(3,6) at length 6; each fiber is
+        # laid out once, so this one layout must still be compared
+        target = {(1, 2): 1, (2, 3): 1}
+
+        def reversed_for_target(pairs):
+            arcs = regular_arcs(pairs)
+            return arcs[::-1] if dict(pairs) == target else arcs
+
+        monkeypatch.setattr(verify, "regular_arcs", reversed_for_target)
+        (point,) = verify.run_check("regular-unique", [{"n": 8}]).points
+        assert not point.passed
+        assert point.detail == "canonicalize(n=6; arcs=(1,3),(4,6)) missed the regular diagram"
+
+    def test_key_first_met_in_the_largest_family_is_checked(self, monkeypatch):
+        # keys are checked once per order; one that only the last family
+        # of order 5, M(5, 2, 2), holds must still reach layout_key
+        smaller = {
+            key
+            for crossings, tautology in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1))
+            for key in enumerate_matrix_keys(5, crossings, tautology)
+        }
+        target = next(key for key in enumerate_matrix_keys(5, 2, 2) if key not in smaller)
+        layout_key = verify.layout_key
+
+        def inexact_for_target(order, key):
+            arcs, regular, exact = layout_key(order, key)
+            return arcs, regular, exact and key != target
+
+        monkeypatch.setattr(verify, "layout_key", inexact_for_target)
+        (point,) = verify.run_check("realize-roundtrip", [{"m": 5, "k": 2, "r": 2}]).points
+        assert not point.passed
+        assert point.detail == f"round trip failed for {verify._key_text(5, target)}"
 
     def test_arcs_past_the_length_fail_the_checks(self, monkeypatch):
         def shifted(pairs):
