@@ -41,7 +41,7 @@ from .diagram import (
     tautology_number,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from .matrix import SymmetricMatrix, enumerate_matrix_keys, matrices_from_keys
+from .matrix import SymmetricMatrix, entry_cost, enumerate_matrix_keys, matrices_from_keys
 from .poset import FinitePoset
 from .transform import is_k_relevant, layout_key
 
@@ -245,16 +245,6 @@ def matrix_family_covers(
     return matrices_from_keys(m, keys), unit_step_covers(keys)
 
 
-def matrix_family_chain_stats(m: int, k: int, r: int, cap: int = 10_000_000):
-    """(size, rank_cardinality, pure) of the matrix family under domination,
-    read from its upper-triangle keys by ``order_ideal_ranks``: the rank of
-    a member is its entry sum above the bottom, and the family is pure when
-    every maximal member has the top sum."""
-    keys = enumerate_matrix_keys(m, k, r, cap=cap)
-    rank_length, pure, _ = order_ideal_ranks(keys)
-    return len(keys), rank_length + 1, pure
-
-
 def build_M(m: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
     """The tautology-bounded matrix family under entrywise domination."""
     matrices, succ = matrix_family_covers(m, k, r, cap=cap)
@@ -317,8 +307,8 @@ def _proper_insertions(arcs: tuple[Arc, ...], f: int, k: int, r: int):
     Insertion keeps every other arc's covered free sites, crossings and
     block pair, so the new diagram is a member iff the new arc covers at
     least one free site and not all of them, its crossing neighbours hold
-    no k-clique, and the tautology number, raised by the new unit in the
-    block matrix, stays at most r.
+    no k-clique, and the ``entry_cost`` of one more arc on its block pair
+    fits the member's room under r.
     """
     n = f + 2 * len(arcs)
     arc_at = {}
@@ -327,16 +317,21 @@ def _proper_insertions(arcs: tuple[Arc, ...], f: int, k: int, r: int):
     table = site_table(n, arcs)
     block = table.block
     pairs = block_pair_counts(table, arcs)
-    tautology = sum(count - 1 + count * (j == i + 1) for (i, j), count in pairs.items())
+    room = r - sum(entry_cost(i, j, count) for (i, j), count in pairs.items())
+
+    # fits[i][j]: one more arc on blocks i < j covers some free site but not
+    # all (0 < j - i < f), and what it adds to their entry's cost fits the room
+    fits = [[False] * (f + 2) for _ in range(f + 2)]
+    for i in range(1, f + 1):
+        for j in range(i + 1, min(i + f, f + 2)):
+            count = pairs[i, j]
+            fits[i][j] = entry_cost(i, j, count + 1) - entry_cost(i, j, count) <= room
     adjacency = crossing_adjacency(arcs)
     for g1 in range(n):
         wrapped = 0  # the arcs with exactly one endpoint among g1+1..g2
         for g2 in range(g1 + 1, n + 1):
             wrapped ^= arc_at.get(g2, 0)
-            i, j = block[g1], block[g2]
-            if not 0 < j - i < f:
-                continue
-            if tautology + (j == i + 1) + (pairs[i, j] > 0) > r:
+            if not fits[block[g1]][block[g2]]:
                 continue
             if masked_clique_exists(adjacency, wrapped, k):
                 continue
@@ -358,8 +353,8 @@ def build_D(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
     it keeps the free sites and their order, so every other arc covers
     the same free sites and the diagram stays proper; it deletes a vertex
     of the crossing graph, so the diagram stays k-noncrossing; and it
-    lowers one block-matrix entry by one, which does not raise the
-    tautology number.  Hence every member with more than one arc is a
+    lowers one block-matrix entry by one, which does not raise that
+    entry's ``entry_cost``.  Hence every member with more than one arc is a
     one-arc insertion into a member, and every member with one arc is an
     insertion into the trivial diagram of length f: the members are grown
     level by level (a level is an arc count) from that diagram.  A

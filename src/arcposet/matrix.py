@@ -122,8 +122,22 @@ def q_value(matrix: SymmetricMatrix) -> int:
     return sum(matrix.entry(i, i + 1) for i in range(1, matrix.order))
 
 
+def entry_cost(i: int, j: int, value: int) -> int:
+    """What the entry x_ij = value, i < j, spends of the tautology bound:
+    its excess over 1, plus the value itself on the semi-diagonal j = i + 1,
+    so a semi-diagonal value v costs 2v - 1.  The one statement of the rule:
+    ``r_value``, the matrix search, D's insertions and family membership
+    read it here."""
+    return max(0, value - 1) + (value if j == i + 1 else 0)
+
+
 def r_value(matrix: SymmetricMatrix) -> int:
-    return p_value(matrix) + q_value(matrix)
+    """The tautology number: ``entry_cost`` summed over the upper triangle,
+    which is p + q."""
+    m = matrix.order
+    return sum(
+        entry_cost(i, j, matrix.entry(i, j)) for i in range(1, m + 1) for j in range(i + 1, m + 1)
+    )
 
 
 def dominates(small: SymmetricMatrix, large: SymmetricMatrix) -> bool:
@@ -139,26 +153,14 @@ def dominates(small: SymmetricMatrix, large: SymmetricMatrix) -> bool:
 # families
 
 
-def _structural_zeros_ok(matrix: SymmetricMatrix, *, semi_diagonal: bool) -> bool:
-    m = matrix.order
-    if any(matrix.entry(i, i) for i in range(1, m + 1)):
-        return False
-    if matrix.entry(1, m):
-        return False
-    if semi_diagonal and q_value(matrix):
-        return False
-    return True
-
-
 def family_membership(
     matrix: SymmetricMatrix, family: str, m: int, k: int | None = None, r: int | None = None
 ) -> bool:
-    """Membership in M_m ('M'), M_{m,k} ('Mk') or M^r_{m,k} ('Mr').
-
-    'M'  : non-trivial (0,1), zero diagonal/semi-diagonal/rainbow.
-    'Mk' : additionally k-noncrossing.
-    'Mr' : non-trivial nonnegative integral, k-noncrossing, r-bounded
-           tautology, zero diagonal and rainbow (semi-diagonals allowed).
+    """Membership in M_m ('M'), M_{m,k} ('Mk') or M^r_{m,k} ('Mr'): a
+    non-trivial order-m matrix with zero diagonal and rainbow (1, m), at
+    most r of tautology (``r_value``, the sum of ``entry_cost``), and
+    k-noncrossing for 'Mk' and 'Mr'.  The base families 'M' and 'Mk' are
+    the case r = 0.
     """
     if family not in ("M", "Mk", "Mr"):
         raise InvalidArgumentError(f"unknown matrix family {family!r}")
@@ -173,13 +175,11 @@ def family_membership(
 
     if matrix.order != m or matrix.is_trivial():
         return False
-    if family in ("M", "Mk"):
-        if not matrix.is_zero_one() or not _structural_zeros_ok(matrix, semi_diagonal=True):
-            return False
-        return family == "M" or is_k_noncrossing(matrix.nonzero_positions(), k)
-    if not _structural_zeros_ok(matrix, semi_diagonal=False):
+    if matrix.entry(1, m) or any(matrix.entry(i, i) for i in range(1, m + 1)):
         return False
-    return r_value(matrix) <= r and is_k_noncrossing(matrix.nonzero_positions(), k)
+    if r_value(matrix) > (r if family == "Mr" else 0):
+        return False
+    return family == "M" or is_k_noncrossing(matrix.nonzero_positions(), k)
 
 
 @cache
@@ -195,10 +195,10 @@ def enumerate_matrix_keys(
     """The members of M^r_{m,k} as upper-triangle value tuples over
     ``upper_positions(m)``, sorted.
 
-    Every admissible position is assigned a value whose tautology cost
-    (semi-diagonal units plus excess over 1) fits the remaining budget,
-    so the search is exact and finite.  ``cap`` bounds the search nodes
-    actually visited.
+    Every admissible position is assigned each value whose ``entry_cost``
+    fits the remaining budget, read from a table per position, so the
+    search is exact and finite.  ``cap`` bounds the search nodes actually
+    visited.
     """
     if m < 4:
         raise InvalidArgumentError(f"m must be >= 4, got {m}")
@@ -209,6 +209,9 @@ def enumerate_matrix_keys(
 
     positions = upper_positions(m)
     adjacency = crossing_adjacency(positions)
+    # each position's nonzero values with their costs, up to r + 2, which
+    # costs more than r at every position
+    priced = [[(value, entry_cost(i, j, value)) for value in range(1, r + 3)] for i, j in positions]
     keys: list[tuple[int, ...]] = []
     values = [0] * len(positions)
     nodes = 0
@@ -222,24 +225,18 @@ def enumerate_matrix_keys(
             if support:
                 keys.append(tuple(values))
             return
-        i, j = positions[index]
-        semi = j == i + 1
-        value = 0
-        while True:
-            cost = (value if semi else 0) + max(0, value - 1)
+        assign(index + 1, budget, support)  # a zero entry costs and crosses nothing
+        choices = priced[index]
+        # a nonzero entry must not complete k+1 mutually crossing entries
+        if choices[0][1] > budget or masked_clique_exists(adjacency, support & adjacency[index], k):
+            return
+        support |= 1 << index
+        for value, cost in choices:
             if cost > budget:
                 break
-            if value == 0:
-                values[index] = 0
-                assign(index + 1, budget, support)
-            elif not masked_clique_exists(adjacency, support & adjacency[index], k):
-                # nonzero entry must not complete k+1 mutually crossing entries
-                values[index] = value
-                assign(index + 1, budget - cost, support | (1 << index))
-                values[index] = 0
-            else:
-                break
-            value += 1
+            values[index] = value
+            assign(index + 1, budget - cost, support)
+        values[index] = 0
 
     assign(0, r, 0)
     keys.sort()

@@ -2,8 +2,7 @@
 
 Each check re-derives one structural claim from first principles on a
 small grid and reports pass/fail per grid point with a counterexample
-key on failure.  Wall time is recorded on the report object but never
-serialized, so output stays byte-reproducible.  Slow definitional paths
+key on failure; output is byte-reproducible.  Slow definitional paths
 live here as oracles: ``regular-unique`` checks ``canonicalize`` against
 strict swaps, taking one strict swap from each member of a block-matrix
 fiber to a member with fewer crossings.
@@ -12,7 +11,6 @@ fiber to a member with fewer crossings.
 from __future__ import annotations
 
 import inspect
-import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -71,7 +69,6 @@ class CheckPoint:
     params: dict
     passed: bool
     detail: str
-    seconds: float
 
 
 @dataclass
@@ -444,19 +441,27 @@ _CHECKS = {
 }
 
 
-# What a grid point needs: the hypotheses of the two theorems, and for the
-# other checks the bounds below which their loops are empty, so that the
-# check would pass without testing anything.  Checks that enumerate the
-# matrix families refuse such points themselves.
-_THEOREM_HYPOTHESES = (
-    lambda f, k, **_: f >= 3 and k >= 1 and f + 1 >= 2 * k,
-    "the theorem needs f >= 3, k >= 1 and f+1 >= 2k",
-)
+# What a grid point needs: the hypotheses of the two theorems, the bounds
+# of the families and maps the other family checks build, and for the
+# rest the bounds below which their loops are empty, so that the check
+# would pass without testing anything.  All are refused before any point
+# runs.
+_THEOREM_HYPOTHESES = "the theorem needs f >= 3, k >= 1 and f+1 >= 2k"
 _SOME_LENGTH = (lambda n: n >= 4, "the check needs n >= 4, the length of the shortest proper diagram")
 _SOME_ARC = (lambda m, k: m >= 4 and k >= 1, "the check needs m >= 4 and k >= 1, for a nonempty arc set")
+_REGULAR_FAMILY = (
+    lambda f, k, r: f >= 3 and k >= 1 and r >= 0,
+    "the check needs f >= 3, k >= 1 and r >= 0",
+)
 _POINT_NEEDS = {
-    "thm11": _THEOREM_HYPOTHESES,
-    "thm12": _THEOREM_HYPOTHESES,
+    "thm11": (lambda f, k: f >= 3 and k >= 1 and f + 1 >= 2 * k, _THEOREM_HYPOTHESES),
+    "thm12": (
+        lambda f, k, r: f >= 3 and k >= 1 and f + 1 >= 2 * k and r >= 0,
+        f"{_THEOREM_HYPOTHESES}, and r >= 0",
+    ),
+    "beta": _REGULAR_FAMILY,
+    "rho": _REGULAR_FAMILY,
+    "tau": (lambda f, k: f >= 3 and k >= 1, "the check needs f >= 3 and k >= 1"),
     "realize-roundtrip": (
         lambda m, k, r: m >= 4 and k >= 1 and r >= 0,
         "the check needs m >= 4, k >= 1 and r >= 0",
@@ -489,16 +494,12 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
             bound = inspect.signature(func).bind(**params)
         except TypeError as exc:
             raise InvalidArgumentError(f"check {name} at {params}: {exc}") from None
-        if name in _POINT_NEEDS:
-            bound.apply_defaults()
-            holds, needs = _POINT_NEEDS[name]
-            if not holds(**bound.arguments):
-                raise InvalidArgumentError(f"check {name} at {params}: {needs}")
+        bound.apply_defaults()
+        holds, needs = _POINT_NEEDS[name]
+        if not holds(**bound.arguments):
+            raise InvalidArgumentError(f"check {name} at {params}: {needs}")
     report = VerificationReport(name)
     for params in points:
-        start = time.perf_counter()
         passed, detail = func(**params)
-        report.points.append(
-            CheckPoint(dict(params), passed, detail, time.perf_counter() - start)
-        )
+        report.points.append(CheckPoint(dict(params), passed, detail))
     return report

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes, round trips."""
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import arcposet
-from arcposet import cli
+from arcposet import cli, verify
 from arcposet import poset as poset_module
 from arcposet.errors import InvariantError, ResourceLimitError
 from arcposet.families import build_family
@@ -335,6 +336,32 @@ class TestVerify:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: check {check} at ") and ": the check needs " in err
 
+    # a valid point first, then one outside the families or maps the check builds
+    @pytest.mark.parametrize(
+        "check,grid,needs",
+        [
+            ("beta", "f=3,k=1,r=0;f=4,k=0,r=1", "the check needs f >= 3, k >= 1 and r >= 0"),
+            ("rho", "f=3,k=1,r=0;f=2,k=1,r=0", "the check needs f >= 3, k >= 1 and r >= 0"),
+            ("tau", "f=3,k=1;f=3,k=0", "the check needs f >= 3 and k >= 1"),
+            ("thm12", "f=3,k=1,r=0;f=3,k=1,r=-1", "the theorem needs f >= 3, k >= 1 and f+1 >= 2k, and r >= 0"),
+        ],
+        ids=["beta", "rho", "tau", "thm12"],
+    )
+    def test_point_outside_the_family_is_refused_before_any_runs(self, capsys, monkeypatch, check, grid, needs):
+        func, default_grid = verify._CHECKS[check]
+        ran = []
+
+        @functools.wraps(func)
+        def recorded(**params):
+            ran.append(params)
+            return func(**params)
+
+        monkeypatch.setitem(verify._CHECKS, check, (recorded, default_grid))
+        code, out, err = run(capsys, "verify", "--check", check, "--grid", grid)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: check {check} at ") and err.endswith(f": {needs}\n")
+        assert ran == []
+
     def test_vacuous_point_after_a_valid_one_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "--check", "regular-unique", "--grid", "n=5;n=3")
         assert code == 2 and out == "" and err.count("\n") == 1
@@ -395,7 +422,7 @@ class TestVerify:
 
     def test_failing_report_exit_1(self, capsys, monkeypatch):
         report = VerificationReport(
-            "thm11", [CheckPoint({"f": 4, "k": 1}, False, "forced failure", 0.0)]
+            "thm11", [CheckPoint({"f": 4, "k": 1}, False, "forced failure")]
         )
         monkeypatch.setattr(cli, "run_check", lambda name, grid: report)
         code, out, _ = run(capsys, "verify", "--check", "thm11")
@@ -508,7 +535,7 @@ def counting(self, *args, **kwargs):
     built[0] += 1
     init(self, *args, **kwargs)
 argparse.ArgumentParser.__init__ = counting
-from arcposet import cli
+from arcposet import cli, verify
 results, parsers = [], [built[0]]
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()

@@ -3,6 +3,7 @@
 import pytest
 
 from arcposet import families
+from arcposet import matrix as matrix_module
 
 from arcposet.crossing import is_k_noncrossing
 from arcposet.diagram import (
@@ -27,7 +28,6 @@ from arcposet.families import (
     enumerate_proper_diagrams,
     in_proper_family,
     in_regular_family,
-    matrix_family_chain_stats,
     matrix_family_covers,
     nonrelevant_arcs,
     order_ideal_ranks,
@@ -129,9 +129,10 @@ class TestMatrixFamilyPoset:
 
     def test_chain_stats_match_dense_poset(self):
         poset = build_M(5, 2, 1)
-        size, rank_card, pure = matrix_family_chain_stats(5, 2, 1)
-        assert size == len(poset)
-        assert rank_card == poset.rank_cardinality()
+        keys = enumerate_matrix_keys(5, 2, 1)
+        rank_length, pure, _ = order_ideal_ranks(keys)
+        assert len(keys) == len(poset)
+        assert rank_length + 1 == poset.rank_cardinality()
         assert pure == poset.is_pure()
 
 
@@ -228,9 +229,8 @@ class TestOrderIdealRanks:
     def test_matches_the_cover_digraph(self, point):
         m, k, r = point["f"] + 1, point["k"], point["r"]
         keys = enumerate_matrix_keys(m, k, r)
-        rank_length, pure = chain_stats_from_covers(unit_step_covers(keys))
-        assert matrix_family_chain_stats(m, k, r) == (len(keys), rank_length + 1, pure)
-        _, _, witness = order_ideal_ranks(keys)
+        rank_length, pure, witness = order_ideal_ranks(keys)
+        assert (rank_length, pure) == chain_stats_from_covers(unit_step_covers(keys))
         assert (witness is None) == pure
         if witness is not None:
             family = set(keys)
@@ -338,6 +338,24 @@ class TestProperFamily:
         monkeypatch.setattr(families, "_proper_insertions", grow_all_but_one)
         with pytest.raises(InvariantError, match="leaves D\\(3,1,1\\)"):
             build_D(3, 1, 1)
+
+    def test_every_reader_follows_entry_cost(self, monkeypatch):
+        # the alternative tautology rule: a semi-diagonal value v costs v
+        def semi_diagonal_costs_its_value(i, j, value):
+            return value if j == i + 1 else max(0, value - 1)
+
+        monkeypatch.setattr(matrix_module, "entry_cost", semi_diagonal_costs_its_value)
+        monkeypatch.setattr(families, "entry_cost", semi_diagonal_costs_its_value)
+        assert len(enumerate_matrix_keys(4, 1, 2)) == 39  # 30 under the coded rule
+        f, k, r = 3, 1, 2
+        scan = {
+            d
+            for n in range(f + 2, proper_length_bound(f, r) + 1)
+            for d in enumerate_binary_diagrams(n)
+            if in_proper_family(d, f, k, r)
+        }
+        assert len(scan) == 39
+        assert set(build_D(f, k, r).elements) == scan
 
     def test_regular_family_is_a_suborder_image(self):
         proper = build_D(3, 1, 1)

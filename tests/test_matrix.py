@@ -1,5 +1,7 @@
 """Symmetric matrices, the tautology functional, families, enumeration."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -93,6 +95,14 @@ class TestTautology:
         m = SymmetricMatrix.from_entries(5, {(1, 3): 1, (2, 5): 1})
         assert r_value(m) == 0
 
+    @given(small_matrices())
+    def test_r_is_p_plus_q(self, m):
+        assert r_value(m) == p_value(m) + q_value(m)
+
+    def test_r_is_p_plus_q_on_a_family(self):
+        for m in enumerate_matrices(5, 2, 2):
+            assert r_value(m) == p_value(m) + q_value(m) <= 2
+
 
 class TestOrderAndCrossing:
     def test_dominates(self):
@@ -122,6 +132,13 @@ class TestFamilies:
         assert not family_membership(semi, "M", 5)
         assert family_membership(semi, "Mr", 5, 1, 1)
         assert not family_membership(semi, "Mr", 5, 1, 0)
+
+    def test_base_families_are_the_r0_case(self):
+        # no three diagonals of a pentagon cross pairwise, so M_5 = M_{5,2}
+        for m in enumerate_matrices(5, 2, 2):
+            at_zero = family_membership(m, "Mr", 5, 2, 0)
+            assert family_membership(m, "Mk", 5, 2) == family_membership(m, "M", 5) == at_zero
+            assert at_zero == (m.is_zero_one() and q_value(m) == 0)
 
     def test_rainbow_and_diagonal_are_structural_zeros(self):
         rainbow = SymmetricMatrix.from_entries(5, {(1, 5): 1})
@@ -161,6 +178,22 @@ class TestEnumeration:
                 count += 1
                 assert m.key() in listed
         assert count == len(listed)
+
+    @pytest.mark.parametrize("m,r", [(4, 1), (4, 2), (5, 1), (5, 2)])
+    def test_enumeration_is_complete_for_r1_and_r2(self, m, r):
+        # every value 1..r+1 on every 1-noncrossing support, kept by the
+        # membership test; r + 2 costs more than r at any position
+        positions = upper_positions(m)
+        expected = set()
+        for mask in range(1, 1 << len(positions)):
+            support = [pair for t, pair in enumerate(positions) if mask >> t & 1]
+            if not is_k_noncrossing(support, 1):
+                continue
+            for values in product(range(1, r + 2), repeat=len(support)):
+                matrix = SymmetricMatrix.from_entries(m, dict(zip(support, values)))
+                if family_membership(matrix, "Mr", m, 1, r):
+                    expected.add(matrix)
+        assert set(enumerate_matrices(m, 1, r)) == expected
 
     def test_matrices_are_the_keys_wrapped(self):
         for m in (4, 5, 6):
