@@ -27,7 +27,7 @@ from .diagram import (
     to_text,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from .families import build_family
+from .families import build_family, family_names
 from .matrix import SymmetricMatrix
 from .transform import blow_up, canonicalize, dual, equivalent, realize_matrix
 from .verify import check_names, run_check
@@ -46,6 +46,14 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InvalidArgumentError(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
 def _write_text(path: str, text: str, what: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
@@ -55,13 +63,8 @@ def _write_text(path: str, text: str, what: str) -> None:
 
 
 def _load_matrix(source: str) -> SymmetricMatrix:
-    if source.lstrip().startswith("{"):
-        return SymmetricMatrix.from_json(source)
-    try:
-        with open(source, encoding="utf-8") as handle:
-            return SymmetricMatrix.from_json(handle.read())
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot read matrix file {source!r}: {exc}") from exc
+    text = source if source.lstrip().startswith("{") else _read_text(source, "matrix")
+    return SymmetricMatrix.from_json(text)
 
 
 def _parse_params(text: str | None) -> dict[str, int]:
@@ -181,11 +184,7 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_homology(args) -> int:
-    try:
-        with open(args.facets, encoding="utf-8") as handle:
-            complex_ = read_facets(handle.read())
-    except OSError as exc:
-        raise InvalidArgumentError(f"cannot read facet file {args.facets!r}: {exc}") from exc
+    complex_ = read_facets(_read_text(args.facets, "facet"))
     homology = reduced_homology(complex_) if args.cap is None else reduced_homology(complex_, cap=args.cap)
     lines = homology.report_lines()
     payload = {
@@ -266,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("poset", "family poset stats and DOT export"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", required=True, choices=("S", "So", "Sstar", "M", "P", "D"))
+        p.add_argument("--family", required=True, choices=family_names())
         p.add_argument("--params", help="comma-separated name=int, e.g. f=4,k=1,r=0")
         if name == "poset":
             p.add_argument("--dot", help="write the cover digraph to this DOT file")

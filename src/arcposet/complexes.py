@@ -86,7 +86,8 @@ class SimplicialComplex:
         return sum((-1) ** d * c for d, c in enumerate(self.f_vector()))
 
     def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
+        """All facets of one size (the first and last tell); the void complex is pure."""
+        return self.is_void() or len(self.facets[0]) == len(self.facets[-1])
 
 
 def simplex(d: int) -> SimplicialComplex:
@@ -402,7 +403,7 @@ def reduced_homology(
         if reduce(and_, masks):
             return HomologyResult(trivial)
         spent = 0
-        if masks[0].bit_count() == masks[-1].bit_count():
+        if complex_.is_pure():
             h, spent = shedding_h_vector(masks, cap)
             if h is not None:
                 return HomologyResult(trivial | {top: (h[top + 1], ())})

@@ -47,7 +47,7 @@ class Diagram:
         if not {int}.issuperset(map(type, chain.from_iterable(pairs))):
             for site in chain.from_iterable(pairs):
                 require_int(site, "arc endpoint")
-        object.__setattr__(self, "arcs", tuple(sorted(set(pairs))))
+        object.__setattr__(self, "arcs", tuple(sorted(pairs)))
         self._validate()
 
     def _validate(self) -> None:
@@ -85,7 +85,9 @@ def arcs_error(length: int, arcs: tuple[Arc, ...]) -> str | None:
             return f"arc ({a},{b}) violates 1 < s2-s1 < n-1 for length {length}"
         if a < 1 or b > length:
             return f"arc ({a},{b}) out of range 1..{length}"
-        if previous is not None and previous >= arc:
+        if previous == arc:
+            return f"arc ({a},{b}) is repeated"
+        if previous is not None and previous > arc:
             return f"arcs {previous} and {arc} are not in ascending order"
         previous = arc
     return None

@@ -419,6 +419,10 @@ def in_regular_family(diagram: Diagram, f: int, k: int, r: int) -> bool:
 _FAMILY_PARAMS = {"S": "nk", "So": "mk", "Sstar": "mk", "M": "mkr", "P": "fkr", "D": "fkr"}
 
 
+def family_names() -> list[str]:
+    return list(_FAMILY_PARAMS)
+
+
 def build_family(name: str, *, cap: int | None = None, **params: int) -> FinitePoset:
     """Dispatch on a family name; see the module docstring for parameters."""
     if name not in _FAMILY_PARAMS:

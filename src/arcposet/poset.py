@@ -63,35 +63,26 @@ def topological_order(succ: list[list[int]]) -> list[int]:
 def chain_stats_from_covers(succ: list[list[int]]) -> tuple[int, bool]:
     """(rank_length, pure) of the poset whose cover digraph is ``succ``.
 
-    One Kahn pass carries each element's shortest and longest cover paths
-    down to a source.  Pure means every maximal chain has the same length,
-    which holds exactly when the two agree at every element and every sink
-    sits at the same height: then each cover raises a well-defined rank by
-    one, and every maximal chain, a cover path from a source to a sink,
-    runs from rank 0 to that one height.
+    One walk in topological order carries each element's shortest and
+    longest cover paths down to a source.  Pure means every maximal chain
+    has the same length, which holds exactly when the two agree at every
+    element and every sink sits at the same height: then each cover raises
+    a well-defined rank by one, and every maximal chain, a cover path from
+    a source to a sink, runs from rank 0 to that one height.
     """
     if not succ:
         raise InvalidArgumentError("empty poset has no rank")
     n = len(succ)
-    indeg = [0] * n
-    for outs in succ:
-        for j in outs:
-            indeg[j] += 1
-    order = [i for i, d in enumerate(indeg) if d == 0]
-    low = [0 if d == 0 else n for d in indeg]
-    high = [0] * n
-    for i in order:  # grows as the sources of what is left are found
+    low, high = [n] * n, [0] * n  # low n: no cover path has reached it yet
+    for i in topological_order(succ):
+        if low[i] == n:
+            low[i] = 0  # all its predecessors came first, so it has none
         lo, hi = low[i] + 1, high[i] + 1
         for j in succ[i]:
             if lo < low[j]:
                 low[j] = lo
             if hi > high[j]:
                 high[j] = hi
-            indeg[j] -= 1
-            if not indeg[j]:
-                order.append(j)
-    if len(order) != n:
-        raise InvalidArgumentError("cover digraph has a cycle")
     heights = {h for h, outs in zip(high, succ) if not outs}
     return max(heights), low == high and len(heights) == 1
 

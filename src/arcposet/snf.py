@@ -2,8 +2,9 @@
 
 Two phases: a sparse elimination that only ever pivots on +-1 entries
 (choosing low-fill pivots), followed by the classical dense algorithm on
-whatever residue is left.  Boundary matrices of the complexes built here
-almost always reduce completely in the sparse phase.
+whatever residue is left.  The sparse phase does its work on the full
+boundary matrices of ``reduced_homology(..., collapse=False)``; on the
+collapse path, coreduction usually leaves Smith normal form no entries.
 """
 
 from __future__ import annotations

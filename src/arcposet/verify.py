@@ -29,7 +29,6 @@ from .diagram import (
     block_matrix,
     block_pair_counts,
     free_sites,
-    parallel_classes,
     p_value_of_diagram,
 )
 from .errors import InvalidArgumentError, InvariantError
@@ -347,8 +346,9 @@ def _check_dual_matrix(n=7):
 
 def _check_realize_roundtrip(m=6, k=2, r=2):
     """The layout of realize_matrix inverts the block matrix on the whole
-    family and gives regular diagrams, and (0,1) matrices realize without
-    parallel arcs.
+    family and gives regular diagrams.  Exactness makes (0,1) matrices
+    realize without parallel arcs: two would share a block pair, and a
+    (0,1) key gives each block pair at most one arc.
 
     The families of one order nest in the crossing and tautology bounds,
     so a key is checked once per order, where it first appears; every
@@ -362,15 +362,11 @@ def _check_realize_roundtrip(m=6, k=2, r=2):
                     checked += 1
                     if key in passed:
                         continue
-                    arcs, regular, exact = layout_key(order, key)
+                    _, regular, exact = layout_key(order, key)
                     if not exact:
                         return False, f"round trip failed for {_key_text(order, key)}"
                     if not regular:
                         return False, f"non-regular realization of {_key_text(order, key)}"
-                    if max(key) <= 1:
-                        diagram = Diagram(order - 1 + 2 * len(arcs), arcs)
-                        if any(len(group) > 1 for group in parallel_classes(diagram)):
-                            return False, f"parallel arcs realizing {_key_text(order, key)}"
                     passed.add(key)
     return True, f"{checked} matrices up to order {m}"
 
@@ -410,26 +406,60 @@ _MATRIX_FAMILY_GRID = (
     + [{"f": 6, "k": 3, "r": 0}, {"f": 7, "k": 1, "r": 1}]
 )
 
+# One row per check: its function, its default grid, and what a grid
+# point needs, as a predicate on the point with the function's defaults
+# applied and the text that refuses a point failing it.  A point needs the
+# hypotheses of the two theorems, the bounds of the families and maps the
+# other family checks build, and for the rest the bounds below which their
+# loops are empty, so that the check would pass without testing anything.
+# All are refused before any point runs.
+_THEOREM_HYPOTHESES = "the theorem needs f >= 3, k >= 1 and f+1 >= 2k"
+_SOME_LENGTH = (lambda n: n >= 4, "the check needs n >= 4, the length of the shortest proper diagram")
+_SOME_ARC = (lambda m, k: m >= 4 and k >= 1, "the check needs m >= 4 and k >= 1, for a nonempty arc set")
+_REGULAR_FAMILY = (lambda f, k, r: f >= 3 and k >= 1 and r >= 0, "the check needs f >= 3, k >= 1 and r >= 0")
 _CHECKS = {
     "thm11": (
         _check_thm11,
         [{"f": f, "k": 1} for f in (4, 5, 6, 7, 8, 9)]
         + [{"f": f, "k": 2} for f in (5, 6, 7, 8)]
         + [{"f": f, "k": 3} for f in (6, 7)],
+        lambda f, k: f >= 3 and k >= 1 and f + 1 >= 2 * k,
+        _THEOREM_HYPOTHESES,
     ),
-    "thm12": (_check_thm12, _MATRIX_FAMILY_GRID),
-    "beta": (_check_beta, _MATRIX_FAMILY_GRID),
-    "tau": (_check_tau, [{"f": f, "k": k} for f in (3, 4, 5) for k in (1, 2) if f >= 2 * k]),
-    "theta": (_check_theta, [{"m": 5, "k": 1}, {"m": 6, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}]),
-    "kappa": (_check_kappa, [{"m": 5, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}]),
-    "equivalence": (_check_equivalence, [{"n": 8}]),
-    "regular-unique": (_check_regular_unique, [{"n": 11}]),
-    "dual-matrix": (_check_dual_matrix, [{"n": 7}]),
-    "realize-roundtrip": (_check_realize_roundtrip, [{"m": 6, "k": 2, "r": 2}]),
-    "length-bound": (_check_length_bound, [{"n": 8}]),
+    "thm12": (
+        _check_thm12,
+        _MATRIX_FAMILY_GRID,
+        lambda f, k, r: f >= 3 and k >= 1 and f + 1 >= 2 * k and r >= 0,
+        f"{_THEOREM_HYPOTHESES}, and r >= 0",
+    ),
+    "beta": (_check_beta, _MATRIX_FAMILY_GRID, *_REGULAR_FAMILY),
+    "tau": (
+        _check_tau,
+        [{"f": f, "k": k} for f in (3, 4, 5) for k in (1, 2) if f >= 2 * k],
+        lambda f, k: f >= 3 and k >= 1,
+        "the check needs f >= 3 and k >= 1",
+    ),
+    "theta": (
+        _check_theta,
+        [{"m": 5, "k": 1}, {"m": 6, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}],
+        lambda m, k: k >= 1 and m >= 2 * k + 2,
+        "the check needs k >= 1 and m >= 2k+2, for a k-relevant diagonal",
+    ),
+    "kappa": (_check_kappa, [{"m": 5, "k": 1}, {"m": 6, "k": 2}, {"m": 7, "k": 2}], *_SOME_ARC),
+    "equivalence": (_check_equivalence, [{"n": 8}], *_SOME_LENGTH),
+    "regular-unique": (_check_regular_unique, [{"n": 11}], *_SOME_LENGTH),
+    "dual-matrix": (_check_dual_matrix, [{"n": 7}], *_SOME_LENGTH),
+    "realize-roundtrip": (
+        _check_realize_roundtrip,
+        [{"m": 6, "k": 2, "r": 2}],
+        lambda m, k, r: m >= 4 and k >= 1 and r >= 0,
+        "the check needs m >= 4, k >= 1 and r >= 0",
+    ),
+    "length-bound": (_check_length_bound, [{"n": 8}], *_SOME_LENGTH),
     "join": (
         _check_join,
         [{"m": m, "k": k} for m, k in ((5, 1), (6, 2), (7, 2), (7, 3), (8, 1), (8, 2), (8, 3), (9, 1))],
+        *_SOME_ARC,
     ),
     "rho": (
         _check_rho,
@@ -437,45 +467,8 @@ _CHECKS = {
         + [{"f": 4, "k": 1, "r": r} for r in (0, 1, 2)]
         + [{"f": 4, "k": 2, "r": 0}]
         + [{"f": 5, "k": 1, "r": r} for r in (0, 1)],
+        *_REGULAR_FAMILY,
     ),
-}
-
-
-# What a grid point needs: the hypotheses of the two theorems, the bounds
-# of the families and maps the other family checks build, and for the
-# rest the bounds below which their loops are empty, so that the check
-# would pass without testing anything.  All are refused before any point
-# runs.
-_THEOREM_HYPOTHESES = "the theorem needs f >= 3, k >= 1 and f+1 >= 2k"
-_SOME_LENGTH = (lambda n: n >= 4, "the check needs n >= 4, the length of the shortest proper diagram")
-_SOME_ARC = (lambda m, k: m >= 4 and k >= 1, "the check needs m >= 4 and k >= 1, for a nonempty arc set")
-_REGULAR_FAMILY = (
-    lambda f, k, r: f >= 3 and k >= 1 and r >= 0,
-    "the check needs f >= 3, k >= 1 and r >= 0",
-)
-_POINT_NEEDS = {
-    "thm11": (lambda f, k: f >= 3 and k >= 1 and f + 1 >= 2 * k, _THEOREM_HYPOTHESES),
-    "thm12": (
-        lambda f, k, r: f >= 3 and k >= 1 and f + 1 >= 2 * k and r >= 0,
-        f"{_THEOREM_HYPOTHESES}, and r >= 0",
-    ),
-    "beta": _REGULAR_FAMILY,
-    "rho": _REGULAR_FAMILY,
-    "tau": (lambda f, k: f >= 3 and k >= 1, "the check needs f >= 3 and k >= 1"),
-    "realize-roundtrip": (
-        lambda m, k, r: m >= 4 and k >= 1 and r >= 0,
-        "the check needs m >= 4, k >= 1 and r >= 0",
-    ),
-    "regular-unique": _SOME_LENGTH,
-    "equivalence": _SOME_LENGTH,
-    "dual-matrix": _SOME_LENGTH,
-    "length-bound": _SOME_LENGTH,
-    "theta": (
-        lambda m, k: k >= 1 and m >= 2 * k + 2,
-        "the check needs k >= 1 and m >= 2k+2, for a k-relevant diagonal",
-    ),
-    "kappa": _SOME_ARC,
-    "join": _SOME_ARC,
 }
 
 
@@ -487,7 +480,7 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
     """Run a named check over a grid (its default grid when none given)."""
     if name not in _CHECKS:
         raise InvalidArgumentError(f"unknown check {name!r}; known: {', '.join(check_names())}")
-    func, default_grid = _CHECKS[name]
+    func, default_grid, holds, needs = _CHECKS[name]
     points = grid if grid is not None else default_grid
     for params in points:
         try:
@@ -495,7 +488,6 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
         except TypeError as exc:
             raise InvalidArgumentError(f"check {name} at {params}: {exc}") from None
         bound.apply_defaults()
-        holds, needs = _POINT_NEEDS[name]
         if not holds(**bound.arguments):
             raise InvalidArgumentError(f"check {name} at {params}: {needs}")
     report = VerificationReport(name)

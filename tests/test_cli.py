@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 import os
@@ -47,6 +48,10 @@ class TestInspect:
         code, _, err = run(capsys, "inspect", "bogus")
         assert code == 2
         assert "malformed" in err
+
+    def test_repeated_arc_exit_2(self, capsys):
+        code, out, err = run(capsys, "inspect", "n=5; arcs=(1,3),(1,3)")
+        assert code == 2 and out == "" and err == "error: arc (1,3) is repeated\n"
 
 
 class TestTransforms:
@@ -348,7 +353,7 @@ class TestVerify:
         ids=["beta", "rho", "tau", "thm12"],
     )
     def test_point_outside_the_family_is_refused_before_any_runs(self, capsys, monkeypatch, check, grid, needs):
-        func, default_grid = verify._CHECKS[check]
+        func, *rest = verify._CHECKS[check]
         ran = []
 
         @functools.wraps(func)
@@ -356,7 +361,7 @@ class TestVerify:
             ran.append(params)
             return func(**params)
 
-        monkeypatch.setitem(verify._CHECKS, check, (recorded, default_grid))
+        monkeypatch.setitem(verify._CHECKS, check, (recorded, *rest))
         code, out, err = run(capsys, "verify", "--check", check, "--grid", grid)
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: check {check} at ") and err.endswith(f": {needs}\n")
@@ -407,6 +412,15 @@ class TestVerify:
     def test_cap_refused_exit_2(self, capsys):
         code, out, err = run(capsys, "--cap", "5", "verify", "--check", "thm11", "--grid", "f=4,k=1")
         assert code == 2 and out == "" and err == "error: verify takes no --cap\n"
+
+    @pytest.mark.parametrize("check", check_names())
+    def test_default_grid_binds_and_meets_its_own_needs(self, check):
+        func, default_grid, holds, _ = verify._CHECKS[check]
+        assert default_grid
+        for params in default_grid:
+            bound = inspect.signature(func).bind(**params)
+            bound.apply_defaults()
+            assert holds(**bound.arguments), params
 
     def test_grid_point_may_leave_out_defaulted_names(self, capsys):
         code, out, _ = run(capsys, "verify", "--check", "realize-roundtrip", "--grid", "m=4,k=1")

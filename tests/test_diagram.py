@@ -54,9 +54,10 @@ def binary_diagrams(max_length=9):
 
 
 class TestConstruction:
-    def test_normalizes_and_sorts_arcs(self):
-        d = Diagram(6, [(2, 5), (1, 3), (2, 5)])
-        assert d.arcs == ((1, 3), (2, 5))
+    def test_sorts_arcs_and_refuses_a_repeat(self):
+        assert Diagram(6, [(2, 5), (1, 3)]).arcs == ((1, 3), (2, 5))
+        with pytest.raises(InvalidArgumentError, match=r"^arc \(2,5\) is repeated$"):
+            Diagram(6, [(2, 5), (1, 3), (2, 5)])
 
     def test_rejects_short_length(self):
         with pytest.raises(InvalidArgumentError):

@@ -419,10 +419,22 @@ def _cross_parallel_arcs(pairs):
     return tuple(sorted(crossed))
 
 
+def _stack_two_arcs(pairs):
+    """The layout of a (0,1) key of two or more arcs with the arc of its
+    last block pair moved onto its first: parallel arcs, which exactness
+    rules out for a (0,1) key."""
+    used = sorted((i, j) for (i, j), count in pairs.items() if i < j and count)
+    if len(used) < 2 or any(pairs[pair] > 1 for pair in used):
+        return regular_arcs(pairs)
+    return regular_arcs({**dict.fromkeys(used[1:-1], 1), used[0]: 2})
+
+
 class TestLayoutNegativeControls:
     """A broken layout makes every check built on it fail."""
 
-    @pytest.fixture(params=[_drop_an_arc, _cross_parallel_arcs], ids=["drop", "cross"])
+    @pytest.fixture(
+        params=[_drop_an_arc, _cross_parallel_arcs, _stack_two_arcs], ids=["drop", "cross", "stack"]
+    )
     def broken_layout(self, request, monkeypatch):
         monkeypatch.setattr(transform, "regular_arcs", request.param)
         monkeypatch.setattr(verify, "regular_arcs", request.param)
