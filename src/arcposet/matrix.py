@@ -92,8 +92,9 @@ class SymmetricMatrix:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidArgumentError(f"bad matrix JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "order" not in payload or "rows" not in payload:
-            raise InvalidArgumentError("matrix JSON must have 'order' and 'rows'")
+        if not isinstance(payload, dict) or payload.keys() != {"order", "rows"}:
+            raise InvalidArgumentError("matrix JSON must have the fields 'order' and 'rows' and no other")
+        require_int(payload["order"], "matrix JSON 'order'")
         rows = payload["rows"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise InvalidArgumentError("matrix JSON 'rows' must be a list of lists")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import inspect
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 
 from .complexes import (
@@ -43,11 +43,10 @@ from .families import (
     relevant_arcs,
 )
 from .crossing import noncrossing_subset_masks, pairs_cross
-from .matrix import enumerate_matrices, enumerate_matrix_keys, matrices_from_keys
+from .matrix import enumerate_matrix_keys, matrices_from_keys, upper_positions
 from .transform import (
     BOTTOM_RELEVANT,
     BOTTOM_STAR,
-    beta_inverse,
     canonicalize,
     dual,
     equivalent,
@@ -57,7 +56,6 @@ from .transform import (
     regular_arcs,
     swap_orbit_arcs,
     swapped_arcs,
-    tau_inverse,
     theta,
     theta_inverse,
 )
@@ -128,10 +126,11 @@ def _check_thm11(f, k):
     """Homology of the order complex of the regular-diagram family at r=0.
 
     The family is order-isomorphic to the inclusion family of k-noncrossing
-    arc subsets (checked by the 'tau' check), whose order complex is the
-    barycentric subdivision of the noncrossing complex computed here, so
-    both have the same homology.  Prediction: the join of a sphere of
-    dimension k(f-2k)-1 with a simplex of dimension (f+1)(k-1)-1.
+    arc subsets (the 'tau' check, whose default grid holds every point here
+    but f=8,k=2 and f=7,k=3), whose order complex is the barycentric
+    subdivision of the noncrossing complex computed here, so both have the
+    same homology.  Prediction: the join of a sphere of dimension
+    k(f-2k)-1 with a simplex of dimension (f+1)(k-1)-1.
     """
     complex_ = noncrossing_complex(admissible_arcs(f + 1), k)
     simplex_dim = (f + 1) * (k - 1) - 1
@@ -166,36 +165,47 @@ def _key_text(order, key):
     return matrices_from_keys(order, [key])[0].key()
 
 
+def _layout_failure(order, keys):
+    """What fails on the first key whose layout is not a regular diagram
+    with exactly the key's block-pair counts, None when none does."""
+    for key in keys:
+        _, regular, exact = layout_key(order, key)
+        if not regular:
+            return f"non-regular image for {_key_text(order, key)}"
+        if not exact:
+            return f"beta(beta_inverse) mismatch at {_key_text(order, key)}"
+    return None
+
+
 def _check_beta(f, k, r):
     """beta_inverse is a bijection from matrices onto regular diagrams with
     block matrix as its inverse; both orders are block-matrix domination,
     so this makes beta an order-isomorphism.  Each member is laid out from
-    its upper-triangle key, as beta_inverse lays out a validated matrix."""
+    its upper-triangle key, as beta_inverse lays out a validated matrix;
+    exact layouts of distinct keys differ, as their block-pair counts do."""
     keys = enumerate_matrix_keys(f + 1, k, r)
-    images = set()
-    for key in keys:
-        arcs, regular, exact = layout_key(f + 1, key)
-        if not regular:
-            return False, f"non-regular image for {_key_text(f + 1, key)}"
-        if not exact:
-            return False, f"beta(beta_inverse) mismatch at {_key_text(f + 1, key)}"
-        images.add(arcs)
-    ok = len(images) == len(keys)
-    return ok, f"{len(keys)} matrices, {len(images)} distinct regular diagrams"
+    failure = _layout_failure(f + 1, keys)
+    return failure is None, failure or f"{len(keys)} matrices, {len(keys)} distinct regular diagrams"
 
 
 def _check_tau(f, k):
     """tau_inverse . beta maps the r=0 regular family exactly onto the
-    inclusion family of k-noncrossing arc subsets."""
-    pool = admissible_arcs(f + 1)
-    expected = set()
-    for mask in noncrossing_subset_masks(pool, k):
-        if mask:
-            expected.add(frozenset(pool[i] for i in range(len(pool)) if mask >> i & 1))
+    inclusion family of k-noncrossing arc subsets.  The block matrix of
+    beta_inverse(M) is M (the 'beta' check), and tau_inverse reads the
+    support of a (0,1) key with a zero semi-diagonal, off which
+    ``upper_positions`` are the admissible arcs; at r=0 domination is
+    inclusion of supports.  Supports are masks over the arc pool."""
+    order = f + 1
+    pool = admissible_arcs(order)
+    bit = {arc: 1 << i for i, arc in enumerate(pool)}
+    bits = [bit.get(pair, 0) for pair in upper_positions(order)]  # 0 on the semi-diagonal
     got = set()
-    for matrix in enumerate_matrices(f + 1, k, 0):
-        diagram = beta_inverse(matrix, k, 0)
-        got.add(frozenset(tau_inverse(block_matrix(diagram)).arcs))
+    for key in enumerate_matrix_keys(order, k, 0):
+        mask = sum(compress(bits, key))
+        if sum(key) != mask.bit_count():  # equal just when each nonzero entry is a 1 off the semi-diagonal
+            return False, f"{_key_text(order, key)} is not a (0,1) key with a zero semi-diagonal"
+        got.add(mask)
+    expected = {mask for mask in noncrossing_subset_masks(pool, k) if mask}
     ok = got == expected
     return ok, f"{len(got)} images vs {len(expected)} k-noncrossing arc subsets"
 
@@ -216,18 +226,13 @@ def _check_rho(f, k, r):
 def _check_theta(m, k):
     """Faces of the multitriangulation complex correspond to the diagrams
     on k-relevant arcs, and the two maps invert each other."""
-    complex_ = build_T(m, k)
-    faces = complex_.faces()
-    count = 0
+    faces = build_T(m, k).faces()  # a set, so each face is counted once
     for face in faces:
-        diagram = theta(face, m, k)
-        if theta_inverse(diagram, k) != face:
+        if theta_inverse(theta(face, m, k), k) != face:
             return False, f"round-trip failed on {sorted(face)}"
-        count += 1
-    pool = relevant_arcs(m, k)
-    expected = sum(1 for mask in noncrossing_subset_masks(pool, k) if mask)
-    ok = count == expected
-    return ok, f"{count} faces vs {expected} relevant-arc diagrams"
+    expected = sum(1 for mask in noncrossing_subset_masks(relevant_arcs(m, k), k) if mask)
+    ok = len(faces) == expected
+    return ok, f"{len(faces)} faces vs {expected} relevant-arc diagrams"
 
 
 def _check_kappa(m, k):
@@ -345,29 +350,19 @@ def _check_dual_matrix(n=7):
 
 
 def _check_realize_roundtrip(m=6, k=2, r=2):
-    """The layout of realize_matrix inverts the block matrix on the whole
-    family and gives regular diagrams.  Exactness makes (0,1) matrices
-    realize without parallel arcs: two would share a block pair, and a
-    (0,1) key gives each block pair at most one arc.
-
-    The families of one order nest in the crossing and tautology bounds,
-    so a key is checked once per order, where it first appears; every
-    family member is still counted."""
+    """The 'beta' check at each order up to m.  Exactness makes (0,1)
+    matrices realize without parallel arcs: two would share a block pair,
+    and a (0,1) key gives each block pair at most one arc.  The families of
+    one order nest in the crossing and tautology bounds, so M(order, k, r)
+    holds every member of the others and alone is laid out; every family
+    member is still counted."""
     checked = 0
     for order in range(4, m + 1):
-        passed = set()  # the keys of this order already checked
-        for crossings in range(1, k + 1):
-            for tautology in range(0, r + 1):
-                for key in enumerate_matrix_keys(order, crossings, tautology):
-                    checked += 1
-                    if key in passed:
-                        continue
-                    _, regular, exact = layout_key(order, key)
-                    if not exact:
-                        return False, f"round trip failed for {_key_text(order, key)}"
-                    if not regular:
-                        return False, f"non-regular realization of {_key_text(order, key)}"
-                    passed.add(key)
+        families = {(c, t): enumerate_matrix_keys(order, c, t) for c in range(1, k + 1) for t in range(r + 1)}
+        failure = _layout_failure(order, families[k, r])
+        if failure is not None:
+            return False, failure
+        checked += sum(map(len, families.values()))
     return True, f"{checked} matrices up to order {m}"
 
 
@@ -399,7 +394,7 @@ def _check_join(m, k):
 
 # the tautology-bounded matrix families M(f+1, k, r) that thm12 and beta run on
 _MATRIX_FAMILY_GRID = (
-    [{"f": f, "k": k, "r": r} for f in (3, 4, 5) for k in (1, 2) if f >= 2 * k for r in (0, 1, 2)]
+    [{"f": f, "k": k, "r": r} for f in (3, 4, 5) for k in (1, 2) for r in (0, 1, 2)]
     + [{"f": 6, "k": 1, "r": r} for r in (0, 1, 2)]
     + [{"f": 6, "k": 2, "r": 0}]
     + [{"f": 5, "k": 3, "r": r} for r in (0, 1, 2)]
@@ -435,7 +430,7 @@ _CHECKS = {
     "beta": (_check_beta, _MATRIX_FAMILY_GRID, *_REGULAR_FAMILY),
     "tau": (
         _check_tau,
-        [{"f": f, "k": k} for f in (3, 4, 5) for k in (1, 2) if f >= 2 * k],
+        [{"f": f, "k": 1} for f in range(3, 10)] + [{"f": f, "k": 2} for f in range(4, 8)] + [{"f": 6, "k": 3}],
         lambda f, k: f >= 3 and k >= 1,
         "the check needs f >= 3 and k >= 1",
     ),
@@ -482,6 +477,8 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
         raise InvalidArgumentError(f"unknown check {name!r}; known: {', '.join(check_names())}")
     func, default_grid, holds, needs = _CHECKS[name]
     points = grid if grid is not None else default_grid
+    if not points:
+        raise InvalidArgumentError(f"check {name}: the grid has no point")
     for params in points:
         try:
             bound = inspect.signature(func).bind(**params)

@@ -164,10 +164,13 @@ def test_structure_maps_are_order_isomorphisms():
     assert_check("tau")
     assert_check("rho")
     # explicit poset-level isomorphism through the adjacency matrix on a
-    # mid-sized point: regular family <-> inclusion family of diagrams
+    # mid-sized point: regular family <-> inclusion family of diagrams, each
+    # member reached from its matrix by beta_inverse
     regular = build_P(4, 2, 0)
     inclusion = build_S(5, 2)
-    mapping = {d: tau_inverse(block_matrix(d)) for d in regular.elements}
+    members = [beta_inverse(matrix, 2, 0) for matrix in enumerate_matrices(5, 2, 0)]
+    assert set(members) == set(regular.elements)
+    mapping = {d: tau_inverse(block_matrix(d)) for d in members}
     assert regular.check_order_map(inclusion, mapping) == "isomorphism"
 
 

@@ -101,6 +101,21 @@ class TestRealize:
         code, out, err = run(capsys, "realize", text)
         assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    # fields the matrix does not read, and orders that are not ints, are refused
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ('{"order": 4, "rows": [[0,0,1,0],[0,0,0,0],[1,0,0,0],[0,0,0,0]], "cols": 9}', "fields 'order' and 'rows' and no other"),
+            ('{"order": 4.0, "rows": [[0,0,1,0],[0,0,0,0],[1,0,0,0],[0,0,0,0]]}', "'order' must be an integer, got 4.0"),
+            ('{"order": true, "rows": [[0]]}', "'order' must be an integer, got True"),
+        ],
+        ids=["unknown-field", "float-order", "bool-order"],
+    )
+    def test_ignored_or_inexact_field_exit_2(self, capsys, text, message):
+        code, out, err = run(capsys, "realize", text)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: matrix JSON ") and err.endswith(f"{message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "realize", "no-such-file.json")
         assert code == 2 and "cannot read" in err
@@ -366,6 +381,11 @@ class TestVerify:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: check {check} at ") and err.endswith(f": {needs}\n")
         assert ran == []
+
+    @pytest.mark.parametrize("grid", [";", ""])
+    def test_grid_without_a_point_exit_2(self, capsys, grid):
+        code, out, err = run(capsys, "verify", "--check", "beta", "--grid", grid)
+        assert code == 2 and out == "" and err == "error: check beta: the grid has no point\n"
 
     def test_vacuous_point_after_a_valid_one_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "--check", "regular-unique", "--grid", "n=5;n=3")

@@ -78,6 +78,17 @@ class TestConstruction:
     def test_json_round_trip(self, m):
         assert SymmetricMatrix.from_json(m.to_json()) == m
 
+    def test_json_rejects_an_unknown_field(self):
+        with pytest.raises(InvalidArgumentError, match="'order' and 'rows' and no other"):
+            SymmetricMatrix.from_json('{"order": 2, "rows": [[0, 1], [1, 0]], "cols": 2}')
+
+    @pytest.mark.parametrize("order", ["2.0", "true"])
+    def test_json_rejects_an_order_that_is_not_an_int(self, order):
+        # 2.0 == 2 and true == 1 would otherwise pass the row count
+        rows = "[[0, 1], [1, 0]]" if order == "2.0" else "[[0]]"
+        with pytest.raises(InvalidArgumentError, match="'order' must be an integer"):
+            SymmetricMatrix.from_json(f'{{"order": {order}, "rows": {rows}}}')
+
     @pytest.mark.parametrize("bad", ["{}", "[]", "nope", '{"order": 2, "rows": [[0,0]]}'])
     def test_bad_json(self, bad):
         with pytest.raises(InvalidArgumentError):

@@ -23,7 +23,7 @@ from arcposet.diagram import (
 )
 from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from arcposet.families import build_P
-from arcposet.matrix import SymmetricMatrix, enumerate_matrices, enumerate_matrix_keys
+from arcposet.matrix import SymmetricMatrix, enumerate_matrices, enumerate_matrix_keys, upper_positions
 from arcposet.transform import (
     BOTTOM_RELEVANT,
     BOTTOM_STAR,
@@ -470,8 +470,9 @@ class TestLayoutNegativeControls:
         assert point.detail == "canonicalize(n=6; arcs=(1,3),(4,6)) missed the regular diagram"
 
     def test_key_first_met_in_the_largest_family_is_checked(self, monkeypatch):
-        # keys are checked once per order; one that only the last family
-        # of order 5, M(5, 2, 2), holds must still reach layout_key
+        # only the largest family of each order is laid out; a key that
+        # only M(5, 2, 2) holds must reach layout_key, and fails with
+        # beta's text
         smaller = {
             key
             for crossings, tautology in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1))
@@ -487,7 +488,7 @@ class TestLayoutNegativeControls:
         monkeypatch.setattr(verify, "layout_key", inexact_for_target)
         (point,) = verify.run_check("realize-roundtrip", [{"m": 5, "k": 2, "r": 2}]).points
         assert not point.passed
-        assert point.detail == f"round trip failed for {verify._key_text(5, target)}"
+        assert point.detail == f"beta(beta_inverse) mismatch at {verify._key_text(5, target)}"
 
     def test_arcs_past_the_length_fail_the_checks(self, monkeypatch):
         def shifted(pairs):
@@ -496,6 +497,34 @@ class TestLayoutNegativeControls:
         monkeypatch.setattr(transform, "regular_arcs", shifted)
         assert not verify.run_check("beta", [{"f": 4, "k": 2, "r": 1}]).passed
         assert not verify.run_check("realize-roundtrip", [{"m": 5, "k": 2, "r": 2}]).passed
+
+
+class TestTauNegativeControls:
+    """The tau check reads each key's support through ``upper_positions``
+    and refuses any key that is not (0,1) with a zero semi-diagonal."""
+
+    @pytest.mark.parametrize(
+        "permute",
+        [lambda positions: positions[::-1], lambda positions: positions[1:] + positions[:1]],
+        ids=["reversed", "rotated"],
+    )
+    def test_permuted_positions_fail(self, monkeypatch, permute):
+        positions = verify.upper_positions
+        monkeypatch.setattr(verify, "upper_positions", lambda m: permute(positions(m)))
+        assert not verify.run_check("tau", [{"f": 5, "k": 2}]).passed
+
+    # each bad key has the support {(1,3)} of a member, so only the (0,1)
+    # test can catch it
+    @pytest.mark.parametrize(
+        "entries", [{(1, 2): 1, (1, 3): 1}, {(1, 3): 2}], ids=["semi-diagonal-1", "entry-2"]
+    )
+    def test_key_that_is_not_zero_one_fails(self, monkeypatch, entries):
+        bad = tuple(entries.get(pair, 0) for pair in upper_positions(5))
+        enumerate_keys = verify.enumerate_matrix_keys
+        monkeypatch.setattr(verify, "enumerate_matrix_keys", lambda m, k, r: enumerate_keys(m, k, r) + [bad])
+        (point,) = verify.run_check("tau", [{"f": 4, "k": 1}]).points
+        assert not point.passed
+        assert point.detail == f"{verify._key_text(5, bad)} is not a (0,1) key with a zero semi-diagonal"
 
 
 class TestNamedMaps:
