@@ -13,8 +13,10 @@ sites by ``site_table``: each site's partner (0 when the site is free,
 the 1-based index of its block, which is one more than the number of
 free sites to its left.  An arc (a, b) of a binary diagram therefore
 covers block[b] - block[a] free sites.  The table is built from a length
-and a sorted arc tuple, so the swap and regular-form layers run on those
-flat values and build ``Diagram`` objects only at their boundary.
+and a sorted arc tuple; its partner array, as a tuple, is the flat form
+the matching search, the swap layer and the regular-form check run on
+(``partner_arcs`` reads the arc tuple back), so they build ``Diagram``
+objects only at their boundary.
 """
 
 from __future__ import annotations
@@ -125,6 +127,12 @@ def table_from_partners(partner: list[int]) -> SiteTable:
     # entry s counts the free sites up to s, plus one (index 0 counts as free)
     block = list(accumulate(map(not_, partner)))
     return SiteTable(partner, block, block[-1] - 1)
+
+
+def partner_arcs(partner) -> tuple[Arc, ...]:
+    """The ascending arc tuple of a binary diagram from its partner tuple
+    (or list) as in ``SiteTable.partner``."""
+    return tuple([(s, p) for s, p in enumerate(partner) if p > s])
 
 
 def _table_is_binary(table: SiteTable, arcs: tuple[Arc, ...]) -> bool:

@@ -34,10 +34,9 @@ from .diagram import (
     free_sites,
     is_proper,
     is_regular,
+    partner_arcs,
     site_table,
     suppress_arc,
-    table_from_partners,
-    table_is_proper,
     tautology_number,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
@@ -66,63 +65,110 @@ def nonrelevant_arcs(m: int, k: int) -> list[Arc]:
     return [arc for arc in admissible_arcs(m) if not is_k_relevant(arc, m, k)]
 
 
-def _site_matchings(n: int, proper: bool = False):
-    """Every binary arc set of length n (the empty one included), by
-    matching sites left to right: each site is left free first, then
-    joined to each later site in turn.  With ``proper``, an arc is dropped
-    as soon as it closes with no free site inside it, as no proper diagram
-    has such an arc.  Yields the ascending arc list and the partner array
-    (0 for a free site), both reused between yields."""
-    arcs: list[Arc] = []
+def _site_matchings(n: int, proper: bool):
+    """The one matching search: every binary arc set of length n (the
+    empty one included), or with ``proper`` every proper one, as its
+    partner tuple (index 0 unused, 0 at a free site) and its fiber key.
+
+    Sites are matched left to right: each site is left free first, then
+    joined to each later site in turn.  ``free[s]`` counts the free sites
+    among 1..s, so a non-free site s lies in block ``free[s] + 1`` and an
+    arc (a, b) covers ``free[b] - free[a]`` free sites.  With ``proper``,
+    an arc is dropped as it closes when it covers no free site, and a
+    complete matching is yielded only when it has an arc and none of its
+    arcs covers every free site.  The fiber key codes the block-pair
+    counts as one integer: the arc (a, b) adds one to the digit of width
+    ``width`` bits at place ``free[a] * (n + 1) + free[b]``, and no digit
+    carries, as no block pair holds more than n // 2 arcs.  So two
+    matchings share a key just when their block matrices are equal.
+
+    The search is one loop over an explicit cursor: ``tried[s]`` is the
+    last partner tried from the opening site s (s itself while s is free),
+    and ``forward`` tells whether the cursor arrived at ``site`` from the
+    left or is backing up into it from the right.
+    """
+    width = max(n // 2, 1).bit_length()
+    place = [[1 << width * (i * (n + 1) + j) for j in range(n + 1)] for i in range(n + 1)]
     partner = [0] * (n + 1)
-    free = [0] * (n + 1)  # free[s]: the free sites among 1..s
-
-    def extend(site: int):
-        if site > n:
-            yield arcs, partner
-            return
+    free = [0] * (n + 1)
+    tried = [0] * (n + 1)
+    key = 0
+    site, forward = 1, True
+    while site:
+        if forward:
+            if site > n:
+                if not proper or _covers_some_but_not_all(partner, free, n):
+                    yield tuple(partner), key
+                site, forward = n, False
+                continue
+            start = partner[site]
+            if start and start < site:  # the site ends the arc from an earlier site
+                covered = free[site] = free[site - 1]
+                if proper and covered == free[start]:
+                    site, forward = site - 1, False  # the arc covers no free site
+                    continue
+                key += place[free[start]][covered]
+            else:  # the site stays free first
+                free[site] = free[site - 1] + 1
+                tried[site] = site
+            site += 1
+            continue
         start = partner[site]
-        if start:  # the site ends the arc from an earlier site
-            free[site] = free[site - 1]
-            if not (proper and free[site] == free[start]):
-                yield from extend(site + 1)
-            return
-        free[site] = free[site - 1] + 1
-        yield from extend(site + 1)  # the site stays free
-        free[site] -= 1
-        for t in range(site + 2, min(n, site + n - 2) + 1):
-            if not partner[t]:
-                arcs.append((site, t))
-                partner[site], partner[t] = t, site
-                yield from extend(site + 1)
-                arcs.pop()
-                partner[site] = partner[t] = 0
+        if start and start < site:  # back over the end of an arc
+            key -= place[free[start]][free[site]]
+            site -= 1
+            continue
+        t = tried[site]
+        if t != site:  # take back the arc to t
+            partner[site] = partner[t] = 0
+        else:
+            free[site] -= 1
+        last = n if site > 1 else n - 1  # the arc (1, n) spans n - 1 steps
+        t = t + 2 if t == site else t + 1
+        while t <= last and partner[t]:
+            t += 1
+        if t > last:
+            site -= 1
+            continue
+        partner[site], partner[t] = t, site
+        tried[site] = t
+        site, forward = site + 1, True
 
-    yield from extend(1)
+
+def _covers_some_but_not_all(partner: list[int], free: list[int], n: int) -> bool:
+    """For a complete matching whose arcs each cover a free site: it has
+    an arc, and no arc covers every free site.  Such an arc would start
+    before the first free site, so only those sites are read."""
+    total = free[n]
+    if total == n:
+        return False  # no arc
+    site = 1
+    while not free[site]:
+        if free[partner[site]] == total:
+            return False
+        site += 1
+    return True
 
 
 def enumerate_binary_diagrams(n: int):
     """All binary diagrams of length n (plus the trivial one), by matching
     sites left to right."""
-    for arcs, _ in _site_matchings(n):
-        yield Diagram(n, arcs)
+    for partner, _ in _site_matchings(n, proper=False):
+        yield Diagram(n, partner_arcs(partner))
 
 
 def proper_matchings(n: int):
-    """The ascending arc tuple and site table of every proper diagram of
-    length n, in the order of ``enumerate_binary_diagrams``.  The matching
-    search drops each arc that covers no free site as it closes, and the
-    rest are checked against the site table before anything is yielded."""
-    for arcs, partner in _site_matchings(n, proper=True):
-        table = table_from_partners(partner)
-        if table_is_proper(table, arcs):
-            yield tuple(arcs), table._replace(partner=partner[:])
+    """The partner tuple and fiber key of every proper diagram of length n,
+    in the order of ``enumerate_binary_diagrams``: ``_site_matchings``
+    tests properness as it matches, and the key is equal for two
+    diagrams just when their block matrices are."""
+    return _site_matchings(n, proper=True)
 
 
 def enumerate_proper_diagrams(n: int):
     """All proper diagrams of length n, as ``proper_matchings`` finds them."""
-    for arcs, _ in proper_matchings(n):
-        yield Diagram(n, arcs)
+    for partner, _ in proper_matchings(n):
+        yield Diagram(n, partner_arcs(partner))
 
 
 # ---------------------------------------------------------------------------

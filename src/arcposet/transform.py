@@ -7,11 +7,12 @@ block-pair counts directly, and is the one construction of it:
 ``SymmetricMatrix``, and ``layout_key`` those of a flat family key, with
 the check that the layout is regular and has exactly the key's counts
 (``build_P`` and the ``verify`` checks use it).
-Also here: the swap involution and swap orbits, the two equivalence tests,
-the dual and blow-up constructions, and the named structure-preserving
-maps between diagram and matrix families.  The definitional route to the
-regular form, strict swaps until no local crossing is left, is checked
-in ``verify``, one strict swap per proper diagram.
+Also here: the swap involution and swap orbits on partner tuples, the two
+equivalence tests, the dual and blow-up constructions, and the named
+structure-preserving maps between diagram and matrix families.  The
+definitional route to the regular form, strict swaps until no local
+crossing is left, is checked in ``verify``, one strict swap per proper
+diagram.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .diagram import (
     free_sites,
     is_proper,
     is_regular,
+    partner_arcs,
     site_table,
     table_is_proper,
     table_is_regular,
@@ -43,13 +45,15 @@ from .matrix import SymmetricMatrix, family_membership, r_value, upper_positions
 # swaps
 
 
-def swapped_arcs(arcs: tuple[Arc, ...], site: int) -> tuple[Arc, ...]:
-    """The ascending arc tuple after the swap at ``site``.  Exchanging the
-    partners of the non-free sites ``site`` and ``site + 1`` relabels the
-    two sites in every arc, since no arc joins them (an arc spans more than
-    one step), and leaves each arc's ends in order."""
-    other = {site: site + 1, site + 1: site}
-    return tuple(sorted((other.get(a, a), other.get(b, b)) for a, b in arcs))
+def swapped_partners(partner, site: int) -> tuple[int, ...]:
+    """The partner tuple after the swap at ``site``: the non-free sites
+    ``site`` and ``site + 1`` exchange their partners, and those partners
+    point back at the exchanged sites.  Four entries change; no arc joins
+    the two sites, as an arc spans more than one step."""
+    p, q = partner[site], partner[site + 1]
+    swapped = list(partner)
+    swapped[site], swapped[site + 1], swapped[p], swapped[q] = q, p, site + 1, site
+    return tuple(swapped)
 
 
 def swap(diagram: Diagram, site: int) -> Diagram:
@@ -64,50 +68,50 @@ def swap(diagram: Diagram, site: int) -> Diagram:
     for end in (site, site + 1):
         if not table.partner[end]:
             raise InvalidArgumentError(f"site {end} is free; swap needs two non-free sites")
-    return Diagram(diagram.length, swapped_arcs(diagram.arcs, site))
+    return Diagram(diagram.length, partner_arcs(swapped_partners(table.partner, site)))
 
 
 def swap_orbit(diagram: Diagram, cap: int = 1_000_000) -> set[Diagram]:
     """All diagrams reachable from the proper ``diagram`` by sequences of
-    swaps, found by ``swap_orbit_arcs``."""
-    if not is_proper(diagram):
+    swaps, found by ``swap_orbit_partners``."""
+    table = site_table(diagram.length, diagram.arcs)
+    if not table_is_proper(table, diagram.arcs):
         raise InvalidArgumentError("swap orbit requires a proper diagram")
     n = diagram.length
-    return {Diagram(n, arcs) for arcs in swap_orbit_arcs(n, diagram.arcs, cap)}
+    orbit = swap_orbit_partners(tuple(table.partner), cap)
+    return {Diagram(n, partner_arcs(partner)) for partner in orbit}
 
 
-def swap_orbit_arcs(
-    length: int, arcs: tuple[Arc, ...], cap: int = 1_000_000
-) -> set[tuple[Arc, ...]]:
-    """The arc tuples reachable by sequences of swaps from the ascending
-    arc tuple of a proper diagram of ``length``.
+def swap_orbit_partners(partner: tuple[int, ...], cap: int = 1_000_000) -> set[tuple[int, ...]]:
+    """The partner tuples reachable by sequences of swaps from the partner
+    tuple of a proper diagram.
 
-    The search runs on arc tuples and their site tables.  A swap keeps a
-    proper diagram proper, so each new arc tuple is checked for
-    admissibility and properness and a failure raises
+    A swap keeps the free sites, so the swap sites (two adjacent non-free
+    sites) are read once from ``partner``.  It also keeps every block
+    pair, so a swap of a proper diagram is proper once its two moved arcs
+    are arcs: each swap is checked in O(1) to leave both sites non-free
+    and both moved arcs spanning more than one step, and a failure raises
     :class:`InvariantError`.
     """
-    seen = {arcs}
-    queue = deque([(arcs, site_table(length, arcs).partner)])
+    sites = [s for s in range(1, len(partner) - 1) if partner[s] and partner[s + 1]]
+    seen = {partner}
+    queue = deque(seen)
     while queue:
-        arcs, partner = queue.popleft()
-        for site in range(1, length):
-            if not (partner[site] and partner[site + 1]):
-                continue
-            neighbour = swapped_arcs(arcs, site)
+        current = queue.popleft()
+        for site in sites:
+            neighbour = swapped_partners(current, site)
             if neighbour in seen:
                 continue
-            error = arcs_error(length, neighbour)
-            if error is None:
-                table = site_table(length, neighbour)
-                if not table_is_proper(table, neighbour):
-                    error = "it is not proper"
-            if error is not None:
-                raise InvariantError(f"the swap at {site} of {Diagram(length, arcs).key()} fails: {error}")
+            p, q = neighbour[site], neighbour[site + 1]
+            if not (p and q and abs(p - site) > 1 and abs(q - site - 1) > 1):
+                text = Diagram(len(partner) - 1, partner_arcs(current)).key()
+                raise InvariantError(
+                    f"the swap at {site} of {text} fails: it leaves partners {p} and {q} at sites {site} and {site + 1}"
+                )
             if len(seen) >= cap:
                 raise ResourceLimitError(f"swap orbit exceeds cap {cap}", bound=cap)
             seen.add(neighbour)
-            queue.append((neighbour, table.partner))
+            queue.append(neighbour)
     return seen
 
 

@@ -30,6 +30,8 @@ from .diagram import (
     block_pair_counts,
     free_sites,
     p_value_of_diagram,
+    partner_arcs,
+    table_from_partners,
 )
 from .errors import InvalidArgumentError, InvariantError
 from .families import (
@@ -54,8 +56,8 @@ from .transform import (
     kappa,
     layout_key,
     regular_arcs,
-    swap_orbit_arcs,
-    swapped_arcs,
+    swap_orbit_partners,
+    swapped_partners,
     theta,
     theta_inverse,
 )
@@ -97,15 +99,14 @@ def _crossings_and_leftmost_local_block(arcs, block):
     return count, leftmost
 
 
-def _strict_swap_site(arcs, table, block_index: int) -> int:
+def _strict_swap_site(partner, block, block_index: int) -> int:
     """Smallest site of an adjacent crossing arc pair incident with the
-    block, for the ascending arc tuple ``arcs`` and its site table.
+    block, for the partner tuple ``partner`` and its block array.
 
     Along a block, the arcs are in local order exactly when they are sorted
     by partner (arcs to earlier blocks first), and each local crossing is an
     inversion of that order; so a block with one has an adjacent one.
     """
-    partner, block = table.partner, table.block
     for site in range(1, len(partner) - 1):
         e1, e2 = (site, partner[site]), (site + 1, partner[site + 1])
         if not (e1[1] and e2[1]):
@@ -113,9 +114,13 @@ def _strict_swap_site(arcs, table, block_index: int) -> int:
         if pairs_cross(e1, e2) and block_index in {block[s] for s in e1} & {block[s] for s in e2}:
             return site
     raise InvariantError(
-        f"block {block_index} of {Diagram(len(partner) - 1, arcs).key()} has a local "
-        "crossing but no adjacent crossing pair"
+        f"block {block_index} of {_partner_text(partner)} has a local crossing but no adjacent crossing pair"
     )
+
+
+def _partner_text(partner):
+    """The ``Diagram.key()`` text of a partner tuple, for failure messages."""
+    return Diagram(len(partner) - 1, partner_arcs(partner)).key()
 
 
 # ---------------------------------------------------------------------------
@@ -283,55 +288,56 @@ def _check_regular_unique(n=11):
     a local crossing, the regular one, is reached: strict swaps lead every
     member to it.
 
-    Fibers are keyed by the block-pair counts within one length (they fix
-    the arc count, so the free-site count too), and fibers of different
-    lengths are disjoint, so each length's fibers are checked and dropped
-    before the next length is enumerated.  Members stay arc tuples with
-    their site tables; a ``Diagram`` is built only for a failure message."""
+    Fibers are grouped by the fiber key ``proper_matchings`` yields with
+    each member, within one length (the block-pair counts fix the arc
+    count, so the free-site count too), and fibers of different lengths
+    are disjoint, so each length's fibers are checked and dropped before
+    the next length is enumerated.  Members stay partner tuples from the
+    search to the swap orbit; a ``Diagram`` is built only for a failure
+    message."""
     total = 0
     for length in range(4, n + 1):
-        fibers = defaultdict(dict)
-        for arcs, table in proper_matchings(length):
-            key = frozenset(block_pair_counts(table, arcs).items())
-            count, local = _crossings_and_leftmost_local_block(arcs, table.block)
-            fibers[key][arcs] = (count, local, table)
-        for key, members in fibers.items():
-            failure = _fiber_failure(length, key, members)
+        fibers = defaultdict(list)
+        for partner, key in proper_matchings(length):
+            fibers[key].append(partner)
+        for members in fibers.values():
+            failure = _fiber_failure(members)
             if failure is not None:
                 return False, failure
         total += len(fibers)
     return True, f"{total} fibers up to length {n}"
 
 
-def _fiber_failure(length, key, members):
+def _fiber_failure(members):
     """What fails the checks of ``_check_regular_unique`` on one fiber,
-    None when nothing does.  ``key`` is the fiber's block-pair counts as a
-    frozenset of items, the same for every member, so they are laid out
-    once.  The fiber is a dict from each member's arc tuple to its crossing
-    count, leftmost block with a local crossing and site table."""
-
-    def text(arcs):
-        return Diagram(length, arcs).key()
-
-    first = next(iter(members))
-    regulars = [arcs for arcs, (_, local, _) in members.items() if local is None]
+    None when nothing does.  ``members`` lists the fiber's partner tuples
+    in search order.  Equal block-pair counts fix the number of sites in
+    each block, so the members share their free sites: one block array
+    and one set of block-pair counts, read from the first member, serve
+    them all, and the counts are laid out once."""
+    first = members[0]
+    table = table_from_partners(first)
+    block = table.block
+    # partner tuple -> crossing count, leftmost block with a local crossing
+    stats = {partner: _crossings_and_leftmost_local_block(partner_arcs(partner), block) for partner in members}
+    regulars = [partner for partner, (_, local) in stats.items() if local is None]
     if len(regulars) != 1:
-        return f"fiber of {text(first)} has {len(regulars)} regular diagrams"
+        return f"fiber of {_partner_text(first)} has {len(regulars)} regular diagrams"
     regular = regulars[0]
-    if members[regular][0] != min(count for count, _, _ in members.values()):
-        return f"regular diagram {text(regular)} is not crossing-minimal"
-    if regular_arcs(dict(key)) != regular:
-        return f"canonicalize({text(first)}) missed the regular diagram"
-    for arcs, (count, local, table) in members.items():
+    if stats[regular][0] != min(count for count, _ in stats.values()):
+        return f"regular diagram {_partner_text(regular)} is not crossing-minimal"
+    if regular_arcs(block_pair_counts(table, partner_arcs(first))) != partner_arcs(regular):
+        return f"canonicalize({_partner_text(first)}) missed the regular diagram"
+    for partner, (count, local) in stats.items():
         if local is None:
             continue
-        successor = swapped_arcs(arcs, _strict_swap_site(arcs, table, local))
-        if successor not in members:
-            return f"the strict swap of {text(arcs)} leaves its fiber"
-        if members[successor][0] >= count:
-            return f"the strict swap of {text(arcs)} removes no crossing"
-    if swap_orbit_arcs(length, first) != members.keys():
-        return f"swap orbit of {text(first)} is not the fiber"
+        successor = swapped_partners(partner, _strict_swap_site(partner, block, local))
+        if successor not in stats:
+            return f"the strict swap of {_partner_text(partner)} leaves its fiber"
+        if stats[successor][0] >= count:
+            return f"the strict swap of {_partner_text(partner)} removes no crossing"
+    if swap_orbit_partners(first) != stats.keys():
+        return f"swap orbit of {_partner_text(first)} is not the fiber"
     return None
 
 

@@ -5,7 +5,9 @@ here from the definitions: free sites as the sites no arc touches, block
 indices by scanning the runs between free sites, local crossings by a
 shared block, and swaps at the legal swap sites and swap orbits on ``Diagram``
 objects.  The comparison runs on every binary diagram of length at most 9
-and on drawn crossing-rich proper diagrams of about 26 sites.
+and on drawn crossing-rich proper diagrams of about 26 sites.  The proper
+matching search and its fiber keys are compared with the binary scan
+filtered by ``is_proper`` and keyed by block-pair counts.
 """
 
 from collections import Counter, deque
@@ -20,6 +22,7 @@ from arcposet.diagram import (
     Diagram,
     block_list,
     block_matrix,
+    block_pair_counts,
     free_sites,
     is_binary,
     is_proper,
@@ -28,7 +31,7 @@ from arcposet.diagram import (
     site_table,
 )
 from arcposet.errors import ResourceLimitError
-from arcposet.families import enumerate_binary_diagrams, enumerate_proper_diagrams
+from arcposet.families import enumerate_binary_diagrams, enumerate_proper_diagrams, proper_matchings
 from arcposet.transform import swap, swap_orbit
 
 # ---------------------------------------------------------------------------
@@ -213,5 +216,16 @@ def test_one_pass_regularity_is_the_pair_scan():
 
 @pytest.mark.parametrize("n", range(2, 12))
 def test_proper_enumeration_is_the_filtered_binary_scan(n):
+    # the definitional route: the binary scan filtered by is_proper, each
+    # diagram keyed by the block-pair counts of its site table
     expected = [d for d in enumerate_binary_diagrams(n) if is_proper(d)]
     assert list(enumerate_proper_diagrams(n)) == expected
+    matchings = list(proper_matchings(n))
+    tables = [site_table(n, d.arcs) for d in expected]
+    assert [partner for partner, _ in matchings] == [tuple(table.partner) for table in tables]
+    # one search key per set of block-pair counts, and one set per key
+    counts_of_key = {}
+    for (_, key), table, d in zip(matchings, tables, expected):
+        counts = frozenset(block_pair_counts(table, d.arcs).items())
+        assert counts_of_key.setdefault(key, counts) == counts
+    assert len(set(counts_of_key.values())) == len(counts_of_key)

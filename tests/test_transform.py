@@ -40,8 +40,8 @@ from arcposet.transform import (
     regular_arcs,
     swap,
     swap_orbit,
-    swap_orbit_arcs,
-    swapped_arcs,
+    swap_orbit_partners,
+    swapped_partners,
     tau,
     tau_inverse,
     theta,
@@ -150,11 +150,12 @@ class TestCanonicalize:
 class TestSwapOracle:
     def test_no_adjacent_crossing_pair_is_an_invariant_error(self):
         regular = parse("n=7; arcs=(1,6),(2,4)")
+        table = site_table(7, regular.arcs)
         with pytest.raises(InvariantError):
-            verify._strict_swap_site(regular.arcs, site_table(7, regular.arcs), 1)
+            verify._strict_swap_site(tuple(table.partner), table.block, 1)
 
     def test_swap_that_keeps_the_crossings_fails_the_check(self, monkeypatch):
-        monkeypatch.setattr(verify, "swapped_arcs", lambda arcs, site: arcs)
+        monkeypatch.setattr(verify, "swapped_partners", lambda partner, site: partner)
         report = verify.run_check("regular-unique", [{"n": 7}])
         assert not report.passed
         assert report.points[0].detail.endswith("removes no crossing")
@@ -179,29 +180,32 @@ class TestRegularUnique:
         assert point.detail == detail
 
     def test_swap_that_changes_nothing_fails(self, monkeypatch):
-        def unchanged(arcs, site):
-            return arcs
+        def unchanged(partner, site):
+            return partner
 
-        monkeypatch.setattr(transform, "swapped_arcs", unchanged)
-        monkeypatch.setattr(verify, "swapped_arcs", unchanged)
+        monkeypatch.setattr(transform, "swapped_partners", unchanged)
+        monkeypatch.setattr(verify, "swapped_partners", unchanged)
         assert not verify.run_check("regular-unique", [{"n": 8}]).passed
 
     def test_strict_swap_that_leaves_the_fiber_fails(self, monkeypatch):
-        def drop_an_arc(arcs, site):
-            return swapped_arcs(arcs, site)[1:]
+        def drop_an_arc(partner, site):
+            swapped = list(swapped_partners(partner, site))
+            first = next(s for s, p in enumerate(swapped) if p)  # the first arc's left end
+            swapped[first] = swapped[swapped[first]] = 0
+            return tuple(swapped)
 
-        monkeypatch.setattr(verify, "swapped_arcs", drop_an_arc)
+        monkeypatch.setattr(verify, "swapped_partners", drop_an_arc)
         report = verify.run_check("regular-unique", [{"n": 8}])
         assert not report.passed
         assert report.points[0].detail.endswith("leaves its fiber")
 
     def test_orbit_that_drops_a_member_fails(self, monkeypatch):
-        def short_orbit(length, arcs, cap=1_000_000):
-            orbit = swap_orbit_arcs(length, arcs, cap)
+        def short_orbit(partner, cap=1_000_000):
+            orbit = swap_orbit_partners(partner, cap)
             orbit.discard(max(orbit))
             return orbit
 
-        monkeypatch.setattr(verify, "swap_orbit_arcs", short_orbit)
+        monkeypatch.setattr(verify, "swap_orbit_partners", short_orbit)
         report = verify.run_check("regular-unique", [{"n": 8}])
         assert not report.passed
         assert report.points[0].detail.endswith("is not the fiber")
@@ -243,12 +247,12 @@ class TestEquivalence:
     @pytest.mark.parametrize(
         "broken",
         [
-            lambda arcs, site: arcs[::-1],  # not in ascending order
-            lambda arcs, site: ((1, 3), (2, 6)),  # (1,3) covers no free site
+            lambda partner, site: partner[:site] + (0,) + partner[site + 1 :],  # frees the site
+            lambda partner, site: (0, 2, 1, 0, 0, 0, 0, 0),  # the arc (1,2) spans one step
         ],
     )
     def test_swap_orbit_checks_every_new_arc_tuple(self, monkeypatch, broken):
-        monkeypatch.setattr(transform, "swapped_arcs", broken)
+        monkeypatch.setattr(transform, "swapped_partners", broken)
         with pytest.raises(InvariantError):
             swap_orbit(parse("n=7; arcs=(1,4),(2,6)"))
 
