@@ -171,10 +171,13 @@ def noncrossing_complex(pool: list[Arc], k: int, cap: int = 10_000_000) -> Simpl
     in every facet, and a set is k-noncrossing exactly when its other
     ("core") arcs are (k+1 mutually crossing arcs include no cone arc by
     definition), so one exact search over the core sets finds every
-    facet once, each checked for maximality only against the core arcs it
-    skipped while they were still addable.  ``cap`` bounds the search
-    nodes visited (the empty core set included).  Arc (a, b) is labelled
-    "a-b".
+    facet once.  Below a search node every facet holds any still addable
+    arc u or an addable arc crossing u: the node's set plus u is
+    k-noncrossing, so whatever blocks u includes an arc added below the
+    node that crosses u.  A node therefore branches only on the shortest
+    such list, and is dead when an arc it skipped crosses no addable arc.
+    ``cap`` bounds the search nodes visited (the empty core set included).
+    Arc (a, b) is labelled "a-b".
     """
     names = [f"{a}-{b}" for a, b in pool]
     return SimplicialComplex(

@@ -43,7 +43,8 @@ def masked_clique_exists(adj: list[int], candidates: int, size: int) -> bool:
     while rest:
         v = (rest & -rest).bit_length() - 1
         rest &= rest - 1
-        if masked_clique_exists(adj, rest & adj[v], size - 1):
+        # a 2-clique is an edge
+        if rest & adj[v] if size == 2 else masked_clique_exists(adj, rest & adj[v], size - 1):
             return True
         # v excluded: remaining candidates are exactly `rest`
         if rest.bit_count() < size:
@@ -92,56 +93,82 @@ def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[i
     A cone pair lies in no k+1 mutually crossing pairs, so it can join any
     such subset: it is in every maximal one, and a set is k-noncrossing
     exactly when its non-cone ("core") part is.  The search therefore runs
-    on the core pairs only, in index order, one node per k-noncrossing
-    core set, and ORs the cone mask into each result.  A node carries the
-    later pairs it can still take (``addable``) and the earlier ones that
-    were skipped on the way to it while addable and are still addable now
-    (``pending``); a pair skipped while blocked stays blocked, since masks
-    only grow.  A node is maximal exactly when both lists are empty, and a
-    branch stops as soon as some pending pair cannot be blocked even by
-    every pair the branch may still add.  ``cap`` bounds the nodes visited.
+    on the core pairs only and ORs the cone mask into each result.  A node
+    holds a k-noncrossing core mask, the core pairs it may still take
+    (``addable``) and the pairs skipped on the way to it that are still
+    addable (``pending``); a skipped pair, once blocked, stays blocked,
+    since masks only grow.  A node is maximal exactly when both sets are
+    empty.  ``cap`` bounds the nodes visited.
 
-    Both lists hold pairs addable to the node's mask, so adding pair i
+    For any u addable or pending, every maximal set below a node holds u
+    or an addable pair crossing u: without u it closes k+1 mutually
+    crossing pairs with u, and the mask plus u is k-noncrossing, so one of
+    them was added below the node and crosses u.  So a node branches only
+    on the shortest such list, each pair branched on turns pending for the
+    branches after it (the pivoting of Bron and Kerbosch for maximal
+    cliques), and a node with a pending pair that crosses no addable pair
+    is dead.
+
+    Both sets hold pairs addable to the node's mask, so adding pair i
     blocks one of them, j, exactly when j crosses i and the pairs of the
     mask crossing both hold a (k-1)-clique: any k-clique among j's chosen
-    neighbours must contain i.  That is the only test made when a
-    child's two lists are filtered.
+    neighbours must contain i.  That is the only test made when a child's
+    two sets are filtered.
     """
     adj = crossing_adjacency(pairs)
     cone = 0
-    core = []
+    core = 0
     for i in range(len(pairs)):
         if masked_clique_exists(adj, adj[i], k):
-            core.append(i)
+            core |= 1 << i
         else:
             cone |= 1 << i
     facets: list[int] = []
     nodes = 0
 
-    def search(mask: int, addable: list[int], pending: list[int]) -> None:
+    def search(mask: int, addable: int, pending: int) -> None:
         nonlocal nodes
         nodes += 1
         if nodes > cap:
             raise ResourceLimitError(f"complex search exceeded {cap} subsets", bound=cap)
-        if pending:
-            reach = mask
-            for j in addable:
-                reach |= 1 << j
-            if not all(masked_clique_exists(adj, reach & adj[p], k) for p in pending):
-                return
         if not addable:
-            facets.append(mask | cone)
+            if not pending:
+                facets.append(mask | cone)
             return
-        skipped = list(pending)
-        for at, i in enumerate(addable):
-            bit = 1 << i
+        # a pending pair that crosses no addable pair can no longer be
+        # blocked; otherwise branch on the shortest list, pending pairs first
+        branch = addable
+        rest = pending
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            options = adj[u.bit_length() - 1] & addable
+            if not options:
+                return
+            if options.bit_count() < branch.bit_count():
+                branch = options
+        rest = addable
+        while rest and branch & (branch - 1):  # one pair is as short as it gets
+            u = rest & -rest
+            rest ^= u
+            options = (adj[u.bit_length() - 1] | u) & addable
+            if options.bit_count() < branch.bit_count():
+                branch = options
+        while branch:
+            bit = branch & -branch
+            branch ^= bit
+            i = bit.bit_length() - 1
             near = mask & adj[i]
-            search(
-                mask | bit,
-                [j for j in addable[at + 1:] if not (adj[j] & bit and masked_clique_exists(adj, near & adj[j], k - 1))],
-                [p for p in skipped if not (adj[p] & bit and masked_clique_exists(adj, near & adj[p], k - 1))],
-            )
-            skipped.append(i)
+            blocked = 0
+            rest = adj[i] & (addable | pending)
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if masked_clique_exists(adj, near & adj[b.bit_length() - 1], k - 1):
+                    blocked |= b
+            addable ^= bit
+            search(mask | bit, addable & ~blocked, pending & ~blocked)
+            pending |= bit
 
-    search(0, core, [])
+    search(0, core, 0)
     return facets

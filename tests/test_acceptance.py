@@ -133,7 +133,7 @@ def test_regular_family_homology_matches_join_prediction():
 
 
 def test_multitriangulation_complexes_are_spheres_with_hankel_facet_counts():
-    for m, k in [(5, 1), (6, 1), (7, 1), (8, 1), (6, 2), (7, 2), (8, 2), (9, 3), (10, 3)]:
+    for m, k in [(5, 1), (6, 1), (7, 1), (8, 1), (9, 1), (6, 2), (7, 2), (8, 2), (9, 2), (10, 2), (9, 3), (10, 3), (11, 3)]:
         complex_ = build_T(m, k)
         assert sphere_signature(complex_) == k * (m - 2 * k - 1) - 1, (m, k)
         assert len(complex_.facets) == hankel_facet_count(m, k), (m, k)

@@ -595,10 +595,11 @@ class TestMaximalNoncrossingMasks:
             build_T(8, 2, cap=10)
         assert len(build_T(8, 2).facets) == 84
 
-    @pytest.mark.parametrize("m, k, nodes", [(9, 1, 2_422), (9, 2, 4_764), (10, 3, 3_553)])
+    @pytest.mark.parametrize("m, k, nodes", [(9, 1, 857), (9, 2, 2_509), (10, 3, 2_943)])
     def test_search_node_counts_are_pinned(self, m, k, nodes):
-        # the nodes visited are one per k-noncrossing core set on the way to
-        # a facet; a cheaper blocking test must visit exactly the same ones
+        # no output shows how much the search prunes: the counts guard the
+        # pivot rule (branch on the shortest list, pending pairs first) and
+        # the dead-node test (a pending pair crossing no addable pair)
         build_T(m, k, cap=nodes)
         with pytest.raises(ResourceLimitError, match=f"exceeded {nodes - 1} subsets"):
             build_T(m, k, cap=nodes - 1)
