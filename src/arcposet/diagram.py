@@ -161,9 +161,14 @@ _ARC_RE = re.compile(r"\((\d+),(\d+)\)")
 _TEXT_RE = re.compile(r"^n=(\d+); arcs=((?:\(\d+,\d+\))(?:,\(\d+,\d+\))*)?$")
 
 
+def arcs_text(length: int, arcs: tuple[Arc, ...]) -> str:
+    """The text of the diagram with this length and ascending arc tuple,
+    read without building it: the one statement of the text format."""
+    return f"n={length}; arcs=" + ",".join([f"({a},{b})" for a, b in arcs])
+
+
 def to_text(diagram: Diagram) -> str:
-    arcs = ",".join(f"({a},{b})" for a, b in diagram.arcs)
-    return f"n={diagram.length}; arcs={arcs}"
+    return arcs_text(diagram.length, diagram.arcs)
 
 
 def parse(text: str) -> Diagram:

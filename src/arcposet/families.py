@@ -15,8 +15,12 @@ Six families are built here:
 Every family is held as its cover digraph.  S, So, Sstar, M and P get
 their covers as unit steps on flat keys; D is grown from the trivial
 diagram by one-arc insertions, and its covers are its one-arc
-suppressions.  The binary-diagram scan and the suppression relation stay
-as oracles for the tests and ``verify``.
+suppressions.  M and P hand the poset each member's text, read off its
+flat key or laid-out arcs, so their ``SymmetricMatrix`` and ``Diagram``
+members are built only on the first read of ``elements``; S, So, Sstar
+and D pass built diagrams, whose validation checks the arcs they make.
+The binary-diagram scan and the suppression relation stay as oracles for
+the tests and ``verify``.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .crossing import crossing_adjacency, is_k_noncrossing, masked_clique_exists
 from .diagram import (
     Arc,
     Diagram,
+    arcs_text,
     block_pair_counts,
     free_sites,
     is_proper,
@@ -40,7 +45,14 @@ from .diagram import (
     tautology_number,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from .matrix import SymmetricMatrix, entry_cost, enumerate_matrix_keys, matrices_from_keys
+from .matrix import (
+    SymmetricMatrix,
+    entry_cost,
+    enumerate_matrix_keys,
+    key_text,
+    matrices_from_keys,
+    upper_positions,
+)
 from .poset import FinitePoset
 from .transform import is_k_relevant, layout_key
 
@@ -292,9 +304,15 @@ def matrix_family_covers(
 
 
 def build_M(m: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
-    """The tautology-bounded matrix family under entrywise domination."""
-    matrices, succ = matrix_family_covers(m, k, r, cap=cap)
-    return FinitePoset(matrices, covers=succ, validate=False)
+    """The tautology-bounded matrix family under entrywise domination,
+    ordered by the key texts of its upper-triangle keys; the matrices are
+    built on the first read of ``elements``."""
+    keys = enumerate_matrix_keys(m, k, r, cap=cap)
+    positions = upper_positions(m)
+    texts = [key_text(m, positions, key) for key in keys]
+    return FinitePoset.from_texts(
+        texts, unit_step_covers(keys), lambda order: matrices_from_keys(m, [keys[t] for t in order])
+    )
 
 
 def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
@@ -302,17 +320,23 @@ def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
     at most r, ordered by block-matrix domination: beta_inverse carries
     M^r_{f+1,k} and its covers over, member by member, here by laying out
     each upper-triangle key with ``layout_key``; a layout that is not
-    regular or has other block-pair counts raises :class:`InvariantError`."""
+    regular or has other block-pair counts raises :class:`InvariantError`
+    here, before the poset is put together.  The members are ordered by
+    the text of each layout, and built on the first read of
+    ``elements``."""
     if f < 3:
         raise InvalidArgumentError(f"f must be >= 3, got {f}")
     keys = enumerate_matrix_keys(f + 1, k, r, cap=cap)
-    diagrams = []
+    layouts = []
     for key in keys:
         arcs, regular, exact = layout_key(f + 1, key)
         if not (regular and exact):
             raise InvariantError(f"the layout {arcs} of key {key} is not the regular diagram of its counts")
-        diagrams.append(Diagram(f + 2 * len(arcs), arcs))
-    return FinitePoset(diagrams, covers=unit_step_covers(keys), validate=False)
+        layouts.append(arcs)
+    texts = [arcs_text(f + 2 * len(arcs), arcs) for arcs in layouts]
+    return FinitePoset.from_texts(
+        texts, unit_step_covers(keys), lambda order: [Diagram(f + 2 * len(layouts[t]), layouts[t]) for t in order]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +459,8 @@ def build_D(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
         for arc in arcs:
             lower = index.get(_suppressed(arcs, arc))
             if lower is None:
-                diagram = Diagram(f + 2 * len(arcs), arcs)
-                raise InvariantError(f"suppressing {arc} of {diagram.key()} leaves D({f},{k},{r})")
+                text = arcs_text(f + 2 * len(arcs), arcs)
+                raise InvariantError(f"suppressing {arc} of {text} leaves D({f},{k},{r})")
             succ[lower].append(t)
     elements = [Diagram(f + 2 * len(arcs), arcs) for arcs in index]
     return FinitePoset(elements, covers=succ, validate=False)

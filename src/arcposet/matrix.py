@@ -79,7 +79,9 @@ class SymmetricMatrix:
         )
 
     def key(self) -> str:
-        return ";".join([",".join(map(str, row)) for row in self.rows])
+        m = self.order
+        positions = triangle_positions(m)
+        return key_text(m, positions, [self.entry(i, j) for i, j in positions])
 
     # -- JSON form: {"order": m, "rows": [[...], ...]} --
 
@@ -188,6 +190,33 @@ def upper_positions(m: int) -> tuple[tuple[int, int], ...]:
     """Above-diagonal 1-indexed positions of an order-m family matrix, row by
     row, without the structurally zero rainbow (1, m)."""
     return tuple((i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1) if (i, j) != (1, m))
+
+
+@cache
+def triangle_positions(m: int) -> tuple[tuple[int, int], ...]:
+    """The 1-indexed positions (i, j) with i <= j of an order-m matrix, row
+    by row: its whole upper triangle, diagonal included."""
+    return tuple((i, j) for i in range(1, m + 1) for j in range(i, m + 1))
+
+
+@cache
+def _key_template(order: int, positions: tuple[tuple[int, int], ...]) -> str:
+    """The ``str.format`` template of ``key_text``: each cell names the slot
+    of its upper-triangle position in ``positions``, or reads 0."""
+    slot = {pair: "{%d}" % t for t, pair in enumerate(positions)}
+    cells = ((slot.get((min(i, j), max(i, j)), "0") for j in range(1, order + 1)) for i in range(1, order + 1))
+    return ";".join(map(",".join, cells))
+
+
+def key_text(order: int, positions: tuple[tuple[int, int], ...], key) -> str:
+    """The key text of the order-``order`` symmetric matrix whose entries at
+    the upper-triangle ``positions`` read ``key`` and whose other entries
+    above or on the diagonal are 0: its rows, top to bottom, each as its
+    entries joined by ',', joined by ';'.  The one statement of the matrix
+    text format: ``SymmetricMatrix.key`` reads it over
+    ``triangle_positions``, and a family key over ``upper_positions`` is
+    named by it without building its matrix."""
+    return _key_template(order, positions).format(*key)
 
 
 def enumerate_matrix_keys(

@@ -1,6 +1,9 @@
 """Finite posets held as cover digraphs.
 
-Elements are kept in a canonical order with the upper covers of each; the
+Elements are kept in a canonical order, that of their ``element_key``
+texts, with the upper covers of each.  A poset is put together from the
+texts and the covers, and its elements are made on first read, so a
+family read only for its size, rank and purity never builds them.  The
 order itself is read from one up-set per element, a Python-int bitmask
 built lazily from the covers, and capped.  Provides chains and purity,
 covers, intervals, bottom adjunction, direct products, order-map
@@ -111,23 +114,54 @@ class FinitePoset:
     the error message.  ``up_sets`` holds, per element, the bitmask of the
     elements above it; it is built from the covers on first use and
     refused above ``LEQ_BYTE_CAP`` bytes.
+
+    Every poset is put together by one routine, from each member's sort
+    text, its covers and a way to make the members (``from_texts``); the
+    constructor reads the texts off the elements it is given.  The
+    elements are held in the order of their texts, and built, with their
+    index, on the first read of ``elements``: size, covers, purity and the
+    stats line read the covers alone.
     """
 
     def __init__(self, elements: Iterable, covers, *, validate: bool = True):
         supplied = list(elements)
-        permutation = sorted(range(len(supplied)), key=lambda i: element_key(supplied[i]))
-        self.elements: tuple = tuple(supplied[i] for i in permutation)
-        self._index: dict = {e: i for i, e in enumerate(self.elements)}
-        if len(self._index) != len(self.elements):
+        self._arrange([element_key(e) for e in supplied], covers, lambda order: map(supplied.__getitem__, order))
+        if len(self._index) != len(self):
             raise InvalidArgumentError("duplicate elements")
-        n = len(self.elements)
-        if len(covers) != n:
-            raise InvalidArgumentError(f"{len(covers)} cover lists for {n} elements")
-        position = {old: new for new, old in enumerate(permutation)}
-        # upper covers of each element, as sorted canonical indices
-        self.succ = [sorted({position[j] for j in covers[i]}) for i in permutation]
         if validate:
             self._validate_covers()
+
+    @classmethod
+    def from_texts(cls, texts: list[str], covers, make: Callable[[list[int]], Iterable]) -> "FinitePoset":
+        """The poset whose member t has the sort text ``texts[t]``, which
+        must be its ``element_key``, and the upper covers ``covers[t]``,
+        taken as given.  ``make`` maps a list of member indices to those
+        members, in that order; it is called on the first read of
+        ``elements``."""
+        poset = cls.__new__(cls)
+        poset._arrange(texts, covers, make)
+        return poset
+
+    def _arrange(self, texts: list[str], covers, make) -> None:
+        n = len(texts)
+        if len(covers) != n:
+            raise InvalidArgumentError(f"{len(covers)} cover lists for {n} elements")
+        permutation = sorted(range(n), key=texts.__getitem__)
+        position = dict(zip(permutation, range(n)))
+        # upper covers of each element, as sorted canonical indices
+        self.succ = [sorted({position[j] for j in covers[i]}) for i in permutation]
+        self._make = lambda: tuple(make(permutation))
+
+    @cached_property
+    def elements(self) -> tuple:
+        """The members, in the order of their ``element_key`` texts."""
+        elements = self._make()
+        del self._make  # what it holds is no longer needed
+        return elements
+
+    @cached_property
+    def _index(self) -> dict:
+        return {e: i for i, e in enumerate(self.elements)}
 
     def _validate_covers(self) -> None:
         up = self.up_sets  # topological_order raises on a cycle
@@ -162,7 +196,7 @@ class FinitePoset:
     # -- basic queries --
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.succ)
 
     def __contains__(self, element) -> bool:
         return element in self._index
@@ -202,7 +236,7 @@ class FinitePoset:
 
     def is_pure(self) -> bool:
         """True iff all maximal chains have the same length."""
-        return not self.elements or self._chain_stats[1]
+        return not self.succ or self._chain_stats[1]
 
     # -- derived posets --
 
@@ -286,12 +320,12 @@ class FinitePoset:
         return "\n".join(lines)
 
     def stats_text(self) -> str:
-        if not self.elements:
+        if not self.succ:
             return "elements=0"
         return (
             f"elements={len(self)} covers={sum(map(len, self.succ))} "
-            f"minimal={len(self.minimal_elements())} "
-            f"maximal={len(self.maximal_elements())} "
+            f"minimal={len(self._minimal_indices())} "
+            f"maximal={self.succ.count([])} "
             f"rank_length={self.rank_length()} "
             f"rank_cardinality={self.rank_cardinality()} "
             f"pure={self.is_pure()}"

@@ -26,6 +26,7 @@ from .diagram import (
     Diagram,
     adjacency_matrix,
     arcs_error,
+    arcs_text,
     block_matrix,
     block_pair_counts,
     covered_free_sites,
@@ -104,7 +105,7 @@ def swap_orbit_partners(partner: tuple[int, ...], cap: int = 1_000_000) -> set[t
                 continue
             p, q = neighbour[site], neighbour[site + 1]
             if not (p and q and abs(p - site) > 1 and abs(q - site - 1) > 1):
-                text = Diagram(len(partner) - 1, partner_arcs(current)).key()
+                text = arcs_text(len(partner) - 1, partner_arcs(current))
                 raise InvariantError(
                     f"the swap at {site} of {text} fails: it leaves partners {p} and {q} at sites {site} and {site + 1}"
                 )
@@ -145,13 +146,15 @@ def equivalent_by_definition(first: Diagram, second: Diagram) -> bool:
     kept independent of block matrices as an oracle for ``equivalent``)."""
     if not is_proper(first) or not is_proper(second):
         raise InvalidArgumentError("equivalence is defined on proper diagrams")
-    if first.length != second.length:
-        return False
-    # the bijection pairs each arc with one covering the same free sites,
-    # as literal site sets; a bijection exists iff the multisets agree
-    profile_first = Counter(covered_free_sites(first, arc) for arc in first.arcs)
-    profile_second = Counter(covered_free_sites(second, arc) for arc in second.arcs)
-    return profile_first == profile_second
+    return first.length == second.length and free_site_profile(first) == free_site_profile(second)
+
+
+def free_site_profile(diagram: Diagram) -> Counter:
+    """The multiset of the free-site sets its arcs cover, as literal site
+    sets.  A free-site-preserving bijection pairs each arc with one covering
+    the same free sites, so two diagrams of one length have one exactly
+    when their profiles agree."""
+    return Counter(covered_free_sites(diagram, arc) for arc in diagram.arcs)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .complexes import (
 from .diagram import (
     Diagram,
     adjacency_matrix,
+    arcs_text,
     block_matrix,
     block_pair_counts,
     free_sites,
@@ -45,14 +46,13 @@ from .families import (
     relevant_arcs,
 )
 from .crossing import noncrossing_subset_masks, pairs_cross
-from .matrix import enumerate_matrix_keys, matrices_from_keys, upper_positions
+from .matrix import enumerate_matrix_keys, key_text, upper_positions
 from .transform import (
     BOTTOM_RELEVANT,
     BOTTOM_STAR,
     canonicalize,
     dual,
-    equivalent,
-    equivalent_by_definition,
+    free_site_profile,
     kappa,
     layout_key,
     regular_arcs,
@@ -120,7 +120,7 @@ def _strict_swap_site(partner, block, block_index: int) -> int:
 
 def _partner_text(partner):
     """The ``Diagram.key()`` text of a partner tuple, for failure messages."""
-    return Diagram(len(partner) - 1, partner_arcs(partner)).key()
+    return arcs_text(len(partner) - 1, partner_arcs(partner))
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,7 @@ def _check_thm12(f, k, r):
 
 def _key_text(order, key):
     """The ``SymmetricMatrix.key()`` text of an upper-triangle key."""
-    return matrices_from_keys(order, [key])[0].key()
+    return key_text(order, upper_positions(order), key)
 
 
 def _layout_failure(order, keys):
@@ -268,13 +268,19 @@ def _check_kappa(m, k):
 
 def _check_equivalence(n=8):
     """Block-matrix equality coincides with the free-site-preserving arc
-    bijection, over every proper diagram pair of each length."""
+    bijection, over every proper diagram pair of each length.  The
+    diagrams of one length are proper and equally long, so on a pair
+    ``equivalent`` compares their block matrices and
+    ``equivalent_by_definition`` their free-site profiles: each diagram's
+    are computed once, and the pairs only compare them."""
     for length in range(4, n + 1):
         diagrams = list(enumerate_proper_diagrams(length))
+        matrices = [block_matrix(d) for d in diagrams]
+        profiles = [free_site_profile(d) for d in diagrams]
         for i, a in enumerate(diagrams):
-            for b in diagrams[i:]:
-                if equivalent(a, b) != equivalent_by_definition(a, b):
-                    return False, f"mismatch: {a.key()} vs {b.key()}"
+            for j in range(i, len(diagrams)):
+                if (matrices[i] == matrices[j]) != (profiles[i] == profiles[j]):
+                    return False, f"mismatch: {a.key()} vs {diagrams[j].key()}"
     return True, f"all proper diagram pairs up to length {n} agree"
 
 

@@ -19,7 +19,7 @@ from arcposet import cli, verify
 from arcposet import poset as poset_module
 from arcposet.errors import InvariantError, ResourceLimitError
 from arcposet.families import build_family
-from arcposet.diagram import parse
+from arcposet.diagram import Diagram, parse
 from arcposet.matrix import SymmetricMatrix, enumerate_matrix_keys, matrices_from_keys, upper_positions
 from arcposet.verify import CheckPoint, VerificationReport, check_names
 
@@ -214,6 +214,26 @@ class TestEnumAndPoset:
         monkeypatch.setattr(poset_module, "LEQ_BYTE_CAP", 1 << 20)
         with pytest.raises(ResourceLimitError):
             built[0].up_sets
+
+    def test_matrix_and_regular_stats_build_no_member(self, capsys, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SymmetricMatrix, "__init__", refuse)
+            patch.setattr(Diagram, "__init__", refuse)
+            code, out, _ = run(capsys, "poset", "--family", "M", "--params", "m=4,k=1,r=9", "--stats")
+            assert code == 0 and out.startswith("elements=575 ")
+            code, out, _ = run(capsys, "poset", "--family", "P", "--params", "f=4,k=2,r=1", "--stats")
+            assert code == 0 and out == (
+                "elements=239 covers=759 minimal=9 maximal=9 rank_length=5 rank_cardinality=6 pure=True\n"
+            )
+        code, out, _ = run(capsys, "enum", "--family", "M", "--params", "m=4,k=1,r=9")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 575
+        assert [SymmetricMatrix.from_json(line).entry(2, 4) for line in lines[5:7]] == [10, 1]
+        code, out, _ = run(capsys, "enum", "--family", "P", "--params", "f=4,k=2,r=1")
+        assert code == 0 and [parse(line).length for line in out.splitlines()[:2]] == [10, 10]
 
     def test_proper_family_stats_and_cap(self, capsys):
         argv = ("poset", "--family", "D", "--params", "f=4,k=1,r=1", "--stats")

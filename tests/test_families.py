@@ -36,8 +36,8 @@ from arcposet.families import (
     suppression_leq,
     unit_step_covers,
 )
-from arcposet.matrix import dominates, enumerate_matrices, enumerate_matrix_keys
-from arcposet.poset import chain_stats_from_covers
+from arcposet.matrix import dominates, enumerate_matrices, enumerate_matrix_keys, matrices_from_keys
+from arcposet.poset import FinitePoset, chain_stats_from_covers
 from arcposet.transform import beta_inverse, canonicalize, swap_orbit
 from arcposet.verify import _MATRIX_FAMILY_GRID
 
@@ -206,6 +206,36 @@ def test_cover_core_matches_dense_oracle(builder, args, leq):
     assert poset.stats_text() == stats
     assert poset.to_dot() == dot
     assert poset.up_sets == up_sets
+
+
+@pytest.mark.parametrize(
+    "builder,args",
+    [(build_M, (4, 1, 9)), (build_M, (5, 2, 1)), (build_P, (4, 2, 1)), (build_P, (3, 2, 2))],
+)
+def test_texts_order_the_family_as_its_built_members(builder, args):
+    """M and P are sorted by texts read off their keys and layouts; the
+    members built one by one, handed to the constructor with the same
+    covers, give the same order.  P(4,2,1) and P(3,2,2) have lengths of
+    two digits, whose texts sort before one-digit lengths."""
+    poset = builder(*args)
+    order = args[0] if builder is build_M else args[0] + 1
+    keys = enumerate_matrix_keys(order, *args[1:])
+    members = matrices_from_keys(order, keys)
+    if builder is build_P:
+        members = [beta_inverse(matrix, *args[1:]) for matrix in members]
+    given = FinitePoset(members, unit_step_covers(keys), validate=False)
+    assert len(poset) == len(given) and poset.succ == given.succ
+    assert poset.elements == given.elements
+
+
+def test_matrix_text_order_is_not_key_order():
+    # ';' sorts after the digits and ',' before them, so the matrix with
+    # entry 10 at (2,4) comes before the one with entry 1 there
+    elements = build_M(4, 1, 9).elements
+    texts = [matrix.key() for matrix in elements]
+    assert texts == sorted(texts)
+    assert list(elements) != matrices_from_keys(4, enumerate_matrix_keys(4, 1, 9))
+    assert texts[5:7] == ["0,0,0,0;0,0,0,10;0,0,0,0;0,10,0,0", "0,0,0,0;0,0,0,1;0,0,0,0;0,1,0,0"]
 
 
 class TestUnitStepCovers:
