@@ -3,13 +3,16 @@
 Every operation of the library is reachable here: diagram inspection and
 transforms, family enumeration, poset export, complex construction,
 homology, and the named verification checks.  Exit codes: 0 success,
-1 verification failure, 2 malformed input, 3 resource cap exceeded.
+1 verification failure, 2 malformed input, 3 resource cap exceeded.  A
+reader that closes stdout early (``arcposet ... | head -1``) ends the
+command quietly, with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -171,13 +174,13 @@ def _cmd_complex(args) -> int:
         _write_text(args.facets, text, "facet")
         _emit(
             args,
-            {"facets": args.facets, "count": len(complex_.facets)},
-            [f"{len(complex_.facets)} facets written to {args.facets}"],
+            {"facets": args.facets, "count": len(complex_.masks)},
+            [f"{len(complex_.masks)} facets written to {args.facets}"],
         )
     else:
         _emit(
             args,
-            {"count": len(complex_.facets), "facet_lines": text.splitlines()},
+            {"count": len(complex_.masks), "facet_lines": text.splitlines()},
             text.splitlines(),
         )
     return 0
@@ -319,7 +322,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: point stdout at the null device so that the
+        # interpreter's last flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_, or_
 
 from .crossing import maximal_noncrossing_masks
@@ -26,35 +26,89 @@ from .poset import FinitePoset, element_key
 from .snf import invariant_factors
 
 
+def _labels(mask: int, names) -> list:
+    """The names at the set bits of ``mask``, lowest bit first."""
+    labels = []
+    while mask:
+        low = mask & -mask
+        labels.append(names[low.bit_length() - 1])
+        mask ^= low
+    return labels
+
+
+def _remap(mask: int, at: list[int]) -> int:
+    """``mask`` with each set bit i moved to the bit ``at[i]``."""
+    moved = 0
+    while mask:
+        low = mask & -mask
+        moved |= at[low.bit_length() - 1]
+        mask ^= low
+    return moved
+
+
+def _in_key_order(labels: list) -> tuple[tuple, list[int]]:
+    """The labels sorted by ``element_key``, and per label the bit of its
+    place in that order."""
+    order = sorted(range(len(labels)), key=lambda i: element_key(labels[i]))
+    at = [0] * len(labels)
+    for place, i in enumerate(order):
+        at[i] = 1 << place
+    return tuple(labels[i] for i in order), at
+
+
 class SimplicialComplex:
     """A finite simplicial complex, held as its maximal faces.
 
     ``masks`` holds each facet as an int whose bit i is vertex i of
-    ``vertices()`` (in ``element_key`` order), and ``facets`` the same
-    facets as label sets; both by size, then by their vertices in order.
+    ``vertices()`` (in ``element_key`` order), by size, then by their
+    vertices in order; ``facets`` holds the same facets as label sets,
+    built on first read.  Every complex is put together by one routine,
+    ``_settle``, from its vertices and facet masks; the constructor turns
+    label sets into masks for it.
     """
 
     def __init__(self, facets):
         given = {frozenset(f) for f in facets}
-        self._vertices: tuple = tuple(sorted(set().union(*given), key=element_key))
-        bit = {v: 1 << i for i, v in enumerate(self._vertices)}
-        by_size: dict[int, list[tuple[int, frozenset]]] = {}
-        for f in given:
-            by_size.setdefault(len(f), []).append((sum(map(bit.__getitem__, f)), f))
-        # a face below a larger candidate is below a larger maximal one
-        maximal: list[tuple[int, frozenset]] = []
+        vertices = tuple(sorted(set().union(*given), key=element_key))
+        bit = {v: 1 << i for i, v in enumerate(vertices)}
+        self._settle(vertices, [sum(map(bit.__getitem__, f)) for f in given])
+
+    @classmethod
+    def _from_masks(cls, vertices: tuple, masks) -> "SimplicialComplex":
+        """The complex with the maximal ones of ``masks`` as facets; bit i
+        of a mask is ``vertices[i]``.  The vertices must be in
+        ``element_key`` order, each in some facet."""
+        complex_ = cls.__new__(cls)
+        complex_._settle(vertices, masks)
+        return complex_
+
+    def _settle(self, vertices: tuple, masks) -> None:
+        self._vertices = vertices
+        by_size: dict[int, list[int]] = {}
+        for mask in set(masks):
+            by_size.setdefault(mask.bit_count(), []).append(mask)
+        kept: list[int] = []  # the maximal masks of the sizes done, largest first
+        groups: list[list[int]] = []
         for size in sorted(by_size, reverse=True):
-            maximal += [(m, f) for m, f in by_size[size] if not any(m & g == m for g, _ in maximal)]
-        # of two facets of one size, the one holding the first vertex where
-        # they differ comes first: its mask is higher with the bits reversed
-        width = f"0{len(bit)}b"
-        maximal.sort(key=lambda mf: (len(mf[1]), -int(format(mf[0], width)[::-1], 2)))
-        self.masks: tuple[int, ...] = tuple(m for m, _ in maximal)
-        self.facets: tuple[frozenset, ...] = tuple(f for _, f in maximal)
+            # a face below a larger candidate is below a larger maximal one
+            group = [m for m in by_size[size] if not any(m & g == m for g in kept)] if kept else by_size[size]
+            # of two facets of one size, the one holding the first vertex
+            # where they differ comes first: its bits read from bit 0 up,
+            # bin(m)[:1:-1], are the larger string (a shorter string that is
+            # a prefix of a longer one reads as padded with zeros, and
+            # sorts first either way)
+            group.sort(key=lambda m: bin(m)[:1:-1], reverse=True)
+            groups.append(group)
+            kept += group
+        self.masks: tuple[int, ...] = tuple(m for group in reversed(groups) for m in group)
+
+    @cached_property
+    def facets(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(_labels(mask, self._vertices)) for mask in self.masks)
 
     def is_void(self) -> bool:
         """True for the complex with no faces at all (not even the empty one)."""
-        return not self.facets
+        return not self.masks
 
     def vertices(self) -> tuple:
         return self._vertices
@@ -62,7 +116,7 @@ class SimplicialComplex:
     def dimension(self) -> int:
         if self.is_void():
             raise InvalidArgumentError("the void complex has no dimension")
-        return len(self.facets[-1]) - 1
+        return self.masks[-1].bit_count() - 1
 
     def _named_faces(self) -> dict[int, frozenset]:
         """Every face mask, the empty one included, ascending, to its labels."""
@@ -87,7 +141,7 @@ class SimplicialComplex:
 
     def is_pure(self) -> bool:
         """All facets of one size (the first and last tell); the void complex is pure."""
-        return self.is_void() or len(self.facets[0]) == len(self.facets[-1])
+        return self.is_void() or self.masks[0].bit_count() == self.masks[-1].bit_count()
 
 
 def simplex(d: int) -> SimplicialComplex:
@@ -103,14 +157,15 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
     """Simplicial join; vertex labels are prefixed if the two sides collide."""
     if left.is_void() or right.is_void():
         raise InvalidArgumentError("join with the void complex is undefined")
-    collision = set(left.vertices()) & set(right.vertices())
-    if collision:
-        left_facets = [frozenset(("L", v) for v in f) for f in left.facets]
-        right_facets = [frozenset(("R", v) for v in f) for f in right.facets]
-    else:
-        left_facets = list(left.facets)
-        right_facets = list(right.facets)
-    return SimplicialComplex([f | g for f in left_facets for g in right_facets])
+    left_vertices, right_vertices = left.vertices(), right.vertices()
+    if set(left_vertices) & set(right_vertices):
+        left_vertices = [("L", v) for v in left_vertices]
+        right_vertices = [("R", v) for v in right_vertices]
+    vertices, at = _in_key_order([*left_vertices, *right_vertices])
+    shift = len(left_vertices)
+    left_masks = [_remap(f, at) for f in left.masks]
+    right_masks = [_remap(g << shift, at) for g in right.masks]
+    return SimplicialComplex._from_masks(vertices, [f | g for f in left_masks for g in right_masks])
 
 
 # ---------------------------------------------------------------------------
@@ -118,26 +173,26 @@ def join(left: SimplicialComplex, right: SimplicialComplex) -> SimplicialComplex
 
 
 def order_complex(poset: FinitePoset) -> SimplicialComplex:
-    """Faces are the chains of the poset; facets its maximal chains."""
+    """Faces are the chains of the poset; facets its maximal chains.  A
+    chain's mask has bit t for the poset's element t: the poset already
+    holds its elements in ``element_key`` order."""
     covers = poset.succ
     minimal = [poset.index(e) for e in poset.minimal_elements()]
-    facets: list[frozenset] = []
-    stack: list[int] = []
+    masks: list[int] = []
 
-    def descend(i: int) -> None:
-        stack.append(i)
+    def descend(i: int, chain: int) -> None:
+        chain |= 1 << i
         if covers[i]:
             for j in covers[i]:
-                descend(j)
+                descend(j, chain)
         else:
-            facets.append(frozenset(poset.elements[t] for t in stack))
-        stack.pop()
+            masks.append(chain)
 
     for i in minimal:
-        descend(i)
-    if not facets:
+        descend(i, 0)
+    if not masks:
         return SimplicialComplex([frozenset()])
-    return SimplicialComplex(facets)
+    return SimplicialComplex._from_masks(poset.elements, masks)
 
 
 def face_poset(complex_: SimplicialComplex) -> FinitePoset:
@@ -177,13 +232,16 @@ def noncrossing_complex(pool: list[Arc], k: int, cap: int = 10_000_000) -> Simpl
     node that crosses u.  A node therefore branches only on the shortest
     such list, and is dead when an arc it skipped crosses no addable arc.
     ``cap`` bounds the search nodes visited (the empty core set included).
-    Arc (a, b) is labelled "a-b".
+    Arc (a, b) is labelled "a-b", and a search mask, whose bit i is
+    ``pool[i]``, is moved bit by bit onto the order of the labels, which
+    differs from the pool's once two-digit sites occur ("1-10" before
+    "1-3").
     """
-    names = [f"{a}-{b}" for a, b in pool]
-    return SimplicialComplex(
-        frozenset(names[i] for i in range(len(pool)) if mask >> i & 1)
-        for mask in maximal_noncrossing_masks(pool, k, cap)
-    )
+    vertices, at = _in_key_order([f"{a}-{b}" for a, b in pool])
+    masks = maximal_noncrossing_masks(pool, k, cap)
+    if any(bit != 1 << i for i, bit in enumerate(at)):
+        masks = [_remap(mask, at) for mask in masks]
+    return SimplicialComplex._from_masks(vertices, masks)
 
 
 def build_T(m: int, k: int, cap: int = 10_000_000) -> SimplicialComplex:
@@ -411,8 +469,14 @@ def reduced_homology(
             if h is not None:
                 return HomologyResult(trivial | {top: (h[top + 1], ())})
         # neither a cone nor decomposed: some facet misses the apex
-        every = (1 << i for i in range(len(complex_.vertices())))
-        apex = max(every, key=lambda v: sum(1 for facet in masks if facet & v))
+        # facets per vertex, counted in one pass over the facet bits
+        count = [0] * len(complex_.vertices())
+        for facet in masks:
+            while facet:
+                low = facet & -facet
+                count[low.bit_length() - 1] += 1
+                facet ^= low
+        apex = 1 << count.index(max(count))
         outside = [facet for facet in masks if not facet & apex]
         built = 0
         for facet in outside:
@@ -511,16 +575,21 @@ def write_facets(complex_: SimplicialComplex) -> str:
     label whose text would not read back as itself (empty, holding a comma
     or a line break, or with leading or trailing whitespace), or that two
     vertices share, is refused, and so is the void complex: no text reads
-    back as it."""
+    back as it.  A facet's texts are read off its mask in vertex order,
+    and sorted again only when that is not the order of the texts."""
     if complex_.is_void():
         raise InvalidArgumentError("the void complex cannot be written to a facet file")
-    texts = {v: str(v) for v in complex_.vertices()}
-    for text in texts.values():
+    texts = [str(v) for v in complex_.vertices()]
+    for text in texts:
         if not text or "," in text or text.strip() != text or text.splitlines() != [text]:
             raise InvalidArgumentError(f"vertex label {text!r} cannot be written to a facet file")
-    if len(set(texts.values())) != len(texts):
+    if len(set(texts)) != len(texts):
         raise InvalidArgumentError("two vertex labels write as the same text")
-    return "\n".join(",".join(sorted(texts[v] for v in facet)) for facet in complex_.facets) + "\n"
+    if texts == sorted(texts):
+        lines = [",".join(_labels(mask, texts)) for mask in complex_.masks]
+    else:
+        lines = [",".join(sorted(_labels(mask, texts))) for mask in complex_.masks]
+    return "\n".join(lines) + "\n"
 
 
 def read_facets(text: str) -> SimplicialComplex:
@@ -528,22 +597,37 @@ def read_facets(text: str) -> SimplicialComplex:
     complex (one facet, the empty face: what ``write_facets`` writes for
     it); a text with no facet otherwise is refused, and so is a line that
     holds an empty field or names a vertex twice, neither of which
-    ``write_facets`` writes.  Other blank lines are skipped."""
+    ``write_facets`` writes.  Other blank lines are skipped.  Each line is
+    split once; its mask is the sum of its vertices' bits, which has fewer
+    bits than the line has fields exactly when a vertex is named twice."""
     lines = text.splitlines()
     if len(lines) == 1 and not lines[0].strip():
         return SimplicialComplex([frozenset()])
-    facets = []
+    numbers: list[int] = []
+    rows: list[list[str]] = []
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        labels = [part.strip() for part in line.split(",")]
+        labels = list(map(str.strip, line.split(",")))
         if "" in labels:
+            _refuse_a_vertex_named_twice(numbers, rows)  # on an earlier line
             raise InvalidArgumentError(f"facet line {number} holds an empty field")
-        facet = frozenset(labels)
-        if len(facet) < len(labels):
-            twice = next(label for label in labels if labels.count(label) > 1)
-            raise InvalidArgumentError(f"facet line {number} names vertex {twice!r} twice")
-        facets.append(facet)
-    if not facets:
+        numbers.append(number)
+        rows.append(labels)
+    if not rows:
         raise InvalidArgumentError("facet list is empty")
-    return SimplicialComplex(facets)
+    vertices = tuple(sorted(set().union(*rows)))
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    masks = [sum(map(bit.__getitem__, labels)) for labels in rows]
+    if sum(map(int.bit_count, masks)) < sum(map(len, rows)):
+        _refuse_a_vertex_named_twice(numbers, rows)
+    return SimplicialComplex._from_masks(vertices, masks)
+
+
+def _refuse_a_vertex_named_twice(numbers: list[int], rows: list[list[str]]) -> None:
+    """Raise for the first of the facet lines ``rows`` (numbered
+    ``numbers``) that names a vertex twice, if any does."""
+    for number, labels in zip(numbers, rows):
+        for label in labels:
+            if labels.count(label) > 1:
+                raise InvalidArgumentError(f"facet line {number} names vertex {label!r} twice")

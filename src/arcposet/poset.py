@@ -120,7 +120,7 @@ class FinitePoset:
     constructor reads the texts off the elements it is given.  The
     elements are held in the order of their texts, and built, with their
     index, on the first read of ``elements``: size, covers, purity and the
-    stats line read the covers alone.
+    stats line read the covers alone, and DOT export the sorted texts.
     """
 
     def __init__(self, elements: Iterable, covers, *, validate: bool = True):
@@ -147,6 +147,7 @@ class FinitePoset:
         if len(covers) != n:
             raise InvalidArgumentError(f"{len(covers)} cover lists for {n} elements")
         permutation = sorted(range(n), key=texts.__getitem__)
+        self._texts = [texts[i] for i in permutation]
         position = dict(zip(permutation, range(n)))
         # upper covers of each element, as sorted canonical indices
         self.succ = [sorted({position[j] for j in covers[i]}) for i in permutation]
@@ -309,10 +310,11 @@ class FinitePoset:
 
     def to_dot(self, name: str = "poset") -> str:
         """Graphviz digraph of the cover relation (edges point upward),
-        each node labelled by its element's ``element_key``."""
+        each node labelled by its element's ``element_key``, the text the
+        poset was sorted by; no member is built."""
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
-        for i, e in enumerate(self.elements):
-            text = element_key(e).replace('"', '\\"')
+        for i, text in enumerate(self._texts):
+            text = text.replace('"', '\\"')
             lines.append(f'  n{i} [label="{text}"];')
         for i, outs in enumerate(self.succ):
             lines.extend(f"  n{i} -> n{j};" for j in outs)

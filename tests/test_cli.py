@@ -666,3 +666,27 @@ def test_any_command_line_returns_an_exit_code(argv, content):
         command = next(arg for arg in argv if arg in _COMMANDS)
         if argv[argv.index("--cap") + 1] == "-1" or command not in cli.CAPPED_COMMANDS:
             assert code == 2
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [["complex", "--T", "11", "2"], ["enum", "--family", "M", "--params", "m=6,k=2,r=2"]],
+        ids=["complex", "enum"],
+    )
+    def test_a_reader_that_stops_early_ends_the_command_quietly(self, argv):
+        # both outputs far exceed a pipe's buffer, so writes fail once the
+        # read end is closed
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(arcposet.__file__))}
+        with subprocess.Popen(
+            [sys.executable, "-m", "arcposet.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as child:
+            assert child.stdout.readline()
+            child.stdout.close()
+            stderr = child.stderr.read()
+            assert child.wait(timeout=120) == 0
+        assert b"Traceback" not in stderr
+        assert stderr == b""

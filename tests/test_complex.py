@@ -130,6 +130,29 @@ def faces_by_definition(facets):
     return {frozenset(c) for f in facets for size in range(len(f) + 1) for c in combinations(f, size)}
 
 
+def facet_text_through_label_sets(m, k):
+    """The facet file of T(m,k) as label sets made it: each search mask
+    named, the names hashed back into masks over the sorted labels, the
+    maximal ones ordered by size and then by the first vertex where two
+    differ, and each facet's labels sorted."""
+    pool = relevant_arcs(m, k)
+    names = [f"{a}-{b}" for a, b in pool]
+    given = {
+        frozenset(names[i] for i in range(len(pool)) if mask >> i & 1)
+        for mask in maximal_noncrossing_masks(pool, k, CAP)
+    }
+    bit = {v: 1 << i for i, v in enumerate(sorted(set().union(*given)))}
+    by_size = {}
+    for f in given:
+        by_size.setdefault(len(f), []).append((sum(map(bit.__getitem__, f)), f))
+    maximal = []
+    for size in sorted(by_size, reverse=True):
+        maximal += [(m, f) for m, f in by_size[size] if not any(m & g == m for g, _ in maximal)]
+    width = f"0{len(bit)}b"
+    maximal.sort(key=lambda mf: (len(mf[1]), -int(format(mf[0], width)[::-1], 2)))
+    return "\n".join(",".join(sorted(f)) for _, f in maximal) + "\n"
+
+
 class TestFacetMasks:
     @settings(max_examples=300, deadline=None)
     @given(facets=label_complexes())
@@ -146,6 +169,23 @@ class TestFacetMasks:
         assert set(poset.cover_edges()) == {(f - {v}, f) for f in nonempty if len(f) > 1 for v in f}
         vertices = c.vertices()
         assert [frozenset(v for i, v in enumerate(vertices) if m >> i & 1) for m in c.masks] == list(c.facets)
+
+    @settings(max_examples=300, deadline=None)
+    @given(facets=label_complexes(), seed=st.integers(0, 2**32))
+    def test_masks_and_labels_build_the_same_complex(self, facets, seed):
+        from_labels = SimplicialComplex(facets)
+        vertices = tuple(sorted(set().union(*facets)))
+        masks = [sum(1 << vertices.index(v) for v in f) for f in facets]
+        random.Random(seed).shuffle(masks)
+        from_masks = SimplicialComplex._from_masks(vertices, masks)
+        assert from_masks.vertices() == from_labels.vertices()
+        assert from_masks.masks == from_labels.masks
+        assert from_masks.facets == from_labels.facets
+
+    @pytest.mark.parametrize("m, k", [(9, 1), (10, 2), (10, 3), (11, 3)])
+    def test_facet_files_match_the_label_set_construction(self, m, k):
+        # m >= 10 moves the search bits onto the label order ("1-10" < "1-3")
+        assert write_facets(build_T(m, k)) == facet_text_through_label_sets(m, k)
 
     def test_two_digit_labels_keep_one_vertex_order(self):
         # string order puts "3-10" before "3-6"; masks, facets and the
@@ -357,6 +397,15 @@ class TestRelativeHomology:
         assert reduced_homology(c, cap=8).report_lines() == ["H~_0 = Z"]
         with pytest.raises(ResourceLimitError, match="homology exceeded 7 faces"):
             reduced_homology(c, cap=7)
+
+    def test_ties_among_the_most_held_vertices_go_to_the_first(self):
+        # a filled triangle a-b-c and a path b-d-e-c: b, c, d and e lie in
+        # two facets, "a" in one.  Apex b builds the 6 faces of {d, e} and
+        # {c, e}; "a" would build 8, d or e 10
+        c = SimplicialComplex([{"a", "b", "c"}, {"b", "d"}, {"d", "e"}, {"c", "e"}])
+        assert reduced_homology(c, cap=6).report_lines() == ["H~_1 = Z"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 5 faces"):
+            reduced_homology(c, cap=5)
 
     def test_cap_counts_the_masks_actually_inserted(self):
         # without collapse both triangles are built: 8 + 8 masks, one of
@@ -683,6 +732,8 @@ class TestFacetFiles:
             ("b,,c\n", "facet line 1 holds an empty field"),
             ("a,b\n\na,b,\n", "facet line 3 holds an empty field"),
             (" , \n", "facet line 1 holds an empty field"),
+            ("a,a\nb,,c\n", "facet line 1 names vertex 'a' twice"),
+            ("b,,c\na,a\n", "facet line 1 holds an empty field"),
         ],
     )
     def test_repeated_vertices_and_empty_fields_are_refused(self, text, message):
