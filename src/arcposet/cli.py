@@ -6,15 +6,23 @@ homology, and the named verification checks.  Exit codes: 0 success,
 1 verification failure, 2 malformed input, 3 resource cap exceeded.  A
 reader that closes stdout early (``arcposet ... | head -1``) ends the
 command quietly, with exit code 0.
+
+The command line is read from the tables ``GLOBAL_OPTIONS`` and
+``COMMANDS``: global options first, then the command, then its arguments,
+each option as ``--name value`` or ``--name=value`` (no abbreviations).
+A malformed command line ends in one ``error:`` line and exit code 2;
+``-h``/``--help`` prints the usage text.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
-from functools import cache
+from collections.abc import Callable, Sequence
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .complexes import build_T, read_facets, reduced_homology, write_facets
 from .diagram import (
@@ -55,6 +63,9 @@ def _read_text(path: str, what: str) -> str:
             return handle.read()
     except OSError as exc:
         raise InvalidArgumentError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        reason = f"{exc.reason} at byte {exc.start}"
+        raise InvalidArgumentError(f"{what} file {path!r} is not UTF-8 text: {reason}") from exc
 
 
 def _write_text(path: str, text: str, what: str) -> None:
@@ -227,83 +238,224 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and reused by every
-    later ``run`` in the process (parsing leaves it unchanged)."""
-    parser = argparse.ArgumentParser(
-        prog="arcposet",
-        description="Arc diagrams, block matrices, posets and homology.",
-    )
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--cap", type=int, default=None, help="size/search cap for " + ", ".join(CAPPED_COMMANDS)
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """One ``--name`` option, read into the attribute ``name``.  It takes
+    ``arity`` values, each converted by ``kind`` (arity 0: a flag, True when
+    given); ``choices``, when set, is called for the values accepted.  A
+    ``repeat`` option collects its values in a list; for any other, the
+    last one given wins."""
 
-    p = sub.add_parser("inspect", help="free sites, blocks, block matrix, predicates")
-    p.add_argument("diagram")
-    p.set_defaults(func=_cmd_inspect)
+    metavar: str
+    help: str
+    arity: int = 1
+    kind: Callable[[str], object] = str
+    choices: Callable[[], Sequence[str]] | None = None
+    required: bool = False
+    repeat: bool = False
+    default: object = None
 
-    for name, help_text in (
-        ("canonicalize", "unique regular representative"),
-        ("dual", "half-site dual"),
-        ("blowup", "split multi-arc sites"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("diagram")
-        p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("equiv", help="block-matrix equivalence of two diagrams")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.set_defaults(func=_cmd_equiv)
+class Command(NamedTuple):
+    """One command: its handler, its help line, its positionals (each read
+    into the attribute of that name) and its options."""
 
-    p = sub.add_parser("realize", help="proper diagram realizing a matrix")
-    p.add_argument("matrix", help="matrix JSON file or literal JSON")
-    p.set_defaults(func=_cmd_realize)
+    handler: Callable[[SimpleNamespace], int]
+    help: str
+    positionals: tuple[str, ...]
+    options: dict[str, Option]
 
-    for name, help_text in (
-        ("enum", "list the members of a family"),
-        ("poset", "family poset stats and DOT export"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--family", required=True, choices=family_names())
-        p.add_argument("--params", help="comma-separated name=int, e.g. f=4,k=1,r=0")
-        if name == "poset":
-            p.add_argument("--dot", help="write the cover digraph to this DOT file")
-            p.add_argument("--stats", action="store_true")
-            p.set_defaults(func=_cmd_poset)
+
+# the options given before the command
+GLOBAL_OPTIONS = {
+    "--format": Option(
+        "FORMAT", 'output format, text by default; JSON carries "schema": 1',
+        choices=lambda: ("text", "json"), default="text",
+    ),
+    "--cap": Option("N", "size/search cap for " + ", ".join(CAPPED_COMMANDS), kind=int),
+}
+
+_FAMILY_OPTIONS = {
+    "--family": Option("NAME", "the family", choices=family_names, required=True),
+    "--params": Option("PARAMS", "comma-separated name=int, e.g. f=4,k=1,r=0"),
+}
+
+COMMANDS = {
+    "inspect": Command(_cmd_inspect, "free sites, blocks, block matrix, predicates", ("diagram",), {}),
+    "canonicalize": Command(_cmd_transform, "unique regular representative", ("diagram",), {}),
+    "dual": Command(_cmd_transform, "half-site dual", ("diagram",), {}),
+    "blowup": Command(_cmd_transform, "split multi-arc sites", ("diagram",), {}),
+    "equiv": Command(_cmd_equiv, "block-matrix equivalence of two diagrams", ("first", "second"), {}),
+    "realize": Command(_cmd_realize, "proper diagram realizing a matrix (JSON file or literal)", ("matrix",), {}),
+    "enum": Command(_cmd_enum, "list the members of a family", (), _FAMILY_OPTIONS),
+    "poset": Command(
+        _cmd_poset,
+        "family poset stats and DOT export",
+        (),
+        {
+            **_FAMILY_OPTIONS,
+            "--dot": Option("FILE", "write the cover digraph to this DOT file"),
+            "--stats": Option("", "print the stats line (the default without --dot)", arity=0, default=False),
+        },
+    ),
+    "complex": Command(
+        _cmd_complex,
+        "build a multitriangulation complex",
+        (),
+        {
+            "--T": Option("M K", "the m-gon and k of T(m,k)", arity=2, kind=int, required=True),
+            "--facets": Option("FILE", "write facets to this file"),
+        },
+    ),
+    "homology": Command(
+        _cmd_homology,
+        "reduced integral homology of a facet list",
+        (),
+        {"--facets": Option("FILE", "the facet file, one facet per line", required=True)},
+    ),
+    "verify": Command(
+        _cmd_verify,
+        "run a named verification check",
+        (),
+        {
+            "--check": Option("NAME", "the check to run", choices=check_names, required=True),
+            "--grid": Option("POINTS", "grid points like f=4,k=1 (repeat or separate with ';')", repeat=True),
+        },
+    ),
+}
+
+_HELP = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+
+def _is_option(token: str) -> bool:
+    """True for a token read as an option name: one that starts with '-'
+    and is neither '-' alone nor a negative number, which are values."""
+    return token.startswith("-") and token != "-" and not _NEGATIVE_NUMBER.match(token)
+
+
+def _read_option(argv: list[str], at: int, options: dict[str, Option], args: SimpleNamespace, where: str) -> int:
+    """Read the option at ``argv[at]``, given as ``--name value`` or
+    ``--name=value``, into ``args``; return the index after it."""
+    name, inline, text = argv[at].partition("=")
+    option = options.get(name)
+    if option is None:
+        if name in GLOBAL_OPTIONS:
+            raise InvalidArgumentError(f"{name} is a global option: give it before the command")
+        raise InvalidArgumentError(f"{where} has no option {name}")
+    if option.arity == 0:
+        if inline:
+            raise InvalidArgumentError(f"{name} takes no value")
+        setattr(args, name[2:], True)
+        return at + 1
+    if inline and option.arity == 1:
+        texts, at = [text], at + 1
+    else:
+        texts, at = argv[at + 1 : at + 1 + option.arity], at + 1 + option.arity
+        if inline or len(texts) < option.arity or any(map(_is_option, texts)):
+            raise InvalidArgumentError(f"{name} needs {option.metavar}")
+    values = []
+    for text in texts:
+        try:
+            value = option.kind(text)
+        except ValueError:
+            raise InvalidArgumentError(f"{name} needs an integer, got {text!r}") from None
+        if option.choices and value not in option.choices():
+            raise InvalidArgumentError(f"{name} must be one of {', '.join(option.choices())}, got {text!r}")
+        values.append(value)
+    value = values[0] if option.arity == 1 else values
+    setattr(args, name[2:], (getattr(args, name[2:]) or []) + [value] if option.repeat else value)
+    return at
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The command line ``argv`` read by the tables: global options, the
+    command, then its positionals and options in any order (all after a
+    ``--`` are positionals).  Returns a namespace holding ``command``,
+    ``func`` (its handler) and each positional and option under its name,
+    or the usage text when ``-h``/``--help`` is given.  A malformed
+    command line raises ``InvalidArgumentError``."""
+    args = SimpleNamespace(**{name[2:]: option.default for name, option in GLOBAL_OPTIONS.items()})
+    at = 0
+    while at < len(argv) and _is_option(argv[at]):
+        if argv[at] in _HELP:
+            return _usage()
+        at = _read_option(argv, at, GLOBAL_OPTIONS, args, "arcposet")
+    if at == len(argv) or argv[at] not in COMMANDS:
+        given = f"unknown command {argv[at]!r}" if at < len(argv) else "no command given"
+        raise InvalidArgumentError(f"{given}; expected one of {', '.join(COMMANDS)}")
+    name = argv[at]
+    command = COMMANDS[name]
+    args.command, args.func = name, command.handler
+    for option_name, option in command.options.items():
+        setattr(args, option_name[2:], option.default)
+    positionals = []
+    at += 1
+    while at < len(argv):
+        token = argv[at]
+        if token == "--":
+            positionals += argv[at + 1 :]
+            break
+        if token in _HELP:
+            return _usage(name)
+        if _is_option(token):
+            at = _read_option(argv, at, command.options, args, name)
         else:
-            p.set_defaults(func=_cmd_enum)
+            positionals.append(token)
+            at += 1
+    if len(positionals) > len(command.positionals):
+        raise InvalidArgumentError(f"{name} takes no argument {positionals[len(command.positionals)]!r}")
+    missing = [p.upper() for p in command.positionals[len(positionals) :]]
+    missing += [o for o, option in command.options.items() if option.required and getattr(args, o[2:]) is None]
+    if missing:
+        raise InvalidArgumentError(f"{name} needs {' and '.join(missing)}")
+    for positional, value in zip(command.positionals, positionals):
+        setattr(args, positional, value)
+    return args
 
-    p = sub.add_parser("complex", help="build a multitriangulation complex")
-    p.add_argument("--T", nargs=2, type=int, metavar=("m", "k"), required=True)
-    p.add_argument("--facets", help="write facets to this file")
-    p.set_defaults(func=_cmd_complex)
 
-    p = sub.add_parser("homology", help="reduced integral homology of a facet list")
-    p.add_argument("--facets", required=True)
-    p.set_defaults(func=_cmd_homology)
+def _usage(name: str | None = None) -> str:
+    """The usage text of the command line, or of command ``name``."""
 
-    p = sub.add_parser("verify", help="run a named verification check")
-    p.add_argument("--check", required=True, choices=check_names())
-    p.add_argument(
-        "--grid",
-        action="append",
-        help="grid points like f=4,k=1 (repeat or separate with ';')",
-    )
-    p.set_defaults(func=_cmd_verify)
-    return parser
+    def synopsis(option_name: str, option: Option) -> str:
+        text = f"{option_name} {option.metavar}".rstrip()
+        return text if option.required else f"[{text}]"
+
+    def rows(options: dict[str, Option]) -> list[str]:
+        return [
+            f"  {synopsis(option_name, option):<18} {option.help}"
+            + (f" (one of {', '.join(option.choices())})" if option.choices else "")
+            for option_name, option in options.items()
+        ]
+
+    head = "usage: arcposet " + " ".join(synopsis(*item) for item in GLOBAL_OPTIONS.items())
+    if name is None:
+        lines = [
+            f"{head} COMMAND ...",
+            "",
+            "Arc diagrams, block matrices, posets and homology.",
+            "",
+            "global options, given before the command:",
+            *rows(GLOBAL_OPTIONS),
+            "",
+            "commands (arcposet COMMAND --help for the arguments of one):",
+            *(f"  {command:<18} {spec.help}" for command, spec in COMMANDS.items()),
+        ]
+    else:
+        command = COMMANDS[name]
+        words = [name, *map(str.upper, command.positionals)]
+        words += [synopsis(*item) for item in command.options.items()]
+        lines = [f"{head} {' '.join(words)}", "", command.help]
+        if command.options:
+            lines += ["", *rows(command.options)]
+    return "\n".join(lines)
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            print(args)
+            return 0
         if args.cap is not None:
             if args.cap < 0:
                 raise InvalidArgumentError(f"--cap must be >= 0, got {args.cap}")

@@ -244,14 +244,46 @@ def noncrossing_complex(pool: list[Arc], k: int, cap: int = 10_000_000) -> Simpl
     return SimplicialComplex._from_masks(vertices, masks)
 
 
+def _facet_count_exceeds(m: int, k: int, cap: int) -> bool:
+    """True iff T(m,k) has more than ``cap`` facets, the k-triangulations of
+    the m-gon.  Jonsson counts them as the product of (i+j+2k)/(i+j) over
+    1 <= i <= j < m-2k; every factor exceeds 1, so the product is taken in
+    order of i+j and stops once it exceeds ``cap``."""
+    d = m - 2 * k
+    num = den = 1
+    for s in range(2, 2 * d - 1):
+        if num > cap * den:
+            break
+        times = s // 2 - max(1, s - d + 1) + 1  # the pairs (i, j) with i + j = s
+        num *= (s + 2 * k) ** times
+        den *= s**times
+    return num > cap * den
+
+
 def build_T(m: int, k: int, cap: int = 10_000_000) -> SimplicialComplex:
     """The multitriangulation complex: faces are the k-noncrossing sets of
     k-relevant diagonals of a convex m-gon, the arcs of ``relevant_arcs``
-    (endpoint gap in (k, m-k)); ``cap`` bounds the sets visited."""
+    (endpoint gap in (k, m-k)); ``cap`` bounds the sets visited.
+
+    Two counts are checked against ``cap`` before anything is built.  The
+    search lists each facet at a leaf, so more than ``cap`` facets is
+    refused as the search itself would refuse it.  The crossing graph on
+    the n diagonals takes n(n-1)/2 pair tests, and more than ``cap`` of
+    them are refused too."""
     if m < 3:
         raise InvalidArgumentError(f"a polygon needs m >= 3 vertices, got {m}")
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
+    if _facet_count_exceeds(m, k, cap):
+        raise ResourceLimitError(f"complex search exceeded {cap} subsets", bound=cap)
+    # m - g diagonals at each gap g in (k, m-k): m-2k-1 gaps, m/2 on average
+    n = max(0, m - 2 * k - 1) * m // 2
+    if n * (n - 1) // 2 > cap:
+        raise ResourceLimitError(
+            f"the crossing graph of the {n} diagonals of T({m},{k}) takes "
+            f"{n * (n - 1) // 2} pair tests, over the cap of {cap}",
+            bound=cap,
+        )
     return noncrossing_complex(relevant_arcs(m, k), k, cap=cap)
 
 

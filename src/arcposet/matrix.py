@@ -226,9 +226,11 @@ def enumerate_matrix_keys(
     ``upper_positions(m)``, sorted.
 
     Every admissible position is assigned each value whose ``entry_cost``
-    fits the remaining budget, read from a table per position, so the
-    search is exact and finite.  ``cap`` bounds the search nodes actually
-    visited.
+    fits the remaining budget, in increasing order up to the first that
+    does not, so the search is exact and finite.  ``cap`` bounds the
+    search nodes actually visited, and a value's cost is computed only
+    once the search reaches the value before it, so a huge ``r`` builds
+    nothing before the cap can refuse it.
     """
     if m < 4:
         raise InvalidArgumentError(f"m must be >= 4, got {m}")
@@ -239,9 +241,10 @@ def enumerate_matrix_keys(
 
     positions = upper_positions(m)
     adjacency = crossing_adjacency(positions)
-    # each position's nonzero values with their costs, up to r + 2, which
-    # costs more than r at every position
-    priced = [[(value, entry_cost(i, j, value)) for value in range(1, r + 3)] for i, j in positions]
+    # each position's (value, cost) pairs from value 1 on, extended only
+    # when the search has used the last one: the cost rises with the value,
+    # so a list ends at most one pair past the values the search assigned
+    priced = [[(1, entry_cost(i, j, 1))] for i, j in positions]
     keys: list[tuple[int, ...]] = []
     values = [0] * len(positions)
     nodes = 0
@@ -261,11 +264,15 @@ def enumerate_matrix_keys(
         if choices[0][1] > budget or masked_clique_exists(adjacency, support & adjacency[index], k):
             return
         support |= 1 << index
+        # the loop also reads the pair appended as it runs
         for value, cost in choices:
             if cost > budget:
                 break
             values[index] = value
             assign(index + 1, budget - cost, support)
+            if value == len(choices):
+                i, j = positions[index]
+                choices.append((value + 1, entry_cost(i, j, value + 1)))
         values[index] = 0
 
     assign(0, r, 0)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -579,29 +580,30 @@ def _argvs(draw):
 
 
 # Runs the argv lists given as JSON in one fresh process and prints, per
-# call, the exit code, stdout and stderr, plus how many ArgumentParser
-# objects existed after importing arcposet.cli and after each call.
+# call, the exit code, stdout and stderr, and the seconds it took, plus
+# whether argparse was imported by the end.
 _SEQUENCE_PROBE = """
-import argparse, contextlib, io, json, sys
-built = [0]
-init = argparse.ArgumentParser.__init__
-def counting(self, *args, **kwargs):
-    built[0] += 1
-    init(self, *args, **kwargs)
-argparse.ArgumentParser.__init__ = counting
-from arcposet import cli, verify
-results, parsers = [], [built[0]]
+import contextlib, io, json, sys, time
+from arcposet import cli
+results, seconds = [], []
 for argv in json.loads(sys.argv[1]):
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
+    seconds.append(time.perf_counter() - start)
     results.append([code, out.getvalue(), err.getvalue()])
-    parsers.append(built[0])
-print(json.dumps({"results": results, "parsers": parsers}))
+print(json.dumps({"results": results, "seconds": seconds, "argparse": "argparse" in sys.modules}))
 """
 
 
+def _hold_to_one_gigabyte():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
 def _run_in_fresh_process(*argvs):
+    # held to 1 GB of address space and 120 s, so that a command which
+    # would exhaust memory or never end fails the test, not the suite
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(arcposet.__file__))}
     done = subprocess.run(
         [sys.executable, "-c", _SEQUENCE_PROBE, json.dumps(argvs)],
@@ -609,6 +611,8 @@ def _run_in_fresh_process(*argvs):
         text=True,
         check=True,
         env=env,
+        timeout=120,
+        preexec_fn=_hold_to_one_gigabyte,
     )
     return json.loads(done.stdout)
 
@@ -623,7 +627,7 @@ class TestParserCache:
             ["verify", "--check", "length-bound", "--grid", "n=6"],
             ["verify", "--check", "length-bound"],
         ),
-        "argparse error then valid": (
+        "argument error then valid": (
             ["inspect"],
             ["canonicalize", "n=7; arcs=(1,4),(2,6)"],
         ),
@@ -641,12 +645,83 @@ class TestParserCache:
         assert together == alone
         assert together[0] != together[1]
 
-    def test_parser_is_built_once_on_first_use(self):
+    def test_argparse_is_never_imported(self):
+        # the command line is read from the tables in arcposet.cli, so no
+        # call pays for importing argparse and building its parsers
         first, second = self.SEQUENCES["json then text"]
-        parsers = _run_in_fresh_process(first, second)["parsers"]
-        assert parsers[0] == 0  # importing arcposet.cli builds no parser
-        assert parsers[1] > 0
-        assert parsers[2] == parsers[1]
+        assert _run_in_fresh_process(first, second)["argparse"] is False
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nope"],
+            ["verify", "--check", "thm11", "--grid", "f=4,k=1", "--jobs", "4"],
+            ["verify"],
+            ["enum", "--params", "n=5,k=1"],
+            ["complex"],
+            ["homology"],
+            ["poset", "--family", "Q", "--params", "f=4,k=1,r=0"],
+            ["verify", "--check", "nope"],
+            ["--format", "xml", "inspect", "n=5; arcs=(1,3)"],
+            ["--cap", "x", "complex", "--T", "6", "2"],
+            ["complex", "--T", "6", "x"],
+            ["complex", "--T", "6"],
+            ["equiv", "n=5; arcs=(1,3)", "n=5; arcs=(2,4)", "n=5; arcs=(1,4)"],
+            ["poset", "--family", "P", "--params", "f=4,k=1,r=0", "--format", "json"],
+        ],
+        ids=[
+            "no-command", "unknown-command", "unknown-option", "missing-check", "missing-family",
+            "missing-T", "missing-facets", "bad-family", "bad-check", "bad-format", "non-int-cap",
+            "non-int-T", "one-T-value", "extra-positional", "format-after-command",
+        ],
+    )
+    def test_one_error_line_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "usage:" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"], ["--format", "json", "poset", "-h"]])
+    def test_help_exit_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: arcposet ")
+        if "verify" in argv:
+            assert "--check NAME" in out and "thm11" in out
+
+    @pytest.mark.parametrize("argv", [["homology", "--facets"], ["realize"]], ids=["homology", "realize"])
+    def test_undecodable_file_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"a,b\n\xff,c\n")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(path) in err and "not UTF-8" in err and err.count("\n") == 1
+
+
+class TestRefusedBeforeBuilt:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--cap", "1000", "poset", "--family", "M", "--params", "m=4,k=1,r=99999999999999999999"],
+                "matrix search exceeded 1000 nodes",
+            ),
+            (["complex", "--T", "100000", "1"], "complex search exceeded 10000000 subsets"),
+            (["--cap", "1000", "complex", "--T", "120", "1"], "complex search exceeded 1000 subsets"),
+            (
+                ["complex", "--T", "20002", "10000"],
+                "the crossing graph of the 10001 diagonals of T(20002,10000) takes 50005000 pair tests, "
+                "over the cap of 10000000",
+            ),
+        ],
+        ids=["huge-r", "huge-polygon", "polygon-over-cap", "crossing-graph"],
+    )
+    def test_a_huge_input_exits_3_within_a_second(self, argv, message):
+        done = _run_in_fresh_process(argv)
+        assert done["results"] == [[3, "", f"resource cap: {message}\n"]]
+        assert done["seconds"][0] < 1
 
 
 @settings(max_examples=300, deadline=None)

@@ -653,6 +653,23 @@ class TestMaximalNoncrossingMasks:
         with pytest.raises(ResourceLimitError, match=f"exceeded {nodes - 1} subsets"):
             build_T(m, k, cap=nodes - 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_facet_count_bound_is_the_hankel_count(self, k):
+        # build_T refuses more facets than the cap before its search starts
+        for m in range(2 * k + 1, 2 * k + 16):
+            count = hankel_facet_count(m, k)
+            assert not complexes._facet_count_exceeds(m, k, count), m
+            assert complexes._facet_count_exceeds(m, k, count - 1), m
+
+    def test_crossing_graph_pair_tests_count_against_the_cap(self):
+        # the 12 diagonals of T(24,11) all cross one another: 66 pair tests
+        # for 12 facets
+        message = r"12 diagonals of T\(24,11\) takes 66 pair tests, over the cap of 65"
+        with pytest.raises(ResourceLimitError, match=message):
+            build_T(24, 11, cap=65)
+        with pytest.raises(ResourceLimitError, match="complex search exceeded 66 subsets"):
+            build_T(24, 11, cap=66)
+
 
 class TestNoncrossingSubsetMasks:
     @settings(max_examples=150, deadline=None)
