@@ -342,20 +342,19 @@ class HomologyResult:
         )
 
 
-def _face_masks(facet_masks, cap: float = float("inf"), spent: int = 0) -> dict[int, int]:
+def _face_masks(facet_masks, cap: float = float("inf")) -> dict[int, int]:
     """Every face of the given facet masks (the empty face included), each
     mapped to itself, in insertion order.  Raises ``ResourceLimitError``
-    when more than ``cap`` masks would be inserted, ``spent`` of them
-    before this call."""
+    when more than ``cap`` masks would be inserted."""
     faces: dict[int, int] = {}
     for facet in facet_masks:
         # a facet that cannot overflow the cap even if all its faces are
         # new skips the count on every insertion
-        counted = spent + len(faces) + (1 << facet.bit_count()) > cap
+        counted = len(faces) + (1 << facet.bit_count()) > cap
         face = facet
         while True:
             faces[face] = face
-            if counted and spent + len(faces) > cap:
+            if counted and len(faces) > cap:
                 raise ResourceLimitError(f"homology exceeded {cap} faces", bound=cap)
             if not face:
                 break
@@ -379,9 +378,8 @@ def _is_connected(masks) -> bool:
     return True
 
 
-def shedding_h_vector(masks, cap: float = float("inf")) -> tuple[list[int] | None, int]:
-    """The h-vector of a pure complex from a greedy vertex decomposition,
-    and the ridge entries inserted to find it.
+def shedding_h_vector(masks, cap: float = float("inf")) -> list[int] | None:
+    """The h-vector of a pure complex from a greedy vertex decomposition.
 
     ``masks`` are the facets of a pure d-complex, none inside another.  A
     stack holds complexes, each with the number of links taken to reach
@@ -398,14 +396,13 @@ def shedding_h_vector(masks, cap: float = float("inf")) -> tuple[list[int] | Non
     complex with no such vertex ends the search: h is None, though the
     complex may still be decomposable in another order.  A disconnected
     complex of dimension d >= 1 is not decomposable and costs nothing.
-    Every ridge entry inserted counts against ``cap``; more raise
-    ``ResourceLimitError``.
+    ``cap`` bounds each node's ridge map on its own: a map of more
+    entries raises ``ResourceLimitError``.
     """
     size = masks[0].bit_count()
     h = [0] * (size + 1)
     if size >= 2 and not _is_connected(masks):
-        return None, 0
-    spent = 0
+        return None
     stack = [(masks, 0)]
     while stack:
         facets, links = stack.pop()
@@ -417,7 +414,6 @@ def shedding_h_vector(masks, cap: float = float("inf")) -> tuple[list[int] | Non
             facets = [facet ^ cone for facet in facets]
         # each ridge to the vertices that make it a facet, one bit each
         ridges: dict[int, int] = {}
-        room = cap - spent
         for facet in facets:
             rest = facet
             while rest:
@@ -428,9 +424,8 @@ def shedding_h_vector(masks, cap: float = float("inf")) -> tuple[list[int] | Non
                     ridges[ridge] |= v
                 else:
                     ridges[ridge] = v
-            if len(ridges) > room:
-                raise ResourceLimitError(f"homology exceeded {cap} faces", bound=cap)
-        spent += len(ridges)
+            if len(ridges) > cap:
+                raise ResourceLimitError(f"homology exceeded {cap} ridge entries", bound=cap)
         # per facet, the vertices v whose ridge F - v is in no other facet
         alone = dict.fromkeys(facets, 0)
         for ridge, x in ridges.items():
@@ -442,7 +437,7 @@ def shedding_h_vector(masks, cap: float = float("inf")) -> tuple[list[int] | Non
         while len(alone) > 1:
             shedding = reduce(or_, alone) & ~reduce(or_, alone.values())
             if not shedding:
-                return None, spent
+                return None
             v = shedding & -shedding
             star = [facet for facet in alone if facet & v]
             stack.append(([facet ^ v for facet in star], links + 1))
@@ -453,7 +448,7 @@ def shedding_h_vector(masks, cap: float = float("inf")) -> tuple[list[int] | Non
                 if x and not x & (x - 1):
                     alone[facet ^ v | x] |= x
         h[links] += 1
-    return h, spent
+    return h
 
 
 def reduced_homology(
@@ -482,8 +477,9 @@ def reduced_homology(
     changes no other boundary.  Smith normal form gets what remains.
     Without ``collapse``, every face of K, the empty face included (the
     augmented chain complex), goes to Smith normal form.  ``cap`` bounds
-    the ridge entries of the decomposition and the face masks inserted,
-    together; more raise ``ResourceLimitError``.
+    each table built on its own: one ridge map of the decomposition, or
+    the face masks inserted when it finds none or without ``collapse``;
+    a larger one raises ``ResourceLimitError``.
     """
     if complex_.is_void():
         return HomologyResult({})
@@ -495,9 +491,8 @@ def reduced_homology(
         trivial = {d: (0, ()) for d in range(-1, top + 1)}
         if reduce(and_, masks):
             return HomologyResult(trivial)
-        spent = 0
         if complex_.is_pure():
-            h, spent = shedding_h_vector(masks, cap)
+            h = shedding_h_vector(masks, cap)
             if h is not None:
                 return HomologyResult(trivial | {top: (h[top + 1], ())})
         # neither a cone nor decomposed: some facet misses the apex
@@ -513,7 +508,7 @@ def reduced_homology(
         built = 0
         for facet in outside:
             built |= facet
-        boundary = _face_masks(outside, cap, spent)
+        boundary = _face_masks(outside, cap)
         vertex_bits = [1 << i for i in range(built.bit_length()) if built >> i & 1]
         links = [facet & built for facet in masks if facet & apex]
         # per built vertex, the link facets holding it (bit j: links[j])

@@ -462,7 +462,7 @@ class TestVertexDecomposition:
         rng = random.Random(10 * m + k)
         order = list(range(len(t.vertices())))
         for _ in range(6):
-            h, _ = shedding_h_vector(relabelled(t.masks, order))
+            h = shedding_h_vector(relabelled(t.masks, order))
             assert h is not None and len(h) == t.dimension() + 2
             assert h == h[::-1] and h[0] == h[-1] == 1
             assert sum(h) == hankel_facet_count(m, k)
@@ -480,25 +480,25 @@ class TestVertexDecomposition:
         ids=["rp2", "torus7", "torus9", "klein", "two_circles"],
     )
     def test_complexes_that_are_not_shellable_give_none(self, complex_builder):
-        assert shedding_h_vector(complex_builder().masks)[0] is None
+        assert shedding_h_vector(complex_builder().masks) is None
 
     def test_the_greedy_order_can_miss_a_decomposition(self):
         # the order complex of P(4,1,0) is a 10-cycle: the search sheds an
         # inner vertex of a path and is left with two disjoint edges
         cycle = order_complex(build_P(4, 1, 0))
-        assert shedding_h_vector(cycle.masks)[0] is None
+        assert shedding_h_vector(cycle.masks) is None
         assert reduced_homology(cycle).report_lines() == ["H~_1 = Z"]
 
     def test_a_long_deletion_chain_needs_no_recursion(self):
         n = 1500
         cycle = SimplicialComplex({f"v{i:04d}", f"v{(i + 1) % n:04d}"} for i in range(n))
-        assert shedding_h_vector(cycle.masks)[0] == [1, n - 2, 1]
+        assert shedding_h_vector(cycle.masks) == [1, n - 2, 1]
         assert reduced_homology(cycle).report_lines() == ["H~_1 = Z"]
 
     @settings(max_examples=300, deadline=None)
     @given(complex_=_PURE_COMPLEXES)
     def test_pure_complexes_agree_with_every_face_to_smith_form(self, complex_):
-        h, _ = shedding_h_vector(complex_.masks)
+        h = shedding_h_vector(complex_.masks)
         if h is not None:
             assert sum(h) == len(complex_.masks)
         relative = reduced_homology(complex_, collapse=True)
@@ -506,21 +506,33 @@ class TestVertexDecomposition:
 
     def test_cap_counts_the_ridge_entries(self):
         # the circle a-b-c inserts its three ridges (its vertices), sheds a,
-        # and the link of a, two points, inserts its one ridge, the empty face
+        # and the link of a, two points, maps its one ridge, the empty face:
+        # the largest ridge map holds 3 entries
         c = circle()
-        assert shedding_h_vector(c.masks) == ([1, 1, 1], 4)
-        assert reduced_homology(c, cap=4).report_lines() == ["H~_1 = Z"]
-        with pytest.raises(ResourceLimitError, match="homology exceeded 3 faces"):
-            reduced_homology(c, cap=3)
+        assert shedding_h_vector(c.masks, cap=3) == [1, 1, 1]
+        assert reduced_homology(c, cap=3).report_lines() == ["H~_1 = Z"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 2 ridge entries"):
+            reduced_homology(c, cap=2)
 
-    def test_a_failed_search_and_the_faces_share_one_cap(self):
-        # the search on RP^2 inserts 15 ridge entries before it stops; the
-        # 5 facets missing the apex "1" then have 21 faces
+    def test_a_failed_search_and_the_faces_each_have_the_cap(self):
+        # the search on RP^2 maps its 15 edges before it stops; the 5
+        # facets missing the apex "1" then have 21 faces, a table of its own
         c = SimplicialComplex(RP2_FACETS)
-        assert shedding_h_vector(c.masks) == (None, 15)
-        assert reduced_homology(c, cap=36).report_lines() == ["H~_1 = 0 + Z/2"]
-        with pytest.raises(ResourceLimitError, match="homology exceeded 35 faces"):
-            reduced_homology(c, cap=35)
+        assert shedding_h_vector(c.masks, cap=15) is None
+        assert reduced_homology(c, cap=21).report_lines() == ["H~_1 = 0 + Z/2"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 20 faces"):
+            reduced_homology(c, cap=20)
+        with pytest.raises(ResourceLimitError, match="homology exceeded 14 ridge entries"):
+            reduced_homology(c, cap=14)
+
+    def test_cap_bounds_the_largest_ridge_map_not_their_sum(self):
+        # T(10,3): 330 facets, whose top ridge map holds 1,485 entries; the
+        # maps of all nodes together hold 5,029
+        t = build_T(10, 3)
+        assert len(t.masks) == 330
+        assert reduced_homology(t, cap=1485).report_lines() == ["H~_8 = Z"]
+        with pytest.raises(ResourceLimitError, match="homology exceeded 1484 ridge entries"):
+            reduced_homology(t, cap=1484)
 
 
 class TestOrderComplex:

@@ -5,6 +5,7 @@ import pytest
 from arcposet import families
 from arcposet import matrix as matrix_module
 
+from arcposet.complexes import SimplicialComplex, join, simplex
 from arcposet.crossing import is_k_noncrossing
 from arcposet.diagram import (
     Diagram,
@@ -12,6 +13,7 @@ from arcposet.diagram import (
     free_sites,
     is_proper,
     is_regular,
+    parse,
     tautology_number,
 )
 from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
@@ -36,9 +38,24 @@ from arcposet.families import (
     suppression_leq,
     unit_step_covers,
 )
-from arcposet.matrix import dominates, enumerate_matrices, enumerate_matrix_keys, matrices_from_keys
+from arcposet.matrix import (
+    SymmetricMatrix,
+    dominates,
+    enumerate_matrices,
+    enumerate_matrix_keys,
+    family_membership,
+    matrices_from_keys,
+)
 from arcposet.poset import FinitePoset, chain_stats_from_covers
-from arcposet.transform import beta_inverse, canonicalize, swap_orbit
+from arcposet.transform import (
+    beta,
+    beta_inverse,
+    canonicalize,
+    equivalent_by_definition,
+    kappa,
+    swap_orbit,
+    theta_inverse,
+)
 from arcposet.verify import _MATRIX_FAMILY_GRID
 
 
@@ -414,3 +431,40 @@ class TestDispatch:
     def test_unknown_family(self):
         with pytest.raises(InvalidArgumentError):
             build_family("Q", n=5, k=1)
+
+
+_ORDER_4 = SymmetricMatrix([[0, 0, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+# regular: (1,5) and (3,7) cross; (4,6) leaves tautology 1
+_CROSSING = parse("n=7; arcs=(1,5),(3,7)")
+_TAUTOLOGICAL = parse("n=6; arcs=(4,6)")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: build_D(1, 1, 0), "f must be >= 2", id="build_D-f"),
+        pytest.param(lambda: build_D(2, 0, 0), "k must be >= 1", id="build_D-k"),
+        pytest.param(lambda: build_D(2, 1, -1), "r must be >= 0", id="build_D-r"),
+        pytest.param(lambda: build_S(5, 0), "k must be >= 1", id="build_S-k"),
+        pytest.param(lambda: build_Sstar(6, 0), "k must be >= 1", id="build_Sstar-k"),
+        pytest.param(lambda: admissible_arcs(1), "length must be >= 2", id="admissible_arcs-n"),
+        pytest.param(lambda: family_membership(_ORDER_4, "M", 3), "order m must be >= 4", id="membership-m"),
+        pytest.param(lambda: family_membership(_ORDER_4, "Mk", 4, 0), "k must be >= 1", id="membership-k"),
+        pytest.param(lambda: family_membership(_ORDER_4, "Mr", 4, 1, -1), "r must be >= 0", id="membership-r"),
+        pytest.param(lambda: theta_inverse(Diagram(6), 1), "non-trivial", id="theta_inverse-trivial"),
+        pytest.param(lambda: theta_inverse(Diagram(6, [(1, 3)]), 2), "not 2-relevant", id="theta_inverse-irrelevant"),
+        pytest.param(lambda: beta(_CROSSING, 1, 5), "not 1-noncrossing", id="beta-crossing"),
+        pytest.param(lambda: beta(_TAUTOLOGICAL, 1, 0), "exceeds bound 0", id="beta-tautology"),
+        pytest.param(lambda: kappa(_CROSSING, 1), "not 1-noncrossing", id="kappa-crossing"),
+        pytest.param(
+            lambda: equivalent_by_definition(Diagram(6, [(1, 3), (2, 5)]), Diagram(5, [(1, 3)])),
+            "proper diagrams",
+            id="equivalent_by_definition-improper",
+        ),
+        pytest.param(lambda: join(SimplicialComplex([]), simplex(1)), "void complex", id="join-void"),
+        pytest.param(lambda: chain_stats_from_covers([]), "empty poset", id="chain_stats_from_covers-empty"),
+    ],
+)
+def test_out_of_domain_arguments_are_refused(call, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        call()
