@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .crossing import maximal_noncrossing_masks
+from .crossing import SEARCH_DEPTH, maximal_noncrossing_masks
 from .diagram import Arc
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .families import relevant_arcs
 from .poset import FinitePoset, element_key
 from .snf import invariant_factors
@@ -265,11 +265,13 @@ def build_T(m: int, k: int, cap: int = 10_000_000) -> SimplicialComplex:
     k-relevant diagonals of a convex m-gon, the arcs of ``relevant_arcs``
     (endpoint gap in (k, m-k)); ``cap`` bounds the sets visited.
 
-    Two counts are checked against ``cap`` before anything is built.  The
-    search lists each facet at a leaf, so more than ``cap`` facets is
-    refused as the search itself would refuse it.  The crossing graph on
-    the n diagonals takes n(n-1)/2 pair tests, and more than ``cap`` of
-    them are refused too."""
+    Three counts are checked before anything is built.  The search lists
+    each facet at a leaf, so more than ``cap`` facets is refused as the
+    search itself would refuse it.  The crossing graph on the n diagonals
+    takes n(n-1)/2 pair tests, and more than ``cap`` of them are refused
+    too.  The search recurses once per diagonal of a facet, k(m-2k-1) of
+    them (a k-triangulation's k(2m-2k-1) diagonals less the km that are
+    not k-relevant), and more than ``SEARCH_DEPTH`` is refused."""
     if m < 3:
         raise InvalidArgumentError(f"a polygon needs m >= 3 vertices, got {m}")
     if k < 1:
@@ -283,6 +285,12 @@ def build_T(m: int, k: int, cap: int = 10_000_000) -> SimplicialComplex:
             f"the crossing graph of the {n} diagonals of T({m},{k}) takes "
             f"{n * (n - 1) // 2} pair tests, over the cap of {cap}",
             bound=cap,
+        )
+    depth = k * (m - 2 * k - 1)
+    if depth > SEARCH_DEPTH:
+        raise ResourceLimitError(
+            f"a facet of T({m},{k}) holds {depth} diagonals, over the search depth limit of {SEARCH_DEPTH}",
+            bound=SEARCH_DEPTH,
         )
     return noncrossing_complex(relevant_arcs(m, k), k, cap=cap)
 
@@ -381,66 +389,71 @@ def _is_connected(masks) -> bool:
 def shedding_h_vector(masks, cap: float = float("inf")) -> list[int] | None:
     """The h-vector of a pure complex from a greedy vertex decomposition.
 
-    ``masks`` are the facets of a pure d-complex, none inside another.  A
-    stack holds complexes, each with the number of links taken to reach
-    it.  One taken from it splits off its cone (the vertices in every
-    facet; h is unchanged), maps each ridge to the vertices that make it
-    a facet, and runs a deletion chain: it takes the first vertex v for
-    which every ridge F - v of a facet F holding v lies in a second
-    facet, so that del v is pure of dimension d, lk v of d - 1, and
-    h(K) = h(del v) + t h(lk v) (Provan and Billera).  lk v goes on the
-    stack; del v keeps the ridge map, less the facets through v.  A
-    complex with one facet is a simplex, h = 1, so h_i counts the
-    simplices reached through i links.  The stack, not recursion, holds
-    the pending links, and only one ridge map is alive at a time.  A
-    complex with no such vertex ends the search: h is None, though the
+    ``masks`` are the facets of a pure d-complex, none inside another.  The
+    complex's cone (the vertices in every facet; h is unchanged) is split
+    off, and one map, built once, takes each ridge to the vertices that
+    make it a facet.  A node of the decomposition is a set of facets, each
+    with its ``alone`` bits: the vertices v whose ridge F - v lies in no
+    other facet of the node.  A node runs a deletion chain: it takes the
+    first vertex v outside every ``alone``, so that each ridge F - v of a
+    facet F holding v lies in a second facet, del v is pure of dimension
+    d, lk v of d - 1, and h(K) = h(del v) + t h(lk v) (Provan and
+    Billera).  A complex with one facet is a simplex, h = 1, so h_i counts
+    the simplices reached through i links.  A stack, not recursion, holds
+    the pending links, each with the number of links taken to reach it.
+
+    lk v goes on the stack as the star of v, each facet keeping v and its
+    ``alone`` bits plus v.  Every ridge of the star through v is a ridge
+    of the link, and lies in star facets only, so its entry in the map
+    and the ``alone`` bits it gives are the link's.  v, and the vertices
+    in every facet of the link, are alone in each of its facets, so no
+    link sheds them, and its candidates and choices are those of the link
+    with them removed.  del v updates the ridges that miss v in place;
+    the ridges through v no longer change in the node, and a link pushed
+    after v holds no facet through v, so no two pending nodes share a
+    ridge and the one map serves every node.
+
+    A node with no vertex to shed ends the search: h is None, though the
     complex may still be decomposable in another order.  A disconnected
     complex of dimension d >= 1 is not decomposable and costs nothing.
-    ``cap`` bounds each node's ridge map on its own: a map of more
-    entries raises ``ResourceLimitError``.
+    ``cap`` bounds the ridge map: more entries raise
+    ``ResourceLimitError``.
     """
     size = masks[0].bit_count()
     h = [0] * (size + 1)
     if size >= 2 and not _is_connected(masks):
         return None
-    stack = [(masks, 0)]
+    cone = reduce(and_, masks)
+    facets = [facet ^ cone for facet in masks] if cone else masks
+    # each ridge to the vertices that make it a facet, one bit each
+    ridges: dict[int, int] = {}
+    for facet in facets:
+        rest = facet
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            ridge = facet ^ v
+            if ridge in ridges:
+                ridges[ridge] |= v
+            else:
+                ridges[ridge] = v
+        if len(ridges) > cap:
+            raise ResourceLimitError(f"homology exceeded {cap} ridge entries", bound=cap)
+    # per facet, the vertices v whose ridge F - v is in no other facet
+    alone = dict.fromkeys(facets, 0)
+    for ridge, x in ridges.items():
+        if not x & (x - 1):
+            alone[ridge | x] |= x
+    stack = [(alone, 0)]
     while stack:
-        facets, links = stack.pop()
-        if len(facets) == 1:
-            h[links] += 1
-            continue
-        cone = reduce(and_, facets)
-        if cone:
-            facets = [facet ^ cone for facet in facets]
-        # each ridge to the vertices that make it a facet, one bit each
-        ridges: dict[int, int] = {}
-        for facet in facets:
-            rest = facet
-            while rest:
-                v = rest & -rest
-                rest ^= v
-                ridge = facet ^ v
-                if ridge in ridges:
-                    ridges[ridge] |= v
-                else:
-                    ridges[ridge] = v
-            if len(ridges) > cap:
-                raise ResourceLimitError(f"homology exceeded {cap} ridge entries", bound=cap)
-        # per facet, the vertices v whose ridge F - v is in no other facet
-        alone = dict.fromkeys(facets, 0)
-        for ridge, x in ridges.items():
-            if not x & (x - 1):
-                alone[ridge | x] |= x
-        # the deletion chain: del v keeps the ridges of this node that miss
-        # v, so it updates them in place; the ridges through v are left
-        # behind, as no later facet holds v
+        alone, links = stack.pop()
         while len(alone) > 1:
             shedding = reduce(or_, alone) & ~reduce(or_, alone.values())
             if not shedding:
                 return None
             v = shedding & -shedding
-            star = [facet for facet in alone if facet & v]
-            stack.append(([facet ^ v for facet in star], links + 1))
+            star = {facet: bits | v for facet, bits in alone.items() if facet & v}
+            stack.append((star, links + 1))
             for facet in star:
                 del alone[facet]
                 x = ridges[facet ^ v] ^ v
@@ -477,7 +490,7 @@ def reduced_homology(
     changes no other boundary.  Smith normal form gets what remains.
     Without ``collapse``, every face of K, the empty face included (the
     augmented chain complex), goes to Smith normal form.  ``cap`` bounds
-    each table built on its own: one ridge map of the decomposition, or
+    each table built on its own: the ridge map of the decomposition, or
     the face masks inserted when it finds none or without ``collapse``;
     a larger one raises ``ResourceLimitError``.
     """
@@ -624,37 +637,45 @@ def read_facets(text: str) -> SimplicialComplex:
     complex (one facet, the empty face: what ``write_facets`` writes for
     it); a text with no facet otherwise is refused, and so is a line that
     holds an empty field or names a vertex twice, neither of which
-    ``write_facets`` writes.  Other blank lines are skipped.  Each line is
-    split once; its mask is the sum of its vertices' bits, which has fewer
-    bits than the line has fields exactly when a vertex is named twice."""
+    ``write_facets`` writes.  Other blank lines are skipped.  No line's
+    labels are kept: the lines are split once to collect the set of raw
+    fields, each stripped once to its label, and once more to sum each
+    line's vertex bits into its mask, which has fewer bits than the line
+    has fields exactly when a vertex is named twice.  Only then, or when
+    a field strips to nothing, are the lines read a third time, for the
+    first one at fault."""
     lines = text.splitlines()
     if len(lines) == 1 and not lines[0].strip():
         return SimplicialComplex([frozenset()])
-    numbers: list[int] = []
-    rows: list[list[str]] = []
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        raise InvalidArgumentError("facet list is empty")
+    fields: set[str] = set()
+    for row in rows:
+        fields.update(row.split(","))
+    label = {field: field.strip() for field in fields}
+    if "" in label.values():
+        _refuse_the_first_bad_line(lines)
+    vertices = tuple(sorted(set(label.values())))
+    bit = {v: 1 << i for i, v in enumerate(vertices)}
+    bit_of = {field: bit[label[field]] for field in fields}
+    masks = [sum(map(bit_of.__getitem__, row.split(","))) for row in rows]
+    # a blank line holds no comma, so the text's commas are the rows'
+    if sum(map(int.bit_count, masks)) < text.count(",") + len(rows):
+        _refuse_the_first_bad_line(lines)
+    return SimplicialComplex._from_masks(vertices, masks)
+
+
+def _refuse_the_first_bad_line(lines: list[str]) -> None:
+    """Raise for the first facet line that holds an empty field or names a
+    vertex twice; the caller has found that one does."""
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         labels = list(map(str.strip, line.split(",")))
         if "" in labels:
-            _refuse_a_vertex_named_twice(numbers, rows)  # on an earlier line
             raise InvalidArgumentError(f"facet line {number} holds an empty field")
-        numbers.append(number)
-        rows.append(labels)
-    if not rows:
-        raise InvalidArgumentError("facet list is empty")
-    vertices = tuple(sorted(set().union(*rows)))
-    bit = {v: 1 << i for i, v in enumerate(vertices)}
-    masks = [sum(map(bit.__getitem__, labels)) for labels in rows]
-    if sum(map(int.bit_count, masks)) < sum(map(len, rows)):
-        _refuse_a_vertex_named_twice(numbers, rows)
-    return SimplicialComplex._from_masks(vertices, masks)
-
-
-def _refuse_a_vertex_named_twice(numbers: list[int], rows: list[list[str]]) -> None:
-    """Raise for the first of the facet lines ``rows`` (numbered
-    ``numbers``) that names a vertex twice, if any does."""
-    for number, labels in zip(numbers, rows):
         for label in labels:
             if labels.count(label) > 1:
                 raise InvalidArgumentError(f"facet line {number} names vertex {label!r} twice")
+    raise InvariantError("a facet line was found at fault, and none is")

@@ -34,22 +34,33 @@ def crossing_adjacency(pairs: Sequence[Pair]) -> list[int]:
 
 
 def masked_clique_exists(adj: list[int], candidates: int, size: int) -> bool:
-    """True iff the graph restricted to ``candidates`` has a clique of ``size``."""
+    """True iff the graph restricted to ``candidates`` has a clique of ``size``.
+
+    A depth-first search takes each candidate v, lowest first, and looks
+    for the rest of the clique among the later candidates adjacent to v
+    before it goes on without v.  A stack, not recursion, holds the
+    candidates still to try at each depth, so a clique of any size is
+    searched for."""
     if size <= 1:
         return size <= 0 or candidates != 0
-    if candidates.bit_count() < size:
-        return False
+    # the candidates left at each shallower depth, as nested (rest, size,
+    # shallower) tuples: the common shallow call allocates no list
+    pending = None
     rest = candidates
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        # a 2-clique is an edge
-        if rest & adj[v] if size == 2 else masked_clique_exists(adj, rest & adj[v], size - 1):
-            return True
-        # v excluded: remaining candidates are exactly `rest`
-        if rest.bit_count() < size:
+    while True:
+        while rest.bit_count() >= size:
+            v = rest & -rest
+            rest ^= v
+            near = rest & adj[v.bit_length() - 1]
+            if size == 2:  # a 2-clique is an edge
+                if near:
+                    return True
+            elif near.bit_count() >= size - 1:
+                pending = (rest, size, pending)  # v excluded, tried after v included
+                rest, size = near, size - 1
+        if pending is None:
             return False
-    return False
+        rest, size, pending = pending
 
 
 def is_k_noncrossing(pairs: Sequence[Pair], k: int) -> bool:
@@ -84,6 +95,12 @@ def noncrossing_subset_masks(pairs: Sequence[Pair], k: int) -> Iterator[int]:
 
     # at k <= 0 even a single pair is too many
     yield from extend(0, list(range(len(pairs))) if k > 0 else [])
+
+
+# The facet search of ``maximal_noncrossing_masks`` recurses once per pair
+# it adds; Python's default recursion limit of 1000 leaves room for this
+# many and for the callers' frames.
+SEARCH_DEPTH = 500
 
 
 def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[int]:

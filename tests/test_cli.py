@@ -715,8 +715,12 @@ class TestRefusedBeforeBuilt:
                 "the crossing graph of the 10001 diagonals of T(20002,10000) takes 50005000 pair tests, "
                 "over the cap of 10000000",
             ),
+            (
+                ["complex", "--T", "2002", "1000"],
+                "a facet of T(2002,1000) holds 1000 diagonals, over the search depth limit of 500",
+            ),
         ],
-        ids=["huge-r", "huge-polygon", "polygon-over-cap", "crossing-graph"],
+        ids=["huge-r", "huge-polygon", "polygon-over-cap", "crossing-graph", "search-depth"],
     )
     def test_a_huge_input_exits_3_within_a_second(self, argv, message):
         done = _run_in_fresh_process(argv)

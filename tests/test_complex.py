@@ -1,7 +1,9 @@
 """Simplicial complexes, joins, order complexes, and exact homology."""
 
 import random
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -451,6 +453,84 @@ _PURE_COMPLEXES = st.integers(0, 4).flatmap(
 ).map(SimplicialComplex)
 
 
+def shedding_h_vector_per_node(masks):
+    """The greedy vertex decomposition of ``shedding_h_vector`` with a
+    ridge map of its own at every node: each link splits off its cone,
+    maps its ridges afresh and finds its ``alone`` bits from them.  The
+    library builds one map for all nodes and must give the same h, or
+    None."""
+    size = masks[0].bit_count()
+    h = [0] * (size + 1)
+    if size >= 2 and not complexes._is_connected(masks):
+        return None
+    stack = [(masks, 0)]
+    while stack:
+        facets, links = stack.pop()
+        if len(facets) == 1:
+            h[links] += 1
+            continue
+        cone = reduce(and_, facets)
+        facets = [facet ^ cone for facet in facets]
+        ridges = {}
+        for facet in facets:
+            rest = facet
+            while rest:
+                v = rest & -rest
+                rest ^= v
+                ridges[facet ^ v] = ridges.get(facet ^ v, 0) | v
+        alone = dict.fromkeys(facets, 0)
+        for ridge, x in ridges.items():
+            if not x & (x - 1):
+                alone[ridge | x] |= x
+        while len(alone) > 1:
+            shedding = reduce(or_, alone) & ~reduce(or_, alone.values())
+            if not shedding:
+                return None
+            v = shedding & -shedding
+            star = [facet for facet in alone if facet & v]
+            stack.append(([facet ^ v for facet in star], links + 1))
+            for facet in star:
+                del alone[facet]
+                x = ridges[facet ^ v] ^ v
+                ridges[facet ^ v] = x
+                if x and not x & (x - 1):
+                    alone[facet ^ v | x] |= x
+        h[links] += 1
+    return h
+
+
+class TestOneRidgeMap:
+    """One ridge map for the whole decomposition gives what a map per node
+    gives."""
+
+    @pytest.mark.parametrize(
+        "m, k", [(m, k) for k in (1, 2, 3) for m in range(2 * k + 1, 11)]
+    )
+    def test_multitriangulations_under_relabelling(self, m, k):
+        t = build_T(m, k)
+        rng = random.Random(100 * m + k)
+        order = list(range(len(t.vertices())))
+        for _ in range(6):
+            rng.shuffle(order)
+            masks = relabelled(t.masks, order)
+            assert shedding_h_vector(masks) == shedding_h_vector_per_node(masks)
+
+    @pytest.mark.parametrize("params", [(4, 1, 0), (4, 1, 1), (3, 2, 1), (4, 2, 0), (5, 1, 0)])
+    def test_order_complexes_where_the_greedy_order_mostly_fails(self, params):
+        masks = order_complex(build_P(*params)).masks
+        rng = random.Random(sum(params))
+        order = list(range(max(masks).bit_length()))
+        for _ in range(4):
+            assert shedding_h_vector(masks) == shedding_h_vector_per_node(masks)
+            rng.shuffle(order)
+            masks = relabelled(masks, order)
+
+    @settings(max_examples=500, deadline=None)
+    @given(complex_=_PURE_COMPLEXES)
+    def test_pure_complexes(self, complex_):
+        assert shedding_h_vector(complex_.masks) == shedding_h_vector_per_node(complex_.masks)
+
+
 class TestVertexDecomposition:
     """Homology of pure complexes from a greedy vertex decomposition."""
 
@@ -505,9 +585,9 @@ class TestVertexDecomposition:
         assert relative.groups == reduced_homology(complex_, collapse=False).groups
 
     def test_cap_counts_the_ridge_entries(self):
-        # the circle a-b-c inserts its three ridges (its vertices), sheds a,
-        # and the link of a, two points, maps its one ridge, the empty face:
-        # the largest ridge map holds 3 entries
+        # the circle a-b-c maps its three ridges (its vertices), the one
+        # ridge map of the decomposition: the links of the vertices it
+        # sheds reuse it
         c = circle()
         assert shedding_h_vector(c.masks, cap=3) == [1, 1, 1]
         assert reduced_homology(c, cap=3).report_lines() == ["H~_1 = Z"]
@@ -526,8 +606,8 @@ class TestVertexDecomposition:
             reduced_homology(c, cap=14)
 
     def test_cap_bounds_the_largest_ridge_map_not_their_sum(self):
-        # T(10,3): 330 facets, whose top ridge map holds 1,485 entries; the
-        # maps of all nodes together hold 5,029
+        # T(10,3): 330 facets, whose ridge map holds 1,485 entries; a map
+        # per node of the decomposition would hold 5,029 together
         t = build_T(10, 3)
         assert len(t.masks) == 330
         assert reduced_homology(t, cap=1485).report_lines() == ["H~_8 = Z"]
@@ -728,6 +808,15 @@ class TestMaskedCliqueExists:
         )
         assert masked_clique_exists(adj, candidates, size) == expected
 
+    def test_a_large_clique_needs_no_recursion(self):
+        # the complete graph on 2,000 vertices: one path of 2,000 choices
+        n = 2000
+        everyone = (1 << n) - 1
+        adj = [everyone ^ (1 << i) for i in range(n)]
+        assert masked_clique_exists(adj, everyone, n)
+        assert not masked_clique_exists(adj, everyone, n + 1)
+        assert not masked_clique_exists(adj, everyone ^ 1, n)
+
 
 class TestFacetFiles:
     def test_round_trip(self):
@@ -780,6 +869,20 @@ class TestFacetFiles:
         # "\n" would read back as the empty complex {∅}, not the void one
         with pytest.raises(InvalidArgumentError, match="void complex"):
             write_facets(SimplicialComplex([]))
+
+    @pytest.mark.parametrize("m, k", [(m, k) for m in range(5, 12) for k in (1, 2, 3)])
+    def test_multitriangulations_read_back_as_built(self, m, k):
+        t = build_T(m, k)
+        again = read_facets(write_facets(t))
+        assert again.vertices() == t.vertices()
+        assert again.masks == t.masks
+
+    def test_padding_and_blank_lines_between_facets_are_skipped(self):
+        text = "\n  a , b\n\n\t\n b,c  \n \n\tc ,a\n\n"
+        again = read_facets(text)
+        assert again.vertices() == ("a", "b", "c")
+        assert again.facets == circle().facets
+        assert reduced_homology(again).report_lines() == ["H~_1 = Z"]
 
     def test_empty_complex_round_trip(self):
         empty = simplex(-1)
