@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .crossing import SEARCH_DEPTH, maximal_noncrossing_masks
+from .crossing import check_search_depth, maximal_noncrossing_masks
 from .diagram import Arc
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .families import relevant_arcs
@@ -287,11 +287,7 @@ def build_T(m: int, k: int, cap: int = 10_000_000) -> SimplicialComplex:
             bound=cap,
         )
     depth = k * (m - 2 * k - 1)
-    if depth > SEARCH_DEPTH:
-        raise ResourceLimitError(
-            f"a facet of T({m},{k}) holds {depth} diagonals, over the search depth limit of {SEARCH_DEPTH}",
-            bound=SEARCH_DEPTH,
-        )
+    check_search_depth(depth, f"a facet of T({m},{k}) holds {depth} diagonals")
     return noncrossing_complex(relevant_arcs(m, k), k, cap=cap)
 
 

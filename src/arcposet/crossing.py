@@ -72,35 +72,56 @@ def is_k_noncrossing(pairs: Sequence[Pair], k: int) -> bool:
     return not masked_clique_exists(adj, (1 << len(adj)) - 1, k + 1)
 
 
+def _blocked(adj: list[int], mask: int, i: int, candidates: int, k: int) -> int:
+    """The pairs among ``candidates``, each addable to the k-noncrossing
+    ``mask``, that adding pair i blocks: those that cross i and whose
+    neighbours in the mask crossing i hold a (k-1)-clique.  Such a pair
+    was addable, so any k-clique among its chosen neighbours contains i."""
+    near = mask & adj[i]
+    blocked = 0
+    rest = adj[i] & candidates
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if masked_clique_exists(adj, near & adj[b.bit_length() - 1], k - 1):
+            blocked |= b
+    return blocked
+
+
 def noncrossing_subset_masks(pairs: Sequence[Pair], k: int) -> Iterator[int]:
     """All subsets of ``pairs`` (as bitmasks, empty included) without k+1
     mutually crossing members, each yielded exactly once, in the order of
     a depth-first search that adds pairs in increasing index order.
 
-    Each node carries the later pairs still addable to its mask.  Adding
-    pair i blocks an addable pair j exactly when j crosses i and the pairs
-    of the mask crossing both hold a (k-1)-clique: j was addable, so any
-    k-clique among its chosen neighbours must contain i."""
+    Each node carries the later pairs still addable to its mask, less
+    those that adding a pair blocks (``_blocked``)."""
     adj = crossing_adjacency(pairs)
 
-    def extend(mask: int, addable: list[int]) -> Iterator[int]:
+    def extend(mask: int, addable: int) -> Iterator[int]:
         yield mask
-        for at, i in enumerate(addable):
-            bit = 1 << i
-            near = mask & adj[i]
-            yield from extend(
-                mask | bit,
-                [j for j in addable[at + 1:] if not (adj[j] & bit and masked_clique_exists(adj, near & adj[j], k - 1))],
-            )
+        while addable:
+            bit = addable & -addable
+            addable ^= bit
+            i = bit.bit_length() - 1
+            yield from extend(mask | bit, addable & ~_blocked(adj, mask, i, addable, k))
 
     # at k <= 0 even a single pair is too many
-    yield from extend(0, list(range(len(pairs))) if k > 0 else [])
+    yield from extend(0, (1 << len(pairs)) - 1 if k > 0 else 0)
 
 
-# The facet search of ``maximal_noncrossing_masks`` recurses once per pair
-# it adds; Python's default recursion limit of 1000 leaves room for this
-# many and for the callers' frames.
+# The collecting searches recurse once per step: the facet search of
+# ``maximal_noncrossing_masks`` per pair it adds, the matrix search per
+# position and the matching search per site.  Python's default recursion
+# limit of 1000 leaves room for this many and for the callers' frames.
 SEARCH_DEPTH = 500
+
+
+def check_search_depth(depth: int, what: str) -> None:
+    """Refuse (:class:`ResourceLimitError`) a collecting search that would
+    recurse ``depth`` levels deep, more than ``SEARCH_DEPTH``, before it
+    starts; ``what`` says what the levels are."""
+    if depth > SEARCH_DEPTH:
+        raise ResourceLimitError(f"{what}, over the search depth limit of {SEARCH_DEPTH}", bound=SEARCH_DEPTH)
 
 
 def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[int]:
@@ -126,11 +147,8 @@ def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[i
     cliques), and a node with a pending pair that crosses no addable pair
     is dead.
 
-    Both sets hold pairs addable to the node's mask, so adding pair i
-    blocks one of them, j, exactly when j crosses i and the pairs of the
-    mask crossing both hold a (k-1)-clique: any k-clique among j's chosen
-    neighbours must contain i.  That is the only test made when a child's
-    two sets are filtered.
+    Both sets hold pairs addable to the node's mask, so ``_blocked`` is
+    the only test made when a child's two sets are filtered.
     """
     adj = crossing_adjacency(pairs)
     cone = 0
@@ -174,15 +192,7 @@ def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[i
         while branch:
             bit = branch & -branch
             branch ^= bit
-            i = bit.bit_length() - 1
-            near = mask & adj[i]
-            blocked = 0
-            rest = adj[i] & (addable | pending)
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                if masked_clique_exists(adj, near & adj[b.bit_length() - 1], k - 1):
-                    blocked |= b
+            blocked = _blocked(adj, mask, bit.bit_length() - 1, addable | pending, k)
             addable ^= bit
             search(mask | bit, addable & ~blocked, pending & ~blocked)
             pending |= bit

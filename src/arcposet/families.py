@@ -30,7 +30,7 @@ from itertools import compress
 from math import comb
 from operator import mul
 
-from .crossing import crossing_adjacency, is_k_noncrossing, masked_clique_exists, noncrossing_subset_masks
+from .crossing import check_search_depth, crossing_adjacency, is_k_noncrossing, masked_clique_exists, noncrossing_subset_masks
 from .diagram import (
     Arc,
     Diagram,
@@ -77,7 +77,7 @@ def nonrelevant_arcs(m: int, k: int) -> list[Arc]:
     return [arc for arc in admissible_arcs(m) if not is_k_relevant(arc, m, k)]
 
 
-def _site_matchings(n: int, proper: bool):
+def _site_matchings(n: int, proper: bool) -> list[tuple[tuple[int, ...], int]]:
     """The one matching search: every binary arc set of length n (the
     empty one included), or with ``proper`` every proper one, as its
     partner tuple (index 0 unused, 0 at a free site) and its fiber key.
@@ -87,64 +87,43 @@ def _site_matchings(n: int, proper: bool):
     among 1..s, so a non-free site s lies in block ``free[s] + 1`` and an
     arc (a, b) covers ``free[b] - free[a]`` free sites.  With ``proper``,
     an arc is dropped as it closes when it covers no free site, and a
-    complete matching is yielded only when it has an arc and none of its
+    complete matching is listed only when it has an arc and none of its
     arcs covers every free site.  The fiber key codes the block-pair
     counts as one integer: the arc (a, b) adds one to the digit of width
     ``width`` bits at place ``free[a] * (n + 1) + free[b]``, and no digit
     carries, as no block pair holds more than n // 2 arcs.  So two
     matchings share a key just when their block matrices are equal.
-
-    The search is one loop over an explicit cursor: ``tried[s]`` is the
-    last partner tried from the opening site s (s itself while s is free),
-    and ``forward`` tells whether the cursor arrived at ``site`` from the
-    left or is backing up into it from the right.
     """
+    check_matching_depth(n)
     width = max(n // 2, 1).bit_length()
     place = [[1 << width * (i * (n + 1) + j) for j in range(n + 1)] for i in range(n + 1)]
     partner = [0] * (n + 1)
     free = [0] * (n + 1)
-    tried = [0] * (n + 1)
-    key = 0
-    site, forward = 1, True
-    while site:
-        if forward:
-            if site > n:
-                if not proper or _covers_some_but_not_all(partner, free, n):
-                    yield tuple(partner), key
-                site, forward = n, False
-                continue
-            start = partner[site]
-            if start and start < site:  # the site ends the arc from an earlier site
-                covered = free[site] = free[site - 1]
-                if proper and covered == free[start]:
-                    site, forward = site - 1, False  # the arc covers no free site
-                    continue
-                key += place[free[start]][covered]
-            else:  # the site stays free first
-                free[site] = free[site - 1] + 1
-                tried[site] = site
-            site += 1
-            continue
+    found = []
+
+    def match(site: int, key: int) -> None:
+        if site > n:
+            if not proper or _covers_some_but_not_all(partner, free, n):
+                found.append((tuple(partner), key))
+            return
         start = partner[site]
-        if start and start < site:  # back over the end of an arc
-            key -= place[free[start]][free[site]]
-            site -= 1
-            continue
-        t = tried[site]
-        if t != site:  # take back the arc to t
-            partner[site] = partner[t] = 0
-        else:
-            free[site] -= 1
+        if start and start < site:  # the site ends the arc from an earlier site
+            covered = free[site] = free[site - 1]
+            if not (proper and covered == free[start]):  # else the arc covers no free site
+                match(site + 1, key + place[free[start]][covered])
+            return
+        free[site] = free[site - 1] + 1  # the site stays free first
+        match(site + 1, key)
+        free[site] -= 1
         last = n if site > 1 else n - 1  # the arc (1, n) spans n - 1 steps
-        t = t + 2 if t == site else t + 1
-        while t <= last and partner[t]:
-            t += 1
-        if t > last:
-            site -= 1
-            continue
-        partner[site], partner[t] = t, site
-        tried[site] = t
-        site, forward = site + 1, True
+        for end in range(site + 2, last + 1):
+            if not partner[end]:
+                partner[site], partner[end] = end, site
+                match(site + 1, key)
+                partner[site] = partner[end] = 0
+
+    match(1, 0)
+    return found
 
 
 def _covers_some_but_not_all(partner: list[int], free: list[int], n: int) -> bool:
@@ -160,6 +139,12 @@ def _covers_some_but_not_all(partner: list[int], free: list[int], n: int) -> boo
             return False
         site += 1
     return True
+
+
+def check_matching_depth(n: int) -> None:
+    """Refuse (:class:`ResourceLimitError`) a matching search on length n,
+    which recurses once per site, when n is over ``SEARCH_DEPTH``."""
+    check_search_depth(n, f"a matching of length {n} has {n} sites")
 
 
 def enumerate_binary_diagrams(n: int):

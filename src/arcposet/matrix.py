@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import chain
 
-from .crossing import crossing_adjacency, is_k_noncrossing, masked_clique_exists
+from .crossing import check_search_depth, crossing_adjacency, is_k_noncrossing, masked_clique_exists
 from .errors import InvalidArgumentError, ResourceLimitError, require_int
 
 
@@ -223,14 +223,16 @@ def enumerate_matrix_keys(
     m: int, k: int, r: int, cap: int = 10_000_000
 ) -> list[tuple[int, ...]]:
     """The members of M^r_{m,k} as upper-triangle value tuples over
-    ``upper_positions(m)``, sorted.
+    ``upper_positions(m)``, in increasing order.
 
-    Every admissible position is assigned each value whose ``entry_cost``
-    fits the remaining budget, in increasing order up to the first that
-    does not, so the search is exact and finite.  ``cap`` bounds the
-    search nodes actually visited, and a value's cost is computed only
-    once the search reaches the value before it, so a huge ``r`` builds
-    nothing before the cap can refuse it.
+    Position by position, each is assigned 0 and then each value whose
+    ``entry_cost`` fits the remaining budget, in increasing order up to
+    the first that does not, so the search is exact, finite and lists the
+    keys in order.  ``cap`` bounds the search nodes actually visited, and
+    a value's cost is computed only once the search reaches the value
+    before it, so a huge ``r`` builds nothing before the cap can refuse
+    it.  More than ``SEARCH_DEPTH`` positions, one recursion each, are
+    refused before anything is built.
     """
     if m < 4:
         raise InvalidArgumentError(f"m must be >= 4, got {m}")
@@ -238,6 +240,8 @@ def enumerate_matrix_keys(
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     if r < 0:
         raise InvalidArgumentError(f"r must be >= 0, got {r}")
+    depth = m * (m - 1) // 2 - 1  # the rainbow (1, m) is no position
+    check_search_depth(depth, f"a key of order {m} has {depth} positions")
 
     positions = upper_positions(m)
     adjacency = crossing_adjacency(positions)
@@ -276,7 +280,6 @@ def enumerate_matrix_keys(
         values[index] = 0
 
     assign(0, r, 0)
-    keys.sort()
     return keys
 
 

@@ -39,6 +39,7 @@ from .families import (
     admissible_arcs,
     build_D,
     build_P,
+    check_matching_depth,
     enumerate_proper_diagrams,
     nonrelevant_arcs,
     order_ideal_ranks,
@@ -273,6 +274,7 @@ def _check_equivalence(n=8):
     ``equivalent`` compares their block matrices and
     ``equivalent_by_definition`` their free-site profiles: each diagram's
     are computed once, and the pairs only compare them."""
+    check_matching_depth(n)  # before the shorter lengths run
     for length in range(4, n + 1):
         diagrams = list(enumerate_proper_diagrams(length))
         matrices = [block_matrix(d) for d in diagrams]
@@ -301,6 +303,7 @@ def _check_regular_unique(n=11):
     the next length is enumerated.  Members stay partner tuples from the
     search to the swap orbit; a ``Diagram`` is built only for a failure
     message."""
+    check_matching_depth(n)  # before the shorter lengths run
     total = 0
     for length in range(4, n + 1):
         fibers = defaultdict(list)
@@ -380,6 +383,7 @@ def _check_realize_roundtrip(m=6, k=2, r=2):
 
 def _check_length_bound(n=8):
     """Length bound n <= C(f+3, 2) + 2 p(B(S)) on every proper diagram."""
+    check_matching_depth(n)  # before the shorter lengths run
     checked = 0
     for length in range(4, n + 1):
         for diagram in enumerate_proper_diagrams(length):

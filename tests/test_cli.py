@@ -719,8 +719,34 @@ class TestRefusedBeforeBuilt:
                 ["complex", "--T", "2002", "1000"],
                 "a facet of T(2002,1000) holds 1000 diagonals, over the search depth limit of 500",
             ),
+            (
+                ["verify", "--check", "regular-unique", "--grid", "n=600"],
+                "a matching of length 600 has 600 sites, over the search depth limit of 500",
+            ),
+            (
+                ["poset", "--family", "M", "--params", "m=50,k=1,r=0", "--stats"],
+                "a key of order 50 has 1224 positions, over the search depth limit of 500",
+            ),
+            (
+                ["verify", "--check", "thm12", "--grid", "f=49,k=1,r=0"],
+                "a key of order 50 has 1224 positions, over the search depth limit of 500",
+            ),
+            (
+                ["verify", "--check", "tau", "--grid", "f=49,k=1"],
+                "a key of order 50 has 1224 positions, over the search depth limit of 500",
+            ),
         ],
-        ids=["huge-r", "huge-polygon", "polygon-over-cap", "crossing-graph", "search-depth"],
+        ids=[
+            "huge-r",
+            "huge-polygon",
+            "polygon-over-cap",
+            "crossing-graph",
+            "search-depth",
+            "matching-depth",
+            "matrix-depth",
+            "thm12-depth",
+            "tau-depth",
+        ],
     )
     def test_a_huge_input_exits_3_within_a_second(self, argv, message):
         done = _run_in_fresh_process(argv)

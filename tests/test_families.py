@@ -1,5 +1,8 @@
 """Family builders: element counts, orders, and cross-validation."""
 
+import hashlib
+from itertools import combinations
+
 import pytest
 
 from arcposet import families
@@ -98,6 +101,45 @@ class TestDiagramEnumeration:
             if is_proper(d):
                 brute.add(d)
         assert set(enumerate_proper_diagrams(n)) == brute
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_binary_scan_matches_brute_force(self, n):
+        # every set of admissible arcs that share no endpoint, the empty one
+        # included; a matching has at most n // 2 arcs
+        pool = admissible_arcs(n)
+        brute = {
+            Diagram(n, arcs)
+            for size in range(n // 2 + 1)
+            for arcs in combinations(pool, size)
+            if len({site for arc in arcs for site in arc}) == 2 * size
+        }
+        diagrams = list(enumerate_binary_diagrams(n))
+        assert len(diagrams) == len(set(diagrams))
+        assert set(diagrams) == brute
+
+    @pytest.mark.parametrize(
+        "matchings, digest",
+        [
+            (lambda: families.proper_matchings(10), "b2cb675cf395216936af0d3eb884ab58ca8edda2d9a3d925dc6d855c170297ba"),
+            (
+                lambda: families._site_matchings(9, proper=False),
+                "50267ded1d6428348c4309b22534dec71cfb6e9c9d2f48f55fbe9cd1ec91f45a",
+            ),
+        ],
+        ids=["proper-10", "binary-9"],
+    )
+    def test_matching_search_order_is_pinned(self, matchings, digest):
+        # the partner tuples, fiber keys and their order are fixed: the
+        # checks that read them report their first failure in this order
+        assert hashlib.sha256(repr(list(matchings())).encode()).hexdigest() == digest
+
+    def test_search_deeper_than_the_limit_is_refused_before_it_starts(self):
+        message = "length 501 has 501 sites, over the search depth limit of 500"
+        with pytest.raises(ResourceLimitError, match=message):
+            families.proper_matchings(501)
+        with pytest.raises(ResourceLimitError, match=message):
+            next(enumerate_binary_diagrams(501))
+        families.check_matching_depth(500)  # the longest length allowed
 
 
 class TestInclusionFamilies:

@@ -230,6 +230,22 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError, match="100 nodes"):
             enumerate_matrices(7, 1, 1, cap=100)
 
+    @pytest.mark.parametrize("m, k, r, top", [(6, 2, 2, 3), (4, 1, 12, 13)])
+    def test_keys_come_out_in_increasing_order(self, m, k, r, top):
+        # the search tries 0 and then each value upward at every position,
+        # so no sort is needed; at r = 12 entries reach two digits
+        keys = enumerate_matrix_keys(m, k, r)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert max(map(max, keys)) == top
+
+    def test_search_deeper_than_the_limit_is_refused_before_it_starts(self):
+        # order 33 has 527 positions, one recursion each; order 32 has 495
+        # and reaches the node cap instead
+        with pytest.raises(ResourceLimitError, match="order 33 has 527 positions, over the search depth limit of 500"):
+            enumerate_matrix_keys(33, 1, 0, cap=0)
+        with pytest.raises(ResourceLimitError, match="exceeded 1000 nodes"):
+            enumerate_matrix_keys(32, 1, 0, cap=1000)
+
     def test_argument_validation(self):
         with pytest.raises(InvalidArgumentError):
             enumerate_matrices(3, 1, 0)
