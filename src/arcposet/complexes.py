@@ -230,18 +230,16 @@ def noncrossing_complex(pool: list[Arc], k: int, cap: int = 10_000_000) -> Simpl
     arc u or an addable arc crossing u: the node's set plus u is
     k-noncrossing, so whatever blocks u includes an arc added below the
     node that crosses u.  A node therefore branches only on the shortest
-    such list, and is dead when an arc it skipped crosses no addable arc.
-    ``cap`` bounds the search nodes visited (the empty core set included).
-    Arc (a, b) is labelled "a-b", and a search mask, whose bit i is
-    ``pool[i]``, is moved bit by bit onto the order of the labels, which
-    differs from the pool's once two-digit sites occur ("1-10" before
-    "1-3").
+    such list, and is dead when an arc it skipped can no longer be
+    blocked: the node's arcs and addable arcs that cross it hold no
+    k-clique.  ``cap`` bounds the search nodes visited (the empty core
+    set included).  Arc (a, b) is labelled "a-b", and the search runs on
+    the pool sorted by label (``element_key`` order, "1-10" before "1-3"),
+    so bit i of a facet mask is already vertex i.
     """
-    vertices, at = _in_key_order([f"{a}-{b}" for a, b in pool])
-    masks = maximal_noncrossing_masks(pool, k, cap)
-    if any(bit != 1 << i for i, bit in enumerate(at)):
-        masks = [_remap(mask, at) for mask in masks]
-    return SimplicialComplex._from_masks(vertices, masks)
+    labelled = sorted((f"{a}-{b}", (a, b)) for a, b in pool)  # element_key of a str is the str
+    masks = maximal_noncrossing_masks([arc for _, arc in labelled], k, cap)
+    return SimplicialComplex._from_masks(tuple(label for label, _ in labelled), masks)
 
 
 def _facet_count_exceeds(m: int, k: int, cap: int) -> bool:

@@ -76,16 +76,41 @@ def _blocked(adj: list[int], mask: int, i: int, candidates: int, k: int) -> int:
     """The pairs among ``candidates``, each addable to the k-noncrossing
     ``mask``, that adding pair i blocks: those that cross i and whose
     neighbours in the mask crossing i hold a (k-1)-clique.  Such a pair
-    was addable, so any k-clique among its chosen neighbours contains i."""
-    near = mask & adj[i]
+    was addable, so any k-clique among its chosen neighbours contains i.
+
+    One walk over the (k-1)-cliques of the mask pairs crossing i ORs in
+    each clique's common crossing set: the candidates crossing i and every
+    member.  A partial clique whose common set holds no pair not yet found
+    blocked is not extended.  At k = 1 the empty clique is the only one,
+    and every candidate crossing i is blocked."""
+    common = adj[i] & candidates
+    if k == 1:
+        return common
     blocked = 0
-    rest = adj[i] & candidates
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        if masked_clique_exists(adj, near & adj[b.bit_length() - 1], k - 1):
-            blocked |= b
-    return blocked
+    # the partial cliques still to extend, as nested (rest, common, size,
+    # shallower) tuples: ``rest`` holds the pairs that may extend one,
+    # ``common`` its common candidates not yet found blocked, ``size`` the
+    # members still to pick
+    pending = None
+    rest, size = mask & adj[i], k - 1
+    while True:
+        while common and rest.bit_count() >= size:
+            v = rest & -rest
+            rest ^= v
+            j = v.bit_length() - 1
+            shared = common & adj[j]
+            if not shared:
+                continue
+            if size == 1:
+                blocked |= shared
+                common ^= shared
+            elif (near := rest & adj[j]).bit_count() >= size - 1:
+                pending = (rest, common, size, pending)  # v excluded, tried after v included
+                rest, common, size = near, shared, size - 1
+        if pending is None:
+            return blocked
+        rest, common, size, pending = pending
+        common &= ~blocked
 
 
 def noncrossing_subset_masks(pairs: Sequence[Pair], k: int) -> Iterator[int]:
@@ -142,10 +167,14 @@ def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[i
     or an addable pair crossing u: without u it closes k+1 mutually
     crossing pairs with u, and the mask plus u is k-noncrossing, so one of
     them was added below the node and crosses u.  So a node branches only
-    on the shortest such list, each pair branched on turns pending for the
-    branches after it (the pivoting of Bron and Kerbosch for maximal
-    cliques), and a node with a pending pair that crosses no addable pair
-    is dead.
+    on the shortest such list, and each pair branched on turns pending for
+    the branches after it (the pivoting of Bron and Kerbosch for maximal
+    cliques).  A maximal set below a node leaves a pending pair u out only
+    when its pairs crossing u hold a k-clique, and it lies in the mask plus
+    the addable pairs; so a node is dead once, for some pending u, the
+    pairs of the mask and the addable ones that cross u hold no k-clique
+    (``masked_clique_exists``).  At k = 1 that is a pending pair crossing
+    no addable pair, since u crosses no pair of the mask.
 
     Both sets hold pairs addable to the node's mask, so ``_blocked`` is
     the only test made when a child's two sets are filtered.
@@ -170,15 +199,18 @@ def maximal_noncrossing_masks(pairs: Sequence[Pair], k: int, cap: int) -> list[i
             if not pending:
                 facets.append(mask | cone)
             return
-        # a pending pair that crosses no addable pair can no longer be
-        # blocked; otherwise branch on the shortest list, pending pairs first
+        # a pending pair that no k-clique of the mask and the addable pairs
+        # crosses can no longer be blocked; otherwise branch on the shortest
+        # list, pending pairs first
         branch = addable
         rest = pending
+        reach = mask | addable
         while rest:
             u = rest & -rest
             rest ^= u
-            options = adj[u.bit_length() - 1] & addable
-            if not options:
+            crossing = adj[u.bit_length() - 1]
+            options = crossing & addable
+            if not options or (k > 1 and not masked_clique_exists(adj, reach & crossing, k)):
                 return
             if options.bit_count() < branch.bit_count():
                 branch = options

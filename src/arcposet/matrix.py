@@ -219,6 +219,14 @@ def key_text(order: int, positions: tuple[tuple[int, int], ...], key) -> str:
     return _key_template(order, positions).format(*key)
 
 
+def check_matrix_depth(m: int) -> None:
+    """Refuse (:class:`ResourceLimitError`) a matrix search on order m,
+    which recurses once per upper-triangle position, when it has more
+    than ``SEARCH_DEPTH`` positions."""
+    depth = m * (m - 1) // 2 - 1  # the rainbow (1, m) is no position
+    check_search_depth(depth, f"a key of order {m} has {depth} positions")
+
+
 def enumerate_matrix_keys(
     m: int, k: int, r: int, cap: int = 10_000_000
 ) -> list[tuple[int, ...]]:
@@ -240,8 +248,7 @@ def enumerate_matrix_keys(
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     if r < 0:
         raise InvalidArgumentError(f"r must be >= 0, got {r}")
-    depth = m * (m - 1) // 2 - 1  # the rainbow (1, m) is no position
-    check_search_depth(depth, f"a key of order {m} has {depth} positions")
+    check_matrix_depth(m)
 
     positions = upper_positions(m)
     adjacency = crossing_adjacency(positions)

@@ -47,7 +47,7 @@ from .families import (
     relevant_arcs,
 )
 from .crossing import noncrossing_subset_masks, pairs_cross
-from .matrix import enumerate_matrix_keys, key_text, upper_positions
+from .matrix import check_matrix_depth, enumerate_matrix_keys, key_text, upper_positions
 from .transform import (
     BOTTOM_RELEVANT,
     BOTTOM_STAR,
@@ -371,6 +371,7 @@ def _check_realize_roundtrip(m=6, k=2, r=2):
     one order nest in the crossing and tautology bounds, so M(order, k, r)
     holds every member of the others and alone is laid out; every family
     member is still counted."""
+    check_matrix_depth(m)  # before the lower orders run
     checked = 0
     for order in range(4, m + 1):
         families = {(c, t): enumerate_matrix_keys(order, c, t) for c in range(1, k + 1) for t in range(r + 1)}

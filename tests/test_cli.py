@@ -735,6 +735,10 @@ class TestRefusedBeforeBuilt:
                 ["verify", "--check", "tau", "--grid", "f=49,k=1"],
                 "a key of order 50 has 1224 positions, over the search depth limit of 500",
             ),
+            (
+                ["verify", "--check", "realize-roundtrip", "--grid", "m=40,k=1,r=0"],
+                "a key of order 40 has 779 positions, over the search depth limit of 500",
+            ),
         ],
         ids=[
             "huge-r",
@@ -746,6 +750,7 @@ class TestRefusedBeforeBuilt:
             "matrix-depth",
             "thm12-depth",
             "tau-depth",
+            "roundtrip-depth",
         ],
     )
     def test_a_huge_input_exits_3_within_a_second(self, argv, message):

@@ -24,6 +24,7 @@ from arcposet.complexes import (
     write_facets,
 )
 from arcposet.crossing import (
+    _blocked,
     crossing_adjacency,
     masked_clique_exists,
     maximal_noncrossing_masks,
@@ -736,11 +737,16 @@ class TestMaximalNoncrossingMasks:
             build_T(8, 2, cap=10)
         assert len(build_T(8, 2).facets) == 84
 
-    @pytest.mark.parametrize("m, k, nodes", [(9, 1, 857), (9, 2, 2_509), (10, 3, 2_943)])
+    @pytest.mark.parametrize(
+        "m, k, nodes", [(9, 1, 857), (9, 2, 2_173), (10, 3, 1_858), (24, 11, 298), (42, 20, 1_561)]
+    )
     def test_search_node_counts_are_pinned(self, m, k, nodes):
         # no output shows how much the search prunes: the counts guard the
         # pivot rule (branch on the shortest list, pending pairs first) and
-        # the dead-node test (a pending pair crossing no addable pair)
+        # the dead-node test (a pending pair whose crossing pairs among the
+        # mask and the addable ones hold no k-clique).  On T(2k+2,k), whose
+        # k+1 diagonals all cross, a search without that test visits
+        # 2^(k+1) - 1 nodes
         build_T(m, k, cap=nodes)
         with pytest.raises(ResourceLimitError, match=f"exceeded {nodes - 1} subsets"):
             build_T(m, k, cap=nodes - 1)
@@ -755,12 +761,30 @@ class TestMaximalNoncrossingMasks:
 
     def test_crossing_graph_pair_tests_count_against_the_cap(self):
         # the 12 diagonals of T(24,11) all cross one another: 66 pair tests
-        # for 12 facets
+        # for 12 facets, and the search then visits 298 nodes
         message = r"12 diagonals of T\(24,11\) takes 66 pair tests, over the cap of 65"
         with pytest.raises(ResourceLimitError, match=message):
             build_T(24, 11, cap=65)
         with pytest.raises(ResourceLimitError, match="complex search exceeded 66 subsets"):
             build_T(24, 11, cap=66)
+
+
+class TestBlocked:
+    @settings(max_examples=300, deadline=None)
+    @given(pool=_ARC_POOLS.filter(bool), k=st.integers(1, 4), data=st.data())
+    def test_one_clique_walk_matches_one_clique_test_per_candidate(self, pool, k, data):
+        adj = crossing_adjacency(pool)
+        full = (1 << len(pool)) - 1
+        mask = data.draw(st.integers(0, full))
+        candidates = data.draw(st.integers(0, full))
+        i = data.draw(st.integers(0, len(pool) - 1))
+        near = mask & adj[i]
+        expected = sum(
+            1 << b
+            for b in range(len(pool))
+            if (adj[i] & candidates) >> b & 1 and masked_clique_exists(adj, near & adj[b], k - 1)
+        )
+        assert _blocked(adj, mask, i, candidates, k) == expected
 
 
 class TestNoncrossingSubsetMasks:
