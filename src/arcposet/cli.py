@@ -81,6 +81,16 @@ def _load_matrix(source: str) -> SymmetricMatrix:
     return SymmetricMatrix.from_json(text)
 
 
+def _integer(text: str) -> int:
+    """The integer ``text`` writes in ASCII digits, after an optional '-'.
+    Anything else raises ``ValueError``, such as the '+', '_', spaces and
+    other scripts' digits that ``int`` accepts."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_params(text: str | None) -> dict[str, int]:
     params: dict[str, int] = {}
     if not text:
@@ -91,7 +101,7 @@ def _parse_params(text: str | None) -> dict[str, int]:
         if name in params:
             raise InvalidArgumentError(f"parameter {name!r} given twice")
         try:
-            params[name] = int(value)
+            params[name] = _integer(value.strip())
         except ValueError:
             raise InvalidArgumentError(f"bad parameter {part!r}; expected name=int") from None
     return params
@@ -271,7 +281,7 @@ GLOBAL_OPTIONS = {
         "FORMAT", 'output format, text by default; JSON carries "schema": 1',
         choices=lambda: ("text", "json"), default="text",
     ),
-    "--cap": Option("N", "size/search cap for " + ", ".join(CAPPED_COMMANDS), kind=int),
+    "--cap": Option("N", "size/search cap for " + ", ".join(CAPPED_COMMANDS), kind=_integer),
 }
 
 _FAMILY_OPTIONS = {
@@ -302,7 +312,7 @@ COMMANDS = {
         "build a multitriangulation complex",
         (),
         {
-            "--T": Option("M K", "the m-gon and k of T(m,k)", arity=2, kind=int, required=True),
+            "--T": Option("M K", "the m-gon and k of T(m,k)", arity=2, kind=_integer, required=True),
             "--facets": Option("FILE", "write facets to this file"),
         },
     ),
@@ -324,7 +334,7 @@ COMMANDS = {
 }
 
 _HELP = ("-h", "--help")
-_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+_NEGATIVE_NUMBER = re.compile(r"-[0-9]+$|-[0-9]*\.[0-9]+$")
 
 
 def _is_option(token: str) -> bool:

@@ -157,8 +157,9 @@ def block_pair_counts(table: SiteTable, arcs: tuple[Arc, ...]) -> Counter:
 # ---------------------------------------------------------------------------
 # text format: `n=<int>; arcs=(a1,b1),(a2,b2),...` with sorted arcs
 
-_ARC_RE = re.compile(r"\((\d+),(\d+)\)")
-_TEXT_RE = re.compile(r"^n=(\d+); arcs=((?:\(\d+,\d+\))(?:,\(\d+,\d+\))*)?$")
+# numbers are ASCII digits: ``\d`` would match any script's
+_ARC_RE = re.compile(r"\((\d+),(\d+)\)", re.ASCII)
+_TEXT_RE = re.compile(r"^n=(\d+); arcs=((?:\(\d+,\d+\))(?:,\(\d+,\d+\))*)?$", re.ASCII)
 
 
 def arcs_text(length: int, arcs: tuple[Arc, ...]) -> str:
@@ -260,15 +261,18 @@ def local_crossing_count(diagram: Diagram) -> int:
 
 def table_is_regular(table: SiteTable, arcs: tuple[Arc, ...]) -> bool:
     """Binary, and no two arcs cross at sites of a common block.
+    ``local_crossing_count`` counts the crossings by the pair scan instead."""
+    return _table_is_binary(table, arcs) and locally_ordered(table.partner)
+
+
+def locally_ordered(partner) -> bool:
+    """No two arcs of the binary partner array ``partner`` cross at sites
+    of a common block.
 
     One pass over the sites: along each block, the arcs to earlier sites
     must come first and each group's partners descend, so the key
     ``(partner > site, -partner)`` strictly increases from every non-free
-    site to a non-free right neighbour.  ``local_crossing_count`` counts the
-    crossings by the pair scan instead."""
-    if not _table_is_binary(table, arcs):
-        return False
-    partner = table.partner
+    site to a non-free right neighbour."""
     for site in range(1, len(partner) - 1):
         p, q = partner[site], partner[site + 1]
         if p and q and (p > site, -p) >= (q > site + 1, -q):

@@ -5,8 +5,8 @@ block-pair counts directly, and is the one construction of it:
 ``canonicalize`` lays out the counts of a diagram's site table,
 ``realize_matrix`` and ``beta_inverse`` those of a validated
 ``SymmetricMatrix``, and ``layout_key`` those of a flat family key, with
-the check that the layout is regular and has exactly the key's counts
-(``build_P`` and the ``verify`` checks use it).
+the check, in one pass over the layout, that it is regular and has
+exactly the key's counts (``build_P`` and the ``verify`` checks use it).
 Also here: the swap involution and swap orbits on partner tuples, the two
 equivalence tests, the dual and blow-up constructions, and the named
 structure-preserving maps between diagram and matrix families.  The
@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from collections.abc import Mapping
+from itertools import accumulate
+from operator import not_
 
 from .crossing import is_k_noncrossing
 from .diagram import (
@@ -33,10 +35,10 @@ from .diagram import (
     free_sites,
     is_proper,
     is_regular,
+    locally_ordered,
     partner_arcs,
     site_table,
     table_is_proper,
-    table_is_regular,
 )
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError, require_int
 from .matrix import SymmetricMatrix, family_membership, r_value, upper_positions
@@ -220,21 +222,18 @@ def regular_arcs(pairs: Mapping[tuple[int, int], int]) -> tuple[Arc, ...]:
     earlier blocks.
     """
     # the left slots in layout order: by block, then farthest partner first
-    rows = sorted((i, -j, count) for (i, j), count in pairs.items() if i < j and count)
+    rows = sorted([(i, -j, count) for (i, j), count in pairs.items() if i < j and count])
     if not rows:
         return ()
-    blocks = -min(j for _, j, _ in rows)
+    blocks = -min([j for _, j, _ in rows])
     into = [0] * (blocks + 1)  # arcs into each block from earlier blocks
     ends = [0] * (blocks + 1)  # endpoints in each block
     for i, j, count in rows:
         into[-j] += count
         ends[i] += count
         ends[-j] += count
-    first = [0] * (blocks + 1)  # the first site of each block
-    sites = 0
-    for b in range(1, blocks + 1):
-        first[b] = sites + b  # after the earlier blocks' ends and b - 1 free sites
-        sites += ends[b]
+    # the first site of each block: after the earlier blocks' ends and b - 1 free sites
+    first = [b + sites for b, sites in enumerate(accumulate(ends, initial=0))]
     nearer = into[:]  # per block, the arcs into it from blocks after the current one
     arcs = []
     block = 0
@@ -257,15 +256,29 @@ def layout_key(order: int, key: tuple[int, ...]) -> tuple[tuple[Arc, ...], bool,
     the arcs, whether they form a regular diagram of length
     order - 1 + 2 * size with order - 1 free sites, and whether its
     block-pair counts are exactly the key's: equal on every upper position,
-    and no other pair, such as a diagonal one, present."""
+    and no other pair, such as a diagonal one, present.
+
+    One pass checks the layout: one partner array and one block array, as
+    in ``site_table`` but with no table built, then the regularity walk of
+    ``table_is_regular`` and one count of the arcs per block pair.  The
+    free-site count stands in for the binary test."""
     pairs = {pair: value for pair, value in zip(upper_positions(order), key) if value}
     arcs = regular_arcs(pairs)
     length = order - 1 + 2 * len(arcs)
     if arcs_error(length, arcs) is not None:
         return arcs, False, False
-    table = site_table(length, arcs)
-    regular = table_is_regular(table, arcs) and table.free_count == order - 1
-    return arcs, regular, block_pair_counts(table, arcs) == pairs  # compared as dicts
+    partner = [0] * (length + 1)
+    for a, b in arcs:
+        partner[a], partner[b] = b, a
+    block = list(accumulate(map(not_, partner)))  # one more than the free sites up to each site
+    counts = {}
+    for a, b in arcs:
+        pair = block[a], block[b]
+        counts[pair] = counts.get(pair, 0) + 1
+    # of the 2 * len(arcs) + order - 1 sites, order - 1 are free just when
+    # no site holds two arcs
+    regular = bool(arcs) and block[-1] == order and locally_ordered(partner)
+    return arcs, regular, counts == pairs
 
 
 def realize_matrix(matrix: SymmetricMatrix, cap: int = 1_000_000) -> Diagram:

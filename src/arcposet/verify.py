@@ -5,15 +5,21 @@ small grid and reports pass/fail per grid point with a counterexample
 key on failure; output is byte-reproducible.  Slow definitional paths
 live here as oracles: ``regular-unique`` checks ``canonicalize`` against
 strict swaps, taking one strict swap from each member of a block-matrix
-fiber to a member with fewer crossings.
+fiber to a member with fewer crossings, and reads each member's crossing
+count and leftmost local crossing in one pair scan.  ``beta`` and
+``realize-roundtrip`` lay out each distinct key once per ``run_check``
+call: the families of one order nest in k and r, so a key whose layout
+passed at an earlier grid point is skipped, and a failing key fails again
+at every point that holds it.
 """
 
 from __future__ import annotations
 
 import inspect
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from functools import partial
+from itertools import chain, compress
 from math import comb
 
 from .complexes import (
@@ -86,17 +92,33 @@ class VerificationReport:
 
 
 def _crossings_and_leftmost_local_block(arcs, block):
-    """The crossing count of the ascending arc tuple ``arcs``, and the
-    leftmost block (by the block array ``block``) supporting a local
-    crossing, None when there is none."""
+    """The crossing count of the ascending arc tuple ``arcs`` of a binary
+    diagram, and the leftmost block (by the block array ``block``)
+    supporting a local crossing, None when there is none.
+
+    A pair scan: the left ends ascend, so (a, b) crosses a later (c, d)
+    when c < b < d, and no arc after the first with c > b crosses it.
+    Blocks do not descend along the sites, so for a crossing pair the
+    block of a is at most that of c, which is at most that of b, which is
+    at most that of d; the leftmost block the two arcs share is that of a
+    when c is in it, else that of b when c or d is."""
     count, leftmost = 0, None
-    for (a, b), (c, d) in combinations(arcs, 2):
-        if not a < c < b < d:  # (a, b) comes first, so this is pairs_cross
-            continue
-        count += 1
-        shared = {block[a], block[b]} & {block[c], block[d]}
-        if shared and (leftmost is None or min(shared) < leftmost):
-            leftmost = min(shared)
+    for i, (a, b) in enumerate(arcs):
+        block_a, block_b = block[a], block[b]
+        for c, d in arcs[i + 1 :]:
+            if c > b:
+                break
+            if d < b:
+                continue
+            count += 1
+            if block[c] == block_a:
+                shared = block_a
+            elif block[c] == block_b or block[d] == block_b:
+                shared = block_b
+            else:
+                continue
+            if leftmost is None or shared < leftmost:
+                leftmost = shared
     return count, leftmost
 
 
@@ -106,13 +128,16 @@ def _strict_swap_site(partner, block, block_index: int) -> int:
 
     Along a block, the arcs are in local order exactly when they are sorted
     by partner (arcs to earlier blocks first), and each local crossing is an
-    inversion of that order; so a block with one has an adjacent one.
-    """
+    inversion of that order; so a block with one has an adjacent one.  Two
+    adjacent non-free sites lie in one block, which the two arcs share; the
+    other block they can share is that of both partners."""
     for site in range(1, len(partner) - 1):
-        e1, e2 = (site, partner[site]), (site + 1, partner[site + 1])
-        if not (e1[1] and e2[1]):
+        p, q = partner[site], partner[site + 1]
+        if not (p and q):
             continue  # no swap at a free site
-        if pairs_cross(e1, e2) and block_index in {block[s] for s in e1} & {block[s] for s in e2}:
+        if pairs_cross((site, p), (site + 1, q)) and (
+            block[site] == block_index or block[p] == block[q] == block_index
+        ):
             return site
     raise InvariantError(
         f"block {block_index} of {_partner_text(partner)} has a local crossing but no adjacent crossing pair"
@@ -171,26 +196,56 @@ def _key_text(order, key):
     return key_text(order, upper_positions(order), key)
 
 
-def _layout_failure(order, keys):
+class _PassedLayouts:
+    """The keys whose layouts passed during one ``run_check`` call, by
+    order.  ``orders`` lists the order of each layout of a family that the
+    run will make; an order's keys are kept only while a later layout will
+    read them."""
+
+    def __init__(self, orders):
+        self._later = Counter(orders)
+        self._keys = {}
+
+    def take(self, order):
+        """The keys of ``order`` that passed so far, and whether to add to
+        them: not at the order's last layout, after which they are
+        dropped."""
+        self._later[order] -= 1
+        if self._later[order] > 0:
+            return self._keys.setdefault(order, set()), True
+        return self._keys.pop(order, ()), False
+
+
+def _layout_failure(order, keys, laid_out):
     """What fails on the first key whose layout is not a regular diagram
-    with exactly the key's block-pair counts, None when none does."""
+    with exactly the key's block-pair counts, None when none does.  A key
+    whose layout passed at an earlier grid point of the run ``laid_out``
+    is skipped; a failing key is not remembered, so it fails again at
+    every point that holds it."""
+    passed, keep = laid_out.take(order) if laid_out is not None else ((), False)
     for key in keys:
+        if key in passed:
+            continue
         _, regular, exact = layout_key(order, key)
         if not regular:
             return f"non-regular image for {_key_text(order, key)}"
         if not exact:
             return f"beta(beta_inverse) mismatch at {_key_text(order, key)}"
+        if keep:
+            passed.add(key)
     return None
 
 
-def _check_beta(f, k, r):
+def _check_beta(laid_out, f, k, r):
     """beta_inverse is a bijection from matrices onto regular diagrams with
     block matrix as its inverse; both orders are block-matrix domination,
     so this makes beta an order-isomorphism.  Each member is laid out from
     its upper-triangle key, as beta_inverse lays out a validated matrix;
-    exact layouts of distinct keys differ, as their block-pair counts do."""
+    exact layouts of distinct keys differ, as their block-pair counts do.
+    The families of one order nest in k and r, so a key met at an earlier
+    point of the run (``laid_out``) is laid out there only."""
     keys = enumerate_matrix_keys(f + 1, k, r)
-    failure = _layout_failure(f + 1, keys)
+    failure = _layout_failure(f + 1, keys, laid_out)
     return failure is None, failure or f"{len(keys)} matrices, {len(keys)} distinct regular diagrams"
 
 
@@ -327,15 +382,16 @@ def _fiber_failure(members):
     first = members[0]
     table = table_from_partners(first)
     block = table.block
+    arcs = {partner: partner_arcs(partner) for partner in members}
     # partner tuple -> crossing count, leftmost block with a local crossing
-    stats = {partner: _crossings_and_leftmost_local_block(partner_arcs(partner), block) for partner in members}
+    stats = {partner: _crossings_and_leftmost_local_block(arcs[partner], block) for partner in members}
     regulars = [partner for partner, (_, local) in stats.items() if local is None]
     if len(regulars) != 1:
         return f"fiber of {_partner_text(first)} has {len(regulars)} regular diagrams"
     regular = regulars[0]
-    if stats[regular][0] != min(count for count, _ in stats.values()):
+    if stats[regular][0] != min([count for count, _ in stats.values()]):
         return f"regular diagram {_partner_text(regular)} is not crossing-minimal"
-    if regular_arcs(block_pair_counts(table, partner_arcs(first))) != partner_arcs(regular):
+    if regular_arcs(block_pair_counts(table, arcs[first])) != arcs[regular]:
         return f"canonicalize({_partner_text(first)}) missed the regular diagram"
     for partner, (count, local) in stats.items():
         if local is None:
@@ -364,18 +420,19 @@ def _check_dual_matrix(n=7):
     return True, f"{checked} diagrams up to length {n}"
 
 
-def _check_realize_roundtrip(m=6, k=2, r=2):
+def _check_realize_roundtrip(laid_out, m=6, k=2, r=2):
     """The 'beta' check at each order up to m.  Exactness makes (0,1)
     matrices realize without parallel arcs: two would share a block pair,
     and a (0,1) key gives each block pair at most one arc.  The families of
     one order nest in the crossing and tautology bounds, so M(order, k, r)
     holds every member of the others and alone is laid out; every family
-    member is still counted."""
+    member is still counted.  As in 'beta', a key met at an earlier point
+    of the run (``laid_out``) is not laid out again."""
     check_matrix_depth(m)  # before the lower orders run
     checked = 0
     for order in range(4, m + 1):
         families = {(c, t): enumerate_matrix_keys(order, c, t) for c in range(1, k + 1) for t in range(r + 1)}
-        failure = _layout_failure(order, families[k, r])
+        failure = _layout_failure(order, families[k, r], laid_out)
         if failure is not None:
             return False, failure
         checked += sum(map(len, families.values()))
@@ -424,7 +481,9 @@ _MATRIX_FAMILY_GRID = (
 # hypotheses of the two theorems, the bounds of the families and maps the
 # other family checks build, and for the rest the bounds below which their
 # loops are empty, so that the check would pass without testing anything.
-# All are refused before any point runs.
+# All are refused before any point runs.  'beta' and 'realize-roundtrip'
+# take the run's passed layouts first: their rows hold None there, and
+# ``run_check`` puts in each run's own, so no grid point can name it.
 _THEOREM_HYPOTHESES = "the theorem needs f >= 3, k >= 1 and f+1 >= 2k"
 _SOME_LENGTH = (lambda n: n >= 4, "the check needs n >= 4, the length of the shortest proper diagram")
 _SOME_ARC = (lambda m, k: m >= 4 and k >= 1, "the check needs m >= 4 and k >= 1, for a nonempty arc set")
@@ -444,7 +503,7 @@ _CHECKS = {
         lambda f, k, r: f >= 3 and k >= 1 and f + 1 >= 2 * k and r >= 0,
         f"{_THEOREM_HYPOTHESES}, and r >= 0",
     ),
-    "beta": (_check_beta, _MATRIX_FAMILY_GRID, *_REGULAR_FAMILY),
+    "beta": (partial(_check_beta, None), _MATRIX_FAMILY_GRID, *_REGULAR_FAMILY),
     "tau": (
         _check_tau,
         [{"f": f, "k": 1} for f in range(3, 10)] + [{"f": f, "k": 2} for f in range(4, 8)] + [{"f": 6, "k": 3}],
@@ -462,7 +521,7 @@ _CHECKS = {
     "regular-unique": (_check_regular_unique, [{"n": 11}], *_SOME_LENGTH),
     "dual-matrix": (_check_dual_matrix, [{"n": 7}], *_SOME_LENGTH),
     "realize-roundtrip": (
-        _check_realize_roundtrip,
+        partial(_check_realize_roundtrip, None),
         [{"m": 6, "k": 2, "r": 2}],
         lambda m, k, r: m >= 4 and k >= 1 and r >= 0,
         "the check needs m >= 4, k >= 1 and r >= 0",
@@ -484,6 +543,14 @@ _CHECKS = {
 }
 
 
+# the order of each family whose keys a grid point lays out, for the
+# checks that share passed layouts between the points of one run
+_LAYOUT_ORDERS = {
+    "beta": lambda f, k, r: (f + 1,),
+    "realize-roundtrip": lambda m, k, r: range(4, m + 1),
+}
+
+
 def check_names() -> list[str]:
     return sorted(_CHECKS)
 
@@ -496,6 +563,7 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
     points = grid if grid is not None else default_grid
     if not points:
         raise InvalidArgumentError(f"check {name}: the grid has no point")
+    arguments = []
     for params in points:
         try:
             bound = inspect.signature(func).bind(**params)
@@ -504,6 +572,10 @@ def run_check(name: str, grid: list[dict] | None = None) -> VerificationReport:
         bound.apply_defaults()
         if not holds(**bound.arguments):
             raise InvalidArgumentError(f"check {name} at {params}: {needs}")
+        arguments.append(bound.arguments)
+    if name in _LAYOUT_ORDERS:  # this run's own passed layouts, in place of None
+        orders = chain.from_iterable(_LAYOUT_ORDERS[name](**point) for point in arguments)
+        func = partial(func.func, _PassedLayouts(orders))
     report = VerificationReport(name)
     for params in points:
         passed, detail = func(**params)

@@ -403,6 +403,21 @@ class TestVerify:
         assert err.startswith(f"error: check {check} at ") and err.endswith(f": {needs}\n")
         assert ran == []
 
+    # the checks that share passed layouts between points take them as an
+    # argument the grid cannot name
+    @pytest.mark.parametrize(
+        "check,grid,name",
+        [
+            ("beta", "f=3,k=1,r=0,x=1", "x"),
+            ("beta", "f=3,k=1,r=0,laid_out=1", "laid_out"),
+            ("realize-roundtrip", "m=4,laid_out=1", "laid_out"),
+        ],
+    )
+    def test_unknown_grid_name_exit_2(self, capsys, check, grid, name):
+        code, out, err = run(capsys, "verify", "--check", check, "--grid", grid)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: check {check} at ") and err.endswith(f"got an unexpected keyword argument '{name}'\n")
+
     @pytest.mark.parametrize("grid", [";", ""])
     def test_grid_without_a_point_exit_2(self, capsys, grid):
         code, out, err = run(capsys, "verify", "--check", "beta", "--grid", grid)
@@ -653,6 +668,37 @@ class TestParserCache:
 
 
 class TestArgumentErrors:
+    # int() would read each of these: '_' separators, a '+' sign, and
+    # digits of other scripts (Arabic-Indic, fullwidth)
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--check", "beta", "--grid", "f=3,k=1,r=1_0"], "bad parameter 'r=1_0'; expected name=int"),
+            (["enum", "--family", "S", "--params", "n=+6,k=2"], "bad parameter 'n=+6'; expected name=int"),
+            (["complex", "--T", "\u0667", "2"], "--T needs an integer, got '\u0667'"),
+            (["complex", "--T", "6", "\uff12"], "--T needs an integer, got '\uff12'"),
+            (["--cap", "1_000", "complex", "--T", "6", "2"], "--cap needs an integer, got '1_000'"),
+            (
+                ["canonicalize", "n=\u0669; arcs=(1,4),(5,9),(6,8)"],
+                "malformed diagram text: 'n=\u0669; arcs=(1,4),(5,9),(6,8)'",
+            ),
+            (
+                ["inspect", "n=9; arcs=(1,4),(5,\u0669),(6,8)"],
+                "malformed diagram text: 'n=9; arcs=(1,4),(5,\u0669),(6,8)'",
+            ),
+        ],
+        ids=["grid-underscore", "params-plus", "T-arabic-indic", "T-fullwidth", "cap-underscore", "length", "arc"],
+    )
+    def test_integer_not_in_ascii_digits_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    def test_negative_integers_still_read(self, capsys):
+        code, out, err = run(capsys, "complex", "--T", "6", "-2")
+        assert code == 2 and err == "error: k must be >= 1, got -2\n"
+        code, out, err = run(capsys, "verify", "--check", "beta", "--grid", "f=3,k=1,r=-1")
+        assert code == 2 and err.endswith(": the check needs f >= 3, k >= 1 and r >= 0\n")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,28 +1,34 @@
 """Swaps, canonicalization, equivalence, dual, blow-up, realization, maps."""
 
 from collections import defaultdict
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from arcposet import transform, verify
 
+from arcposet.crossing import pairs_cross
 from arcposet.diagram import (
     Diagram,
     adjacency_matrix,
+    arcs_error,
     block_list,
     block_matrix,
+    block_pair_counts,
     crossing_count,
     free_sites,
     is_proper,
     is_regular,
     parallel_classes,
     parse,
+    partner_arcs,
     site_table,
+    table_from_partners,
+    table_is_regular,
 )
 from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
-from arcposet.families import build_P
+from arcposet.families import build_P, proper_matchings
 from arcposet.matrix import SymmetricMatrix, enumerate_matrices, enumerate_matrix_keys, upper_positions
 from arcposet.transform import (
     BOTTOM_RELEVANT,
@@ -36,6 +42,7 @@ from arcposet.transform import (
     equivalent_by_definition,
     is_k_relevant,
     kappa,
+    layout_key,
     realize_matrix,
     regular_arcs,
     swap,
@@ -159,6 +166,99 @@ class TestSwapOracle:
         report = verify.run_check("regular-unique", [{"n": 7}])
         assert not report.passed
         assert report.points[0].detail.endswith("removes no crossing")
+
+
+def _local_crossing_blocks(arcs, block):
+    """The blocks shared by two crossing arcs, by the pair scan over every
+    arc pair, with the blocks of each arc as a set."""
+    shared = set()
+    for e1, e2 in combinations(arcs, 2):
+        if pairs_cross(e1, e2):
+            shared |= {block[s] for s in e1} & {block[s] for s in e2}
+    return shared
+
+
+def _strict_swap_site_by_sets(partner, block, block_index):
+    """The smallest site whose arc crosses the arc of the next site, the
+    two sharing the block ``block_index``, read as sets of blocks."""
+    for site in range(1, len(partner) - 1):
+        e1, e2 = (site, partner[site]), (site + 1, partner[site + 1])
+        if e1[1] and e2[1] and pairs_cross(e1, e2) and block_index in {block[s] for s in e1} & {block[s] for s in e2}:
+            return site
+    return None
+
+
+class TestFiberReaders:
+    def test_member_statistics_match_the_pair_scan(self):
+        local = 0
+        for n in range(4, 11):
+            for partner, _ in proper_matchings(n):
+                arcs = partner_arcs(partner)
+                block = table_from_partners(partner).block
+                count, leftmost = verify._crossings_and_leftmost_local_block(arcs, block)
+                assert count == crossing_count(Diagram(n, arcs))
+                blocks = _local_crossing_blocks(arcs, block)
+                assert leftmost == min(blocks, default=None)
+                for block_index in blocks:  # the check swaps at the leftmost only
+                    site = verify._strict_swap_site(partner, block, block_index)
+                    assert site == _strict_swap_site_by_sets(partner, block, block_index)
+                local += bool(blocks)
+        assert local > 1000  # most members have a local crossing
+
+
+class TestPassedLayouts:
+    """Within one run, a key whose layout passed is not laid out again."""
+
+    @pytest.mark.parametrize(
+        "check,grid,distinct",
+        [
+            # M(5,1,0) and M(5,1,1) lie in M(5,2,1), of 239 keys; M(4,1,1) has 13
+            (
+                "beta",
+                [{"f": 4, "k": 1, "r": 0}, {"f": 3, "k": 1, "r": 1}, {"f": 4, "k": 1, "r": 1}, {"f": 4, "k": 2, "r": 1}],
+                239 + 13,
+            ),
+            # M(4,1,1) lies in M(4,2,2), of 48 keys; M(5,2,2) has 911
+            ("realize-roundtrip", [{"m": 4, "k": 1, "r": 1}, {"m": 5}, {"m": 5}], 48 + 911),
+        ],
+        ids=["beta", "realize-roundtrip"],
+    )
+    def test_each_distinct_key_is_laid_out_once(self, monkeypatch, check, grid, distinct):
+        laid_out = []
+        layout = verify.layout_key
+
+        def recorded(order, key):
+            laid_out.append((order, key))
+            return layout(order, key)
+
+        monkeypatch.setattr(verify, "layout_key", recorded)
+        assert verify.run_check(check, grid).passed
+        assert len(laid_out) == len(set(laid_out)) == distinct
+
+    def test_key_broken_from_the_second_point_fails_every_point_holding_it(self, monkeypatch):
+        first = set(enumerate_matrix_keys(5, 1, 0))
+        target = next(key for key in enumerate_matrix_keys(5, 1, 1) if key not in first)
+        layout = verify.layout_key
+
+        def inexact_for_target(order, key):
+            arcs, regular, exact = layout(order, key)
+            return arcs, regular, exact and key != target
+
+        monkeypatch.setattr(verify, "layout_key", inexact_for_target)
+        grid = [{"f": 4, "k": 1, "r": 0}, {"f": 4, "k": 1, "r": 1}, {"f": 3, "k": 1, "r": 1}, {"f": 4, "k": 2, "r": 1}]
+        mismatch = f"beta(beta_inverse) mismatch at {verify._key_text(5, target)}"
+        assert [(point.passed, point.detail) for point in verify.run_check("beta", grid).points] == [
+            (True, "10 matrices, 10 distinct regular diagrams"),
+            (False, mismatch),
+            (True, "13 matrices, 13 distinct regular diagrams"),
+            (False, mismatch),
+        ]
+
+    def test_runs_share_nothing(self, monkeypatch):
+        grid = [{"f": 4, "k": 2, "r": 1}, {"f": 4, "k": 2, "r": 1}]
+        assert verify.run_check("beta", grid).passed
+        monkeypatch.setattr(transform, "regular_arcs", _drop_an_arc)
+        assert [point.passed for point in verify.run_check("beta", grid).points] == [False, False]
 
 
 class TestRealizeRoundtrip:
@@ -423,6 +523,14 @@ def _cross_parallel_arcs(pairs):
     return tuple(sorted(crossed))
 
 
+def _share_an_end(pairs):
+    """The layout with its second arc's left end moved onto its first's."""
+    arcs = regular_arcs(pairs)
+    if len(arcs) < 2:
+        return arcs
+    return tuple(sorted([arcs[0], (arcs[0][0], arcs[1][1]), *arcs[2:]]))
+
+
 def _stack_two_arcs(pairs):
     """The layout of a (0,1) key of two or more arcs with the arc of its
     last block pair moved onto its first: parallel arcs, which exactness
@@ -431,6 +539,52 @@ def _stack_two_arcs(pairs):
     if len(used) < 2 or any(pairs[pair] > 1 for pair in used):
         return regular_arcs(pairs)
     return regular_arcs({**dict.fromkeys(used[1:-1], 1), used[0]: 2})
+
+
+def _layout_by_definition(order, key):
+    """``layout_key`` composed from the diagram layer: the site table, its
+    regularity test and its block-pair counts."""
+    pairs = {pair: value for pair, value in zip(upper_positions(order), key) if value}
+    arcs = transform.regular_arcs(pairs)
+    length = order - 1 + 2 * len(arcs)
+    if arcs_error(length, arcs) is not None:
+        return arcs, False, False
+    table = site_table(length, arcs)
+    regular = table_is_regular(table, arcs) and table.free_count == order - 1
+    return arcs, regular, block_pair_counts(table, arcs) == pairs
+
+
+class TestLayoutOracle:
+    def test_layout_key_matches_its_definition(self):
+        # M(m, 2, 2) holds every M(m, k, r) with k <= 2 and r <= 2
+        for order in (4, 5, 6):
+            for key in enumerate_matrix_keys(order, 2, 2):
+                result = layout_key(order, key)
+                assert result == _layout_by_definition(order, key)
+                assert result[1:] == (True, True)
+
+    @pytest.mark.parametrize(
+        "broken",
+        [
+            _drop_an_arc,
+            _cross_parallel_arcs,
+            _stack_two_arcs,
+            _share_an_end,
+            lambda pairs: tuple((a + 1, b + 1) for a, b in regular_arcs(pairs)),
+            lambda pairs: regular_arcs(pairs)[::-1],
+            lambda pairs: (),
+        ],
+        ids=["drop", "cross", "stack", "share", "shift", "reverse", "empty"],
+    )
+    def test_broken_layouts_read_as_by_definition(self, monkeypatch, broken):
+        monkeypatch.setattr(transform, "regular_arcs", broken)
+        results = set()
+        for order in (4, 5):
+            for key in enumerate_matrix_keys(order, 2, 2):
+                result = layout_key(order, key)
+                assert result == _layout_by_definition(order, key)
+                results.add(result[1:])
+        assert results != {(True, True)}
 
 
 class TestLayoutNegativeControls:
