@@ -22,7 +22,7 @@ from .crossing import check_search_depth, maximal_noncrossing_masks
 from .diagram import Arc
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .families import relevant_arcs
-from .poset import FinitePoset, element_key
+from .poset import FinitePoset, element_key, plus_one_covers
 from .snf import invariant_factors
 
 
@@ -200,15 +200,7 @@ def face_poset(complex_: SimplicialComplex) -> FinitePoset:
     plus one vertex."""
     named = complex_._named_faces()
     named.pop(0, None)
-    index = {face: i for i, face in enumerate(named)}
-    covers: list[list[int]] = [[] for _ in named]
-    for j, face in enumerate(named):
-        rest = face if face & (face - 1) else 0
-        while rest:
-            v = rest & -rest
-            rest ^= v
-            covers[index[face ^ v]].append(j)
-    return FinitePoset(named.values(), covers=covers, validate=False)
+    return FinitePoset(named.values(), covers=plus_one_covers(list(named)), validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,14 @@ Six families are built here:
 * D(f, k, r)     -- proper diagrams with f free sites, ordered by
                     suppression reachability.
 
-Every family is held as its cover digraph.  S, So, Sstar, M and P get
-their covers as unit steps on flat keys; D is grown from the trivial
-diagram by one-arc insertions, and its covers are its one-arc
-suppressions.  M and P hand the poset each member's text, read off its
-flat key or laid-out arcs, so their ``SymmetricMatrix`` and ``Diagram``
-members are built only on the first read of ``elements``; S, So, Sstar
-and D pass built diagrams, whose validation checks the arcs they make.
-The binary-diagram scan and the suppression relation stay as oracles for
-the tests and ``verify``.
+Every family is held as its cover digraph, and put together one way:
+its member texts and covers go to ``FinitePoset.from_texts``, so no
+member is built before ``elements`` is read.  M and P get their covers
+as unit steps on flat keys; S, So and Sstar keep each member as its mask
+over the arc pool, covered by the members with one arc more; D is grown
+from the trivial diagram by one-arc insertions, and its covers are its
+one-arc suppressions.  The binary-diagram scan and the suppression
+relation stay as oracles for the tests and ``verify``.
 """
 
 from __future__ import annotations
@@ -53,7 +52,7 @@ from .matrix import (
     matrices_from_keys,
     upper_positions,
 )
-from .poset import FinitePoset
+from .poset import FinitePoset, mask_bits, plus_one_covers
 from .transform import is_k_relevant, layout_key
 
 
@@ -173,37 +172,36 @@ def enumerate_proper_diagrams(n: int):
 
 
 def _inclusion_family(n: int, k: int, pool: list[Arc], cap: int) -> FinitePoset:
-    keys, elements = [], []
+    """Non-trivial k-noncrossing diagrams of length n on the ascending ``pool``
+    under inclusion, held as masks until read; ``cap`` bounds the masks."""
+    if k < 1:
+        raise InvalidArgumentError(f"k must be >= 1, got {k}")
+    masks = []
     for mask in noncrossing_subset_masks(pool, k):
-        if mask == 0:
-            continue
-        bits = tuple(mask >> i & 1 for i in range(len(pool)))
-        keys.append(bits)
-        elements.append(Diagram(n, [arc for arc, bit in zip(pool, bits) if bit]))
-        if len(elements) > cap:
-            raise ResourceLimitError(f"family exceeds cap {cap}", bound=cap)
-    # a cover adds one arc
-    return FinitePoset(elements, covers=unit_step_covers(keys), validate=False)
+        if mask:
+            masks.append(mask)
+            if len(masks) > cap:
+                raise ResourceLimitError(f"family exceeds cap {cap}", bound=cap)
+
+    def arcs(t: int) -> list[Arc]:
+        return [pool[i] for i in mask_bits(masks[t])]
+
+    texts = [arcs_text(n, arcs(t)) for t in range(len(masks))]
+    return FinitePoset.from_texts(texts, plus_one_covers(masks), lambda order: [Diagram(n, arcs(t)) for t in order])
 
 
 def build_S(n: int, k: int, cap: int = 1_000_000) -> FinitePoset:
     """Non-trivial k-noncrossing diagrams of length n under arc inclusion."""
-    if k < 1:
-        raise InvalidArgumentError(f"k must be >= 1, got {k}")
     return _inclusion_family(n, k, admissible_arcs(n), cap)
 
 
 def build_So(m: int, k: int, cap: int = 1_000_000) -> FinitePoset:
     """The k-relevant sub-family of S(m, k)."""
-    if k < 1:
-        raise InvalidArgumentError(f"k must be >= 1, got {k}")
     return _inclusion_family(m, k, relevant_arcs(m, k), cap)
 
 
 def build_Sstar(m: int, k: int, cap: int = 1_000_000) -> FinitePoset:
     """The non-k-relevant sub-family of S(m, k) (always k-noncrossing)."""
-    if k < 1:
-        raise InvalidArgumentError(f"k must be >= 1, got {k}")
     return _inclusion_family(m, k, nonrelevant_arcs(m, k), cap)
 
 
@@ -306,9 +304,7 @@ def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
     M^r_{f+1,k} and its covers over, member by member, here by laying out
     each upper-triangle key with ``layout_key``; a layout that is not
     regular or has other block-pair counts raises :class:`InvariantError`
-    here, before the poset is put together.  The members are ordered by
-    the text of each layout, and built on the first read of
-    ``elements``."""
+    here, before the poset is put together."""
     if f < 3:
         raise InvalidArgumentError(f"f must be >= 3, got {f}")
     keys = enumerate_matrix_keys(f + 1, k, r, cap=cap)
@@ -318,9 +314,14 @@ def build_P(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
         if not (regular and exact):
             raise InvariantError(f"the layout {arcs} of key {key} is not the regular diagram of its counts")
         layouts.append(arcs)
+    return _proper_poset(f, layouts, unit_step_covers(keys))
+
+
+def _proper_poset(f: int, layouts: list[tuple[Arc, ...]], covers) -> FinitePoset:
+    """The binary diagrams with f free sites and these ascending arc tuples, made when read."""
     texts = [arcs_text(f + 2 * len(arcs), arcs) for arcs in layouts]
     return FinitePoset.from_texts(
-        texts, unit_step_covers(keys), lambda order: [Diagram(f + 2 * len(layouts[t]), layouts[t]) for t in order]
+        texts, covers, lambda order: [Diagram(f + 2 * len(layouts[t]), layouts[t]) for t in order]
     )
 
 
@@ -447,8 +448,7 @@ def build_D(f: int, k: int, r: int, cap: int = 10_000_000) -> FinitePoset:
                 text = arcs_text(f + 2 * len(arcs), arcs)
                 raise InvariantError(f"suppressing {arc} of {text} leaves D({f},{k},{r})")
             succ[lower].append(t)
-    elements = [Diagram(f + 2 * len(arcs), arcs) for arcs in index]
-    return FinitePoset(elements, covers=succ, validate=False)
+    return _proper_poset(f, list(index), succ)
 
 
 # ---------------------------------------------------------------------------

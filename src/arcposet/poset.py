@@ -16,13 +16,13 @@ from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from functools import cached_property
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
 # largest up-set table (n bitmasks of ceil(n/8) bytes) a poset will build
 LEQ_BYTE_CAP = 1 << 28
 
 
-def _bits(mask: int):
+def mask_bits(mask: int):
     """Indices of the set bits of ``mask``, lowest first."""
     while mask:
         low = mask & -mask
@@ -33,14 +33,14 @@ def _bits(mask: int):
 def _through(up: list[int], i: int) -> int:
     """Bitmask of the elements two strict steps above element ``i``."""
     reach = 0
-    for k in _bits(up[i] & ~(1 << i)):
+    for k in mask_bits(up[i] & ~(1 << i)):
         reach |= up[k] & ~(1 << k)
     return reach
 
 
 def _covers_from_up_sets(up: list[int]) -> list[list[int]]:
     """Upper covers of each element of the partial order with up-sets ``up``."""
-    return [list(_bits(mask & ~(1 << i) & ~_through(up, i))) for i, mask in enumerate(up)]
+    return [list(mask_bits(mask & ~(1 << i) & ~_through(up, i))) for i, mask in enumerate(up)]
 
 
 def topological_order(succ: list[list[int]]) -> list[int]:
@@ -61,6 +61,23 @@ def topological_order(succ: list[list[int]]) -> list[int]:
     if len(order) != len(succ):
         raise InvalidArgumentError("cover digraph has a cycle")
     return order
+
+
+def plus_one_covers(masks: list[int]) -> list[list[int]]:
+    """Cover digraph of distinct nonempty sets (bitmasks) under inclusion: a
+    set is covered by the members one element larger, as each set less one
+    element is a member or empty (else :class:`InvariantError`)."""
+    index = {mask: t for t, mask in enumerate(masks)}
+    covers: list[list[int]] = [[] for _ in masks]
+    for t, mask in enumerate(masks):
+        rest = mask if mask & (mask - 1) else 0  # one element less is empty
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if mask ^ bit not in index:
+                raise InvariantError(f"family not closed under one-element removal: {mask:#b} lacks {mask ^ bit:#b}")
+            covers[index[mask ^ bit]].append(t)
+    return covers
 
 
 def chain_stats_from_covers(succ: list[list[int]]) -> tuple[int, bool]:
@@ -246,7 +263,7 @@ class FinitePoset:
         chosen = sorted(self.index(e) for e in elements)
         position = {old: new for new, old in enumerate(chosen)}
         up = [
-            sum(1 << position[j] for j in _bits(self.up_sets[i]) if j in position)
+            sum(1 << position[j] for j in mask_bits(self.up_sets[i]) if j in position)
             for i in chosen
         ]
         covers = _covers_from_up_sets(up)
@@ -255,7 +272,7 @@ class FinitePoset:
     def open_interval_above(self, element) -> "FinitePoset":
         """Sub-poset of elements strictly greater than ``element``."""
         i = self.index(element)
-        return self.restrict(self.elements[j] for j in _bits(self.up_sets[i] & ~(1 << i)))
+        return self.restrict(self.elements[j] for j in mask_bits(self.up_sets[i] & ~(1 << i)))
 
     def adjoin_bottom(self, bottom) -> "FinitePoset":
         """New poset with ``bottom`` strictly below every element."""

@@ -137,10 +137,11 @@ def canonicalize(diagram: Diagram) -> Diagram:
 
 
 def equivalent(first: Diagram, second: Diagram) -> bool:
-    """Equality of block matrices (the matrix-side characterization)."""
-    if not is_proper(first) or not is_proper(second):
+    """Equality of block matrices (the matrix-side characterization): of free-site and block-pair counts."""
+    one, two = (site_table(d.length, d.arcs) for d in (first, second))
+    if not (table_is_proper(one, first.arcs) and table_is_proper(two, second.arcs)):
         raise InvalidArgumentError("equivalence is defined on proper diagrams")
-    return block_matrix(first) == block_matrix(second)
+    return (one.free_count, block_pair_counts(one, first.arcs)) == (two.free_count, block_pair_counts(two, second.arcs))
 
 
 def equivalent_by_definition(first: Diagram, second: Diagram) -> bool:

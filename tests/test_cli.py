@@ -236,6 +236,27 @@ class TestEnumAndPoset:
         code, out, _ = run(capsys, "enum", "--family", "P", "--params", "f=4,k=2,r=1")
         assert code == 0 and [parse(line).length for line in out.splitlines()[:2]] == [10, 10]
 
+    @pytest.mark.parametrize(
+        "family,params,stats",
+        [
+            ("S", "n=7,k=1", "elements=196 covers=532 minimal=14 maximal=42 rank_length=3 rank_cardinality=4 pure=True"),
+            ("So", "m=8,k=2", "elements=912 covers=3696 minimal=12 maximal=84 rank_length=5 rank_cardinality=6 pure=True"),
+            ("Sstar", "m=7,k=2", "elements=127 covers=441 minimal=7 maximal=1 rank_length=6 rank_cardinality=7 pure=True"),
+            ("D", "f=4,k=1,r=1", "elements=69 covers=135 minimal=9 maximal=30 rank_length=2 rank_cardinality=3 pure=True"),
+        ],
+        ids=["S", "So", "Sstar", "D"],
+    )
+    def test_inclusion_and_proper_stats_build_no_member(self, capsys, monkeypatch, family, params, stats):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Diagram, "__init__", refuse)
+            code, out, _ = run(capsys, "poset", "--family", family, "--params", params, "--stats")
+        assert code == 0 and out == stats + "\n"
+        code, out, _ = run(capsys, "enum", "--family", family, "--params", params)
+        assert code == 0 and len(out.splitlines()) == int(stats.split()[0].split("=")[1])
+
     def test_proper_family_stats_and_cap(self, capsys):
         argv = ("poset", "--family", "D", "--params", "f=4,k=1,r=1", "--stats")
         code, out, _ = run(capsys, "--cap", "69", *argv)
@@ -803,6 +824,27 @@ class TestRefusedBeforeBuilt:
         done = _run_in_fresh_process(argv)
         assert done["results"] == [[3, "", f"resource cap: {message}\n"]]
         assert done["seconds"][0] < 1
+
+
+class TestLongInputs:
+    # held to 1 GB: S must count its masks against the cap before it makes
+    # anything per member, and equiv must not build block matrices of order n-1
+    @pytest.mark.parametrize(
+        "argv",
+        [["poset", "--family", "S", "--params", "n=30,k=1", "--stats"], ["enum", "--family", "S", "--params", "n=40,k=1"]],
+        ids=["poset-stats", "enum"],
+    )
+    def test_an_inclusion_family_over_its_cap_exits_3(self, argv):
+        done = _run_in_fresh_process(argv)
+        assert done["results"] == [[3, "", "resource cap: family exceeds cap 1000000\n"]]
+        assert done["seconds"][0] < 10
+
+    def test_equiv_on_a_long_diagram(self):
+        same = ["equiv", "n=1000000; arcs=(1,3)", "n=1000000; arcs=(1,3)"]
+        other = ["equiv", "n=1000000; arcs=(1,3)", "n=1000000; arcs=(1,4)"]
+        done = _run_in_fresh_process(same, other)
+        assert done["results"] == [[0, "equivalent\n", ""], [0, "not equivalent\n", ""]]
+        assert max(done["seconds"]) < 10
 
 
 @settings(max_examples=300, deadline=None)

@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import arcposet
 from arcposet import poset as poset_module
-from arcposet.errors import InvalidArgumentError, ResourceLimitError
+from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from arcposet.poset import (
     FinitePoset,
     chain_stats_from_covers,
     element_key,
+    plus_one_covers,
     topological_order,
 )
 
@@ -94,6 +95,19 @@ class TestCoverInput:
             sum(1 << j for j, b in enumerate(poset.elements) if divides(int(a), int(b)))
             for a in poset.elements
         ]
+
+
+class TestPlusOneCovers:
+    def test_a_set_is_covered_by_the_members_one_element_larger(self):
+        # {0,2}, {0}, {0,1}, {1}, {2}, out of mask order; the covers of a
+        # set are listed in member order
+        masks = [0b101, 0b1, 0b11, 0b10, 0b100]
+        assert plus_one_covers(masks) == [[], [0, 2], [], [2], [0]]
+
+    def test_a_missing_subset_is_refused(self):
+        with pytest.raises(InvariantError, match="0b11 lacks 0b10"):
+            plus_one_covers([0b1, 0b11])
+        assert plus_one_covers([0b1, 0b10]) == [[], []]
 
 
 class TestQueries:
