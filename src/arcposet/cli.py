@@ -109,6 +109,12 @@ def _parse_params(text: str | None) -> dict[str, int]:
 
 def _cmd_inspect(args) -> int:
     diagram = parse(args.diagram)
+    # order f+1, f the length less the distinct endpoints: refused over the
+    # default cap before anything of the diagram's length is built
+    order = diagram.length - len({site for arc in diagram.arcs for site in arc}) + 1
+    if order * order > 10_000_000:
+        message = f"inspect would print a block matrix of order {order} ({order * order} entries)"
+        raise ResourceLimitError(message + ", over cap 10000000", bound=10_000_000)
     text, free = to_text(diagram), free_sites(diagram)
     blocks, matrix = block_list(diagram), block_matrix(diagram)
     binary, proper, regular = is_binary(diagram), is_proper(diagram), is_regular(diagram)

@@ -5,7 +5,7 @@ appear only at the boundary (facets, faces, face posets, facet files).
 Faces, f-vector, face poset and homology share one walk over the masks.
 Reduced homology is read off a greedy vertex decomposition when one is
 found; otherwise it is computed over the integers relative to the star of
-one vertex, by coreductions plus sparse/dense Smith normal form.
+one vertex, by coreductions plus Smith normal form in one sparse elimination.
 Also built here: order complexes of posets, joins, the complex of
 k-noncrossing arc subsets, and the multitriangulation complex of
 k-relevant polygon diagonals.

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import arcposet
 from arcposet import cli, verify
 from arcposet import poset as poset_module
-from arcposet.errors import InvariantError, ResourceLimitError
+from arcposet.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from arcposet.families import build_family
 from arcposet.diagram import Diagram, parse
 from arcposet.matrix import SymmetricMatrix, enumerate_matrix_keys, matrices_from_keys, upper_positions
@@ -53,6 +53,25 @@ class TestInspect:
     def test_repeated_arc_exit_2(self, capsys):
         code, out, err = run(capsys, "inspect", "n=5; arcs=(1,3),(1,3)")
         assert code == 2 and out == "" and err == "error: arc (1,3) is repeated\n"
+
+
+class TestEmptyFamily:
+    # no arc of the pentagon is 2-relevant, so So(5, 2) has no member
+    PARAMS = ("--family", "So", "--params", "m=5,k=2")
+
+    def test_stats(self, capsys):
+        assert run(capsys, "poset", *self.PARAMS, "--stats") == (0, "elements=0\n", "")
+
+    def test_enum_text_and_json(self, capsys):
+        assert run(capsys, "enum", *self.PARAMS) == (0, "", "")
+        code, out, err = run(capsys, "--format", "json", "enum", *self.PARAMS)
+        assert (code, err) == (0, "")
+        assert out == '{"count": 0, "elements": [], "family": "So", "schema": 1}\n'
+
+    def test_dot(self, capsys, tmp_path):
+        dot = tmp_path / "empty.dot"
+        assert run(capsys, "poset", *self.PARAMS, "--dot", str(dot)) == (0, "", "")
+        assert dot.read_text() == "digraph family {\n  rankdir=BT;\n}\n"
 
 
 class TestTransforms:
@@ -356,6 +375,11 @@ class TestVerify:
         )
         assert code == 0
         assert out.count(": pass") == 3  # two points plus the summary line
+
+    def test_unknown_check_names_the_known_ones(self):
+        with pytest.raises(InvalidArgumentError) as raised:
+            verify.run_check("nope")
+        assert str(raised.value) == "unknown check 'nope'; known: " + ", ".join(check_names())
 
     @pytest.mark.parametrize("grid", ["f=3", "f=4,k=1,zz=3", "f=4,k=1;k=1"])
     def test_bad_grid_point_exit_2(self, capsys, grid):
@@ -838,6 +862,22 @@ class TestLongInputs:
         done = _run_in_fresh_process(argv)
         assert done["results"] == [[3, "", "resource cap: family exceeds cap 1000000\n"]]
         assert done["seconds"][0] < 10
+
+    @pytest.mark.parametrize(
+        "argv, order",
+        [
+            (["inspect", "n=1000000; arcs=(1,3)"], 999999),
+            (["inspect", "n=1000000000; arcs=(1,3)"], 999999999),
+            (["--format", "json", "inspect", "n=1000000; arcs=(1,3)"], 999999),
+            (["inspect", "n=4000; arcs=(1,3)"], 3999),
+        ],
+        ids=["text", "huge", "json", "just-over"],
+    )
+    def test_inspect_refuses_a_block_matrix_over_the_cap(self, argv, order):
+        done = _run_in_fresh_process(argv)
+        message = f"inspect would print a block matrix of order {order} ({order * order} entries), over cap 10000000"
+        assert done["results"] == [[3, "", f"resource cap: {message}\n"]]
+        assert done["seconds"][0] < 5
 
     def test_equiv_on_a_long_diagram(self):
         same = ["equiv", "n=1000000; arcs=(1,3)", "n=1000000; arcs=(1,3)"]

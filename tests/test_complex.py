@@ -3,6 +3,7 @@
 import random
 from functools import reduce
 from itertools import combinations
+from math import gcd
 from operator import and_, or_
 
 import pytest
@@ -36,7 +37,7 @@ from arcposet.families import admissible_arcs, build_P, nonrelevant_arcs, releva
 from arcposet.poset import FinitePoset
 from arcposet.snf import invariant_factors
 
-from .test_acceptance import hankel_facet_count
+from .test_acceptance import bareiss_determinant, hankel_facet_count
 
 
 def circle():
@@ -82,6 +83,53 @@ class TestSmith:
     def test_known_torsion(self):
         # boundary with cokernel Z/2
         assert invariant_factors({(0, 0): 2}, 1, 1) == [2]
+
+    @pytest.mark.parametrize(
+        "rows, factors",
+        [
+            ([[2, 4], [6, 8]], [2, 4]),
+            ([[4, 0, 0], [0, 6, 0], [0, 0, 10]], [2, 2, 60]),
+        ],
+    )
+    def test_no_unit_entry(self, rows, factors):
+        assert invariant_factors(_entries(rows), len(rows), len(rows[0])) == factors
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda ncols: st.lists(
+                st.lists(st.one_of(st.just(0), st.integers(-6, 6)), min_size=ncols, max_size=ncols),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_agrees_with_determinantal_divisors(self, rows):
+        # and leaves its argument as it was
+        entries = _entries(rows)
+        before = dict(entries)
+        assert invariant_factors(entries, len(rows), len(rows[0])) == _determinantal_factors(rows)
+        assert entries == before
+
+
+def _entries(rows):
+    return {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+
+
+def _determinantal_factors(rows):
+    """d_k / d_(k-1) for each k with d_k nonzero, where d_k is the gcd of the
+    k x k minors: the invariant factors, found without elimination."""
+    factors, previous = [], 1
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        d = 0
+        for at in combinations(range(len(rows)), k):
+            for by in combinations(range(len(rows[0])), k):
+                d = gcd(d, bareiss_determinant([[rows[i][j] for j in by] for i in at]))
+        if not d:
+            break
+        factors.append(d // previous)
+        previous = d
+    return factors
 
 
 class TestSimplicialComplex:
@@ -907,6 +955,12 @@ class TestFacetFiles:
         assert again.vertices() == ("a", "b", "c")
         assert again.facets == circle().facets
         assert reduced_homology(again).report_lines() == ["H~_1 = Z"]
+
+    def test_texts_sorted_again_when_vertex_order_differs(self):
+        # vertices go in element_key order, in which the frozenset label comes
+        # after the strings; its text sorts before them
+        c = SimplicialComplex([{frozenset({"b"}), "g"}, {"g", "h"}])
+        assert write_facets(c) == "g,h\nfrozenset({'b'}),g\n"
 
     def test_empty_complex_round_trip(self):
         empty = simplex(-1)
